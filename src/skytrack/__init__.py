@@ -7,6 +7,12 @@ fixed-step simulator, and score trajectories with waypoint-distance and
 cross-track metrics.
 """
 
+import os
+
+# BLAS threads only burn CPU on training's small GEMMs; set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .geometry import (
     Path,
     Point2,

@@ -153,7 +153,7 @@ def build_dataset(
         raise ValueError("n_augmented must be >= 1")
     _, samples = sweep_optimal(path, config, world)
     for sweep_index in range(1, config.n_augmented):
-        samples = samples + sweep_jittered(path, config, world, sweep_index)
+        samples.extend(sweep_jittered(path, config, world, sweep_index))
     return dataset_from_samples(samples)
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import zlib
 from pathlib import Path as FilePath
@@ -324,7 +325,9 @@ def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath |
 # commands
 
 def _path_files(out_dir: FilePath) -> list[FilePath]:
-    return sorted(out_dir.glob("path_*.csv"))
+    # Only the routes `gen` writes; `path_00_dataset.csv` and the other
+    # per-path artifacts share the prefix.
+    return sorted(f for f in out_dir.glob("path_*.csv") if re.fullmatch(r"path_\d+\.csv", f.name))
 
 
 def cmd_gen(config: dict[str, object]) -> int:
@@ -367,9 +370,10 @@ def _load_scenario(config: dict[str, object]) -> tuple[LandmarkWorld, list[Path]
 
 def run_path_pipeline(
     config: dict[str, object], world: LandmarkWorld, route: Path, out_dir: FilePath
-) -> metrics.MetricsReport:
+) -> tuple[metrics.MetricsReport, int]:
     """Dataset -> train -> closed-loop rollout -> metrics, with all artifacts
-    written under out_dir. One model per path; no joint training."""
+    written under out_dir. One model per path; no joint training. Returns
+    the report and the number of training samples."""
     acfg = augmentation_config(config)
     dataset = aug.build_dataset(route, acfg, world)
     save_dataset(dataset, out_dir / f"{route.id}_dataset.csv", out_dir / f"{route.id}_norm.json")
@@ -387,7 +391,7 @@ def run_path_pipeline(
     report = metrics.evaluate(route, log)
     metrics.save_report(report, out_dir / f"{route.id}_metrics.json")
     emit_overlay_svg(route, log, out_dir / f"{route.id}_overlay.svg")
-    return report
+    return report, len(dataset.samples)
 
 
 def cmd_pipeline(config: dict[str, object]) -> int:
@@ -404,11 +408,9 @@ def cmd_pipeline(config: dict[str, object]) -> int:
             "sac": sum_angle_change(route),
         }
         try:
-            report = run_path_pipeline(config, world, route, out_dir)
-            with open(out_dir / f"{route.id}_dataset.csv", newline="") as fh:
-                record["n_samples"] = sum(1 for _ in fh) - 1
+            report, n_samples = run_path_pipeline(config, world, route, out_dir)
             record.update(
-                mwmd=report.mwmd, mctd=report.mctd, termination=report.termination
+                n_samples=n_samples, mwmd=report.mwmd, mctd=report.mctd, termination=report.termination
             )
             print(
                 f"{route.id}: {report.termination}, "

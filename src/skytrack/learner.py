@@ -53,6 +53,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Two work buffers per parameter, so the update allocates no float temporaries.
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = {k: (np.empty_like(m), np.empty_like(m)) for k, m in self.m.items()}
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -133,7 +138,8 @@ def _loss_grad_projected(
     model: RegressorModel, z: np.ndarray, targets: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     n = z.shape[0]
-    a = z @ model.w1.T + model.b1
+    a = z @ model.w1.T
+    a += model.b1
     h = np.maximum(a, 0.0)
     pred = h @ model.w2 + model.b2
     err = pred - targets
@@ -141,8 +147,11 @@ def _loss_grad_projected(
     g = (2.0 / n) * err
     gw2 = h.T @ g
     gb2 = float(g.sum())
-    dh = np.outer(g, model.w2)
-    da = dh * (a > 0.0)
+    # The rectifier mask multiplies (not assigns), so a masked -0.0 stays -0.0;
+    # the pre-activation buffer is dead once the mask is taken, and holds da.
+    mask = a > 0.0
+    da = np.outer(g, model.w2, out=a)
+    np.multiply(da, mask, out=da)
     gw1 = da.T @ z
     gb1 = da.sum(axis=0)
     return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": np.array([gb2])}
@@ -167,7 +176,12 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """In-place bias-corrected Adam update."""
+    """In-place bias-corrected Adam update.
+
+    Per element, in this order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    p -= lr*(m/b1c) / (sqrt(v/b2c) + eps). The moments and parameters are
+    updated in place and the intermediates live in ``state.scratch``, so the
+    result is bit-identical to evaluating the formulas out of place."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
     for g in grads.values():
@@ -178,11 +192,22 @@ def adam_step(
     b2c = 1.0 - state.beta2**state.t
     for key, p in params.items():
         g = grads[key]
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[key] / b1c
-        v_hat = state.v[key] / b2c
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[key], state.v[key]
+        s1, s2 = state.scratch[key]
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=s1)
+        m += s1
+        v *= state.beta2
+        np.square(g, out=s1)
+        s1 *= 1.0 - state.beta2
+        v += s1
+        np.divide(m, b1c, out=s1)
+        s1 *= lr
+        np.divide(v, b2c, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p -= s1
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

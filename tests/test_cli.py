@@ -188,16 +188,26 @@ class TestCommands:
 
     def test_pipeline_artifacts_and_determinism(self, tmp_path):
         cfg = small_config(tmp_path)
-        assert cli.main(["gen", "--config", str(cfg)]) == 0
-        assert cli.main(["pipeline", "--config", str(cfg)]) in (0, 2)
-        run = tmp_path / "run"
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            assert cli.main(["gen", "--config", str(cfg), "--out-dir", str(run)]) == 0
+            assert cli.main(["pipeline", "--config", str(cfg), "--out-dir", str(run)]) == 0
         for suffix in ("dataset.csv", "model.json", "trajectory.csv", "metrics.json", "overlay.svg"):
-            assert (run / f"path_00_{suffix}").exists()
-        metrics_first = (run / "path_00_metrics.json").read_bytes()
-        model_first = (run / "path_00_model.json").read_bytes()
-        assert cli.main(["pipeline", "--config", str(cfg)]) in (0, 2)
-        assert (run / "path_00_metrics.json").read_bytes() == metrics_first
-        assert (run / "path_00_model.json").read_bytes() == model_first
+            assert (runs[0] / f"path_00_{suffix}").exists()
+        for name in ("path_00_metrics.json", "path_00_model.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    def test_rerun_in_same_out_dir(self, tmp_path):
+        cfg = small_config(tmp_path)
+        run = tmp_path / "run"
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+            assert cli.main(["ablation", "--config", str(cfg)]) == 0
+            outputs.append([(run / name).read_bytes() for name in ("path_00_model.json", "ablation.csv")])
+        assert outputs[0] == outputs[1]
+        assert cli._path_files(run) == [run / "path_00.csv"]
 
     def test_manifest_sample_counts(self, tmp_path):
         cfg = small_config(tmp_path)

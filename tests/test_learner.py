@@ -10,6 +10,7 @@ from skytrack.learner import (
     AdamState,
     RegressorModel,
     TrainConfig,
+    _loss_grad_projected,
     adam_step,
     forward,
     forward_raw,
@@ -179,6 +180,26 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             loss_and_gradient(tiny_model(), np.zeros((0, 6)), np.zeros(0))
 
+    def test_matches_outer_product_reference_bit_for_bit(self):
+        def reference(model, z, targets):
+            # The original backward: an outer product times a boolean mask.
+            a = z @ model.w1.T + model.b1
+            h = np.maximum(a, 0.0)
+            g = (2.0 / z.shape[0]) * (h @ model.w2 + model.b2 - targets)
+            da = np.outer(g, model.w2) * (a > 0.0)
+            return {"w1": da.T @ z, "b1": da.sum(axis=0), "w2": h.T @ g, "b2": np.array([g.sum()])}
+
+        rng = np.random.default_rng(5)
+        m = init_model(3, 10, projection_dim=8, hidden=32)
+        m.b1[:] = rng.normal(size=32)
+        m.b1[0] = -1e3  # unit 0 is dead for the whole batch
+        z = rng.normal(size=(16, 8))
+        targets = rng.normal(size=16)
+        _, grads = _loss_grad_projected(m, z, targets)
+        expected = reference(m, z, targets)
+        for key in expected:
+            assert grads[key].tobytes() == expected[key].tobytes(), key
+
 
 class TestAdamStep:
     def test_zero_gradient_no_move(self):
@@ -207,6 +228,37 @@ class TestAdamStep:
         state = AdamState.for_params(params)
         with pytest.raises(RuntimeError, match="diverged"):
             adam_step(params, {"w": np.array([math.nan])}, state, lr=1e-2)
+
+    def test_matches_out_of_place_reference_bit_for_bit(self):
+        def reference_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            # The original out-of-place update, in Kingma & Ba's order.
+            b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
+            for key, p in params.items():
+                g = grads[key]
+                m[key] = b1 * m[key] + (1.0 - b1) * g
+                v[key] = b2 * v[key] + (1.0 - b2) * g**2
+                p -= lr * (m[key] / b1c) / (np.sqrt(v[key] / b2c) + eps)
+
+        rng = np.random.default_rng(12)
+        params = init_model(0, 3, projection_dim=128, hidden=512).trainable()
+        ref = {k: p.copy() for k, p in params.items()}
+        m_ref = {k: np.zeros_like(p) for k, p in params.items()}
+        v_ref = {k: np.zeros_like(p) for k, p in params.items()}
+        state = AdamState.for_params(params)
+        for t in range(1, 501):
+            lr = 1e-4 / 2 ** (t // 125)
+            grads = {}
+            for key, p in params.items():
+                g = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=p.shape)
+                g[rng.random(p.shape) < 0.05] = 0.0
+                grads[key] = g
+            adam_step(params, grads, state, lr)
+            reference_step(ref, grads, m_ref, v_ref, t, lr)
+            for key in params:
+                assert params[key].tobytes() == ref[key].tobytes(), (t, key)
+        for key in params:
+            assert state.m[key].tobytes() == m_ref[key].tobytes(), key
+            assert state.v[key].tobytes() == v_ref[key].tobytes(), key
 
 
 class TestLearningRateSchedule:
