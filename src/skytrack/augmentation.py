@@ -144,6 +144,16 @@ def sweep_jittered(
     return samples
 
 
+def sweep_samples(
+    path: Path, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int
+) -> list[Sample]:
+    """The samples of training sweep ``sweep_index``: sweep 0 is the
+    unperturbed one, every later sweep is jittered."""
+    if sweep_index == 0:
+        return sweep_optimal(path, config, world)[1]
+    return sweep_jittered(path, config, world, sweep_index)
+
+
 def build_dataset(
     path: Path, config: AugmentationConfig, world: LandmarkWorld
 ) -> Dataset:
@@ -151,9 +161,9 @@ def build_dataset(
     and fit the normalization statistics over all samples."""
     if config.n_augmented < 1:
         raise ValueError("n_augmented must be >= 1")
-    _, samples = sweep_optimal(path, config, world)
-    for sweep_index in range(1, config.n_augmented):
-        samples.extend(sweep_jittered(path, config, world, sweep_index))
+    samples: list[Sample] = []
+    for sweep_index in range(config.n_augmented):
+        samples.extend(sweep_samples(path, config, world, sweep_index))
     return dataset_from_samples(samples)
 
 

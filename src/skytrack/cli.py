@@ -101,6 +101,30 @@ def load_config(file: FilePath | str) -> dict[str, object]:
     return parse_config(FilePath(file).read_text())
 
 
+def validate_config(config: dict[str, object]) -> None:
+    """Reject out-of-range values, naming the key, before a command does any
+    work. Comparisons are written so that NaN fails them."""
+
+    def check(key: str, ok: bool, rule: str) -> None:
+        if not ok:
+            raise ConfigError(f"{key} = {config[key]!r} is out of range: {rule}")
+
+    for key in (
+        "n_paths", "n_landmarks", "signature_dim", "bins", "n_augmented", "batch_size",
+        "epochs", "lr_halving_period", "projection_dim", "hidden_units", "n_test_sweeps",
+    ):
+        check(key, config[key] >= 1, "must be >= 1")
+    check("n_waypoints", config["n_waypoints"] >= 2, "must be >= 2")
+    for key in ("fov_deg", "lr0"):
+        check(key, config[key] > 0, "must be > 0")
+    for key in ("pos_jitter", "yaw_jitter"):
+        check(key, config[key] >= 0, "must be >= 0")
+    check("command_gain", 0 < config["command_gain"] <= 1, "must be in (0, 1]")
+    check("step", 0 < config["step"] <= config["capture_radius"], "must be in (0, capture_radius]")
+    levels = config["ablation_levels"]
+    check("ablation_levels", bool(levels) and min(levels) >= 1, "must list one or more levels, each >= 1")
+
+
 def write_resolved_config(config: dict[str, object], out_dir: FilePath) -> None:
     lines = []
     for key in DEFAULTS:
@@ -209,24 +233,27 @@ def load_path(file: FilePath | str, path_id: str | None = None) -> Path:
     return Path(tuple(points), path_id if path_id is not None else file.stem)
 
 
-def save_dataset(dataset: aug.Dataset, csv_file: FilePath | str, sidecar_file: FilePath | str) -> None:
-    """One CSV row per sample (metadata, feature columns, target) plus a JSON
-    sidecar with the normalization statistics and the per-sweep RNG stream tags."""
-    dim = dataset.dim
+def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: FilePath | str) -> None:
+    """The samples as exact float64 arrays in one uncompressed ``.npz``
+    (``features`` (N, D), ``targets``, ``path_id``, ``sweep_index``,
+    ``step_index``) plus a JSON sidecar with the normalization statistics and
+    the per-sweep RNG stream tags."""
+    meta = [s.meta for s in dataset.samples]
     sweeps: dict[int, str] = {}
-    with open(csv_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "sweep_index", "step_index"] + [f"f{i}" for i in range(dim)] + ["target"])
-        for sample in dataset.samples:
-            path_id, sweep_index, step_index = sample.meta
-            sweeps.setdefault(sweep_index, f"crc32({path_id})/{sweep_index}")
-            writer.writerow(
-                [path_id, sweep_index, step_index]
-                + [repr(float(v)) for v in sample.observation.features]
-                + [repr(float(sample.target))]
-            )
+    for path_id, sweep_index, _ in meta:
+        sweeps.setdefault(sweep_index, f"crc32({path_id})/{sweep_index}")
+    # A file handle, not a name: np.savez appends ".npz" to a name without it.
+    with open(data_file, "wb") as fh:
+        np.savez(
+            fh,
+            features=dataset.features(),
+            targets=dataset.targets(),
+            path_id=np.array([m[0] for m in meta], dtype=str),
+            sweep_index=np.array([m[1] for m in meta], dtype=np.int64),
+            step_index=np.array([m[2] for m in meta], dtype=np.int64),
+        )
     sidecar = {
-        "dim": dim,
+        "dim": dataset.dim,
         "n_samples": len(dataset.samples),
         "feature_mean": dataset.feature_mean.tolist(),
         "feature_std": dataset.feature_std.tolist(),
@@ -235,22 +262,15 @@ def save_dataset(dataset: aug.Dataset, csv_file: FilePath | str, sidecar_file: F
     FilePath(sidecar_file).write_text(json.dumps(sidecar, sort_keys=True))
 
 
-def load_dataset(csv_file: FilePath | str, sidecar_file: FilePath | str, fov: float) -> aug.Dataset:
+def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str, fov: float) -> aug.Dataset:
     sidecar = json.loads(FilePath(sidecar_file).read_text())
-    dim = int(sidecar["dim"])
-    samples: list[aug.Sample] = []
-    with open(csv_file, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            features = np.array([float(v) for v in row[3 : 3 + dim]])
-            samples.append(
-                aug.Sample(
-                    observation=aug.Observation(features, fov),
-                    target=float(row[3 + dim]),
-                    meta=(row[0], int(row[1]), int(row[2])),
-                )
-            )
+    with np.load(data_file, allow_pickle=False) as arrays:
+        features, targets = arrays["features"], arrays["targets"]
+        meta = zip(arrays["path_id"].tolist(), arrays["sweep_index"].tolist(), arrays["step_index"].tolist())
+    samples = [
+        aug.Sample(observation=aug.Observation(row, fov), target=target, meta=m)
+        for row, target, m in zip(features, targets.tolist(), meta)
+    ]
     return aug.Dataset(
         samples,
         np.array(sidecar["feature_mean"], dtype=float),
@@ -325,7 +345,7 @@ def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath |
 # commands
 
 def _path_files(out_dir: FilePath) -> list[FilePath]:
-    # Only the routes `gen` writes; `path_00_dataset.csv` and the other
+    # Only the routes `gen` writes; `path_00_trajectory.csv` and the other
     # per-path artifacts share the prefix.
     return sorted(f for f in out_dir.glob("path_*.csv") if re.fullmatch(r"path_\d+\.csv", f.name))
 
@@ -376,7 +396,7 @@ def run_path_pipeline(
     the report and the number of training samples."""
     acfg = augmentation_config(config)
     dataset = aug.build_dataset(route, acfg, world)
-    save_dataset(dataset, out_dir / f"{route.id}_dataset.csv", out_dir / f"{route.id}_norm.json")
+    save_dataset(dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json")
     model, _ = learner.train(
         dataset,
         train_config(config),
@@ -398,7 +418,6 @@ def cmd_pipeline(config: dict[str, object]) -> int:
     world, routes = _load_scenario(config)
     out_dir = FilePath(str(config["out_dir"]))
     write_resolved_config(config, out_dir)
-    acfg = augmentation_config(config)
     manifest = []
     failed = False
     for route in routes:
@@ -438,16 +457,23 @@ def run_ablation(
     levels: list[int],
 ) -> list[dict[str, object]]:
     """Train one model per augmentation level and score each on held-out
-    jittered sweeps (disjoint RNG streams) and in closed loop."""
+    jittered sweeps (disjoint RNG streams) and in closed loop.
+
+    Level k trains on sweeps 0..k-1, the same dataset ``aug.build_dataset``
+    gives for ``n_augmented = k``; a sweep does not depend on k, so each one
+    is rendered once and shared by every level that uses it."""
     test_cfg = augmentation_config(config)
     test_set: list[aug.Sample] = []
     for i in range(int(config["n_test_sweeps"])):
         test_set.extend(aug.sweep_jittered(route, test_cfg, world, aug.TEST_SWEEP_BASE + i))
 
+    sweeps: list[list[aug.Sample]] = []
     rows: list[dict[str, object]] = []
     for k in levels:
         acfg = augmentation_config(config, n_augmented=k)
-        dataset = aug.build_dataset(route, acfg, world)
+        while len(sweeps) < k:
+            sweeps.append(aug.sweep_samples(route, acfg, world, len(sweeps)))
+        dataset = aug.dataset_from_samples([s for sweep in sweeps[:k] for s in sweep])
         model, _ = learner.train(
             dataset,
             train_config(config),
@@ -504,6 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.out_dir:
             config["out_dir"] = args.out_dir
+        validate_config(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

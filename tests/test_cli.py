@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from skytrack import augmentation as aug
-from skytrack import cli
+from skytrack import cli, learner
 from skytrack.geometry import Path, Point2, path_length, sum_angle_change
 from skytrack.world import generate_world, Rect
 
@@ -102,22 +102,30 @@ class TestPathRoundTrip:
 
 
 class TestDatasetRoundTrip:
-    def test_csv_and_sidecar(self, tmp_path):
+    def test_npz_and_sidecar(self, tmp_path):
         world = generate_world(0, 30, 4, Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(6, 0)), "p")
         cfg = aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0)
         ds = aug.build_dataset(route, cfg, world)
-        csv_file = tmp_path / "d.csv"
+        data_file = tmp_path / "d"  # no suffix: the file must keep the given name
         sidecar = tmp_path / "d.json"
-        cli.save_dataset(ds, csv_file, sidecar)
-        loaded = cli.load_dataset(csv_file, sidecar, fov=cfg.fov)
+        cli.save_dataset(ds, data_file, sidecar)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["d", "d.json"]
+        with np.load(data_file, allow_pickle=False) as arrays:
+            assert arrays["features"].shape == (len(ds.samples), ds.dim)
+            assert arrays["features"].dtype == np.float64
+            assert arrays["targets"].dtype == np.float64
+            assert arrays["sweep_index"].dtype == arrays["step_index"].dtype == np.int64
+            assert arrays["path_id"].dtype.kind == "U"
+        loaded = cli.load_dataset(data_file, sidecar, fov=cfg.fov)
         assert len(loaded.samples) == len(ds.samples)
-        np.testing.assert_array_equal(loaded.feature_mean, ds.feature_mean)
-        np.testing.assert_array_equal(loaded.feature_std, ds.feature_std)
-        for a, b in zip(ds.samples, loaded.samples):
-            np.testing.assert_array_equal(a.observation.features, b.observation.features)
-            assert a.target == b.target
-            assert a.meta == b.meta
+        # Bit for bit: array_equal would let -0.0 == 0.0 through.
+        assert loaded.features().tobytes() == ds.features().tobytes()
+        assert loaded.targets().tobytes() == ds.targets().tobytes()
+        assert loaded.feature_mean.tobytes() == ds.feature_mean.tobytes()
+        assert loaded.feature_std.tobytes() == ds.feature_std.tobytes()
+        assert [s.meta for s in loaded.samples] == [s.meta for s in ds.samples]
+        assert all(type(v) is t for s in loaded.samples for v, t in zip(s.meta, (str, int, int)))
         doc = json.loads(sidecar.read_text())
         assert set(doc["rng_streams"]) == {"0", "1"}
 
@@ -192,7 +200,7 @@ class TestCommands:
         for run in runs:
             assert cli.main(["gen", "--config", str(cfg), "--out-dir", str(run)]) == 0
             assert cli.main(["pipeline", "--config", str(cfg), "--out-dir", str(run)]) == 0
-        for suffix in ("dataset.csv", "model.json", "trajectory.csv", "metrics.json", "overlay.svg"):
+        for suffix in ("dataset.npz", "model.json", "trajectory.csv", "metrics.json", "overlay.svg"):
             assert (runs[0] / f"path_00_{suffix}").exists()
         for name in ("path_00_metrics.json", "path_00_model.json"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
@@ -216,9 +224,9 @@ class TestCommands:
         run = tmp_path / "run"
         manifest = json.loads((run / "manifest.json").read_text())
         assert len(manifest) == 1
-        with open(run / "path_00_dataset.csv") as fh:
-            rows = sum(1 for _ in fh) - 1
-        assert manifest[0]["n_samples"] == rows
+        with np.load(run / "path_00_dataset.npz", allow_pickle=False) as arrays:
+            rows = arrays["features"].shape[0]
+        assert manifest[0]["n_samples"] == rows > 0
 
     def test_ablation_report_shape(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -229,6 +237,83 @@ class TestCommands:
         assert text[0] == "k,angle_mse,mctd,termination"
         assert len(text) == 3  # header + one row per level
         assert (run / "ablation.svg").exists()
+
+    def test_ablation_reuses_sweeps_across_levels(self, tmp_path, monkeypatch):
+        # Levels out of order: each must still train on exactly sweeps 0..k-1,
+        # and every training sweep is rendered once.
+        levels = [2, 1, 3]
+        config = cli.load_config(small_config(tmp_path, ablation_levels="2,1,3"))
+        assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
+        world, routes = cli._load_scenario(config)
+        trained, sweeps_rendered = [], []
+        real_train, real_optimal, real_jittered = learner.train, aug.sweep_optimal, aug.sweep_jittered
+
+        def train(dataset, *args, **kwargs):
+            trained.append(dataset)
+            return real_train(dataset, *args, **kwargs)
+
+        def sweep_optimal(*args):
+            sweeps_rendered.append(0)
+            return real_optimal(*args)
+
+        def sweep_jittered(path, config, world, sweep_index):
+            if sweep_index < aug.TEST_SWEEP_BASE:
+                sweeps_rendered.append(sweep_index)
+            return real_jittered(path, config, world, sweep_index)
+
+        monkeypatch.setattr(learner, "train", train)
+        monkeypatch.setattr(aug, "sweep_optimal", sweep_optimal)
+        monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
+        rows = cli.run_ablation(config, world, routes[0], levels)
+        assert [r["k"] for r in rows] == levels
+        assert sweeps_rendered == [0, 1, 2]
+        monkeypatch.undo()
+        for k, dataset in zip(levels, trained):
+            expected = aug.build_dataset(routes[0], cli.augmentation_config(config, k), world)
+            assert dataset.features().tobytes() == expected.features().tobytes()
+            assert dataset.targets().tobytes() == expected.targets().tobytes()
+            assert dataset.feature_mean.tobytes() == expected.feature_mean.tobytes()
+            assert dataset.feature_std.tobytes() == expected.feature_std.tobytes()
+            assert [s.meta for s in dataset.samples] == [s.meta for s in expected.samples]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bins", 0),
+            ("epochs", 0),
+            ("batch_size", 0),
+            ("lr_halving_period", 0),
+            ("n_paths", 0),
+            ("n_augmented", 0),
+            ("n_test_sweeps", 0),
+            ("projection_dim", 0),
+            ("hidden_units", 0),
+            ("n_landmarks", 0),
+            ("signature_dim", 0),
+            ("n_waypoints", 1),
+            ("lr0", 0.0),
+            ("lr0", "nan"),
+            ("fov_deg", 0.0),
+            ("pos_jitter", -1.0),
+            ("yaw_jitter", -0.1),
+            ("command_gain", 0.0),
+            ("command_gain", 1.5),
+            ("step", 0.0),
+            ("step", 2.5),  # above capture_radius = 2.0
+            ("ablation_levels", ""),
+            ("ablation_levels", "1,0"),
+        ],
+    )
+    def test_invalid_config_exits_1_before_any_work(self, tmp_path, capsys, key, value):
+        run = tmp_path / "run"
+        assert cli.main(["gen", "--config", str(small_config(tmp_path))]) == 0
+        before = sorted(run.iterdir())
+        bad = small_config(tmp_path, **{key: value})
+        for command in ("gen", "pipeline", "ablation"):
+            assert cli.main([command, "--config", str(bad)]) == 1
+            assert f"config error: {key} = " in capsys.readouterr().err
+        assert sorted(run.iterdir()) == before
+        assert not list(run.glob("*_dataset.npz"))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

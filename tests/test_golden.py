@@ -31,12 +31,16 @@ GOLDEN = {
         "path_00_metrics.json": "7604d6eebf023e5dbf49a1a72396f252a8e3ab8e71ffcce082b54a7fef2054ce",
         "path_00_trajectory.csv": "d3f7476638d09333bc557658b68f74e3c581d10f570bd3c3b95742d8bf0cd718",
         "ablation.csv": "0d770d3c49e206a4db5c78dfadfe12985a7f5ce78e5f77b70ca3561a361771dd",
+        "path_00_norm.json": "3abc529ff8dd643770b42594ff9a36e3aab7a70e7bce7068b1119a76268c9edb",
+        "manifest.json": "a3f2a59a23ed5e150e9d8e48d8531e22e4c468268bc09909a203c4d063266029",
     },
     "wide": {
         "path_00_model.json": "71552417dc1328d92be2c48cba51d42b43801f8e3a88b2d40e9e40567e10ec1e",
         "path_00_metrics.json": "6172a067aa1607ac01d50448c16d812adbe65271adc446bf05aa600dee8006dc",
         "path_00_trajectory.csv": "b88c285b0d551ca40d0de686ae9d6134a4876df28deaa78bfc5cc8bd1ee99877",
         "ablation.csv": "6f45d0babd60c7eb7845462ecd59c5411e361d2da88190e1848a61f21af3ca4e",
+        "path_00_norm.json": "3abc529ff8dd643770b42594ff9a36e3aab7a70e7bce7068b1119a76268c9edb",
+        "manifest.json": "50edbe34949ad77545f870871a289ae4cb2866e6812c51ee534749edb8b6f388",
     },
 }
 
