@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Path, Point2, Pose, bearing, target_yaw_delta, wrap_angle
-from .simulator import advance_target, default_max_steps
+from .geometry import (
+    Path,
+    Point2,
+    Pose,
+    advance_target,
+    bearing,
+    default_max_steps,
+    target_yaw_delta,
+)
 from .world import LandmarkWorld, Observation, render_observation
 
 # Held-out evaluation sweeps draw from indices >= this base, so their RNG
@@ -174,11 +181,6 @@ def dataset_from_samples(samples: list[Sample]) -> Dataset:
     mean = features.mean(axis=0)
     std = np.maximum(features.std(axis=0), STD_FLOOR)
     return Dataset(samples, mean, std)
-
-
-def normalize(dataset: Dataset, observation: Observation) -> np.ndarray:
-    """Zero-mean unit-std normalization using the dataset's statistics."""
-    return normalize_features(dataset.feature_mean, dataset.feature_std, observation.features)
 
 
 def normalize_features(

@@ -17,15 +17,19 @@ import argparse
 import csv
 import json
 import math
+import os
+import pickle
 import re
+import select
+import signal
 import sys
 import zlib
 from pathlib import Path as FilePath
 
 import numpy as np
 
+from . import BLAS_THREADS, learner, metrics, simulator
 from . import augmentation as aug
-from . import learner, metrics, simulator
 from .geometry import Path, Point2, path_length, sum_angle_change, wrap_angle
 from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
 
@@ -450,6 +454,61 @@ def cmd_pipeline(config: dict[str, object]) -> int:
     return 2 if failed else 0
 
 
+def ablation_workers(cpus: int, blas_threads: int, n_levels: int) -> int:
+    """Level workers alive at once: as many as the CPUs hold at
+    ``blas_threads`` BLAS threads each, at least 1 and at most one per
+    distinct level."""
+    return max(1, min(cpus // blas_threads, n_levels))
+
+
+def _ablation_row(
+    config: dict[str, object],
+    world: LandmarkWorld,
+    route: Path,
+    test_set: list[aug.Sample],
+    sweeps: list[list[aug.Sample]],
+    k: int,
+) -> dict[str, object]:
+    """Train on sweeps 0..k-1, fly the model and score it."""
+    acfg = augmentation_config(config, n_augmented=k)
+    dataset = aug.dataset_from_samples([s for sweep in sweeps[:k] for s in sweep])
+    model, _ = learner.train(
+        dataset,
+        train_config(config),
+        seed=int(config["seed"]),
+        projection_dim=int(config["projection_dim"]),
+        hidden=int(config["hidden_units"]),
+    )
+    policy = simulator.ModelPolicy(model, gain=float(config["command_gain"]))
+    log = simulator.rollout(policy, world, route, acfg)
+    report = metrics.evaluate(route, log, test_set=test_set, model=model)
+    return {"k": k, "angle_mse": report.angle_mse, "mctd": report.mctd, "termination": report.termination}
+
+
+def _fork(job, *args) -> tuple[int, int]:
+    """Run ``job(*args)`` in a forked child and return its pid and the read
+    end of a pipe. The child writes the pickled ``("row", result)`` or
+    ``("error", message)`` to the pipe and exits; it never waits on the
+    parent, so it cannot outlive its job by more than the write."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = ("row", job(*args))
+            except Exception as exc:
+                payload = ("error", str(exc))
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(payload, fh)
+            code = 0
+        finally:
+            os._exit(code)  # never return into the parent's stack
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def run_ablation(
     config: dict[str, object],
     world: LandmarkWorld,
@@ -461,38 +520,46 @@ def run_ablation(
 
     Level k trains on sweeps 0..k-1, the same dataset ``aug.build_dataset``
     gives for ``n_augmented = k``; a sweep does not depend on k, so each one
-    is rendered once and shared by every level that uses it."""
-    test_cfg = augmentation_config(config)
+    is rendered once, here. Every distinct level then runs in its own forked
+    child, which inherits the sweeps and sends back only its row: the
+    largest k first, at most ``ablation_workers`` children at a time. The
+    first failing level kills and reaps the other children and raises."""
+    acfg = augmentation_config(config)
     test_set: list[aug.Sample] = []
     for i in range(int(config["n_test_sweeps"])):
-        test_set.extend(aug.sweep_jittered(route, test_cfg, world, aug.TEST_SWEEP_BASE + i))
+        test_set.extend(aug.sweep_jittered(route, acfg, world, aug.TEST_SWEEP_BASE + i))
+    sweeps = [aug.sweep_samples(route, acfg, world, i) for i in range(max(levels))]
 
-    sweeps: list[list[aug.Sample]] = []
-    rows: list[dict[str, object]] = []
-    for k in levels:
-        acfg = augmentation_config(config, n_augmented=k)
-        while len(sweeps) < k:
-            sweeps.append(aug.sweep_samples(route, acfg, world, len(sweeps)))
-        dataset = aug.dataset_from_samples([s for sweep in sweeps[:k] for s in sweep])
-        model, _ = learner.train(
-            dataset,
-            train_config(config),
-            seed=int(config["seed"]),
-            projection_dim=int(config["projection_dim"]),
-            hidden=int(config["hidden_units"]),
-        )
-        policy = simulator.ModelPolicy(model, gain=float(config["command_gain"]))
-        log = simulator.rollout(policy, world, route, acfg)
-        report = metrics.evaluate(route, log, test_set=test_set, model=model)
-        rows.append(
-            {
-                "k": k,
-                "angle_mse": report.angle_mse,
-                "mctd": report.mctd,
-                "termination": report.termination,
-            }
-        )
-    return rows
+    pending = sorted(set(levels), reverse=True)
+    workers = ablation_workers(len(os.sched_getaffinity(0)), BLAS_THREADS, len(pending))
+    running: dict[int, tuple[int, int]] = {}  # read fd -> (pid, k)
+    rows: dict[int, dict[str, object]] = {}
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                k = pending.pop(0)
+                pid, fd = _fork(_ablation_row, config, world, route, test_set, sweeps, k)
+                running[fd] = (pid, k)
+            fd = select.select(list(running), [], [])[0][0]
+            pid, k = running[fd]
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()  # until EOF: the child has written and exited
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[fd]
+            os.close(fd)
+            if code != 0:  # killed, or died before its payload was whole
+                raise RuntimeError(f"ablation level k={k}: worker exited with status {code}")
+            kind, value = pickle.loads(data)
+            if kind == "error":
+                raise RuntimeError(f"ablation level k={k}: {value}")
+            rows[k] = value
+    finally:
+        for pid, _ in running.values():
+            os.kill(pid, signal.SIGKILL)
+        for fd, (pid, _) in running.items():
+            os.waitpid(pid, 0)
+            os.close(fd)
+    return [rows[k] for k in levels]
 
 
 def cmd_ablation(config: dict[str, object]) -> int:

@@ -113,3 +113,22 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / seg_sq
     t = min(1.0, max(0.0, t))
     return math.hypot(p.x - (a.x + t * ax), p.y - (a.y + t * ay))
+
+
+def advance_target(
+    position: Point2, waypoints: tuple[Point2, ...], current_index: int, capture_radius: float
+) -> int:
+    """Advance the target index past every consecutively captured waypoint.
+
+    Capture is inclusive at the radius. The index never decrements and may
+    reach len(waypoints), meaning the final waypoint has been captured.
+    """
+    i = current_index
+    while i < len(waypoints) and distance(position, waypoints[i]) <= capture_radius:
+        i += 1
+    return i
+
+
+def default_max_steps(path: Path, step: float) -> int:
+    """Step budget of one walk along a path: three times its length."""
+    return math.ceil(3.0 * path_length(path) / step)

@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import NamedTuple
 
+from . import learner
 from .geometry import (
     Path,
     Point2,
     Pose,
+    advance_target,
     bearing,
-    distance,
-    path_length,
+    default_max_steps,
     target_yaw_delta,
     wrap_angle,
 )
@@ -70,9 +71,7 @@ class ModelPolicy:
         self.gain = gain
 
     def command(self, observation: Observation, privileged: PrivilegedState) -> float:
-        from .learner import predict
-
-        return self.gain * predict(self.model, observation.features)
+        return self.gain * learner.predict(self.model, observation.features)
 
 
 @dataclass
@@ -88,24 +87,6 @@ class TrajectoryLog:
     @property
     def positions(self) -> list[Point2]:
         return [p.position for p in self.poses]
-
-
-def advance_target(
-    position: Point2, waypoints: tuple[Point2, ...], current_index: int, capture_radius: float
-) -> int:
-    """Advance the target index past every consecutively captured waypoint.
-
-    Capture is inclusive at the radius. The index never decrements and may
-    reach len(waypoints), meaning the final waypoint has been captured.
-    """
-    i = current_index
-    while i < len(waypoints) and distance(position, waypoints[i]) <= capture_radius:
-        i += 1
-    return i
-
-
-def default_max_steps(path: Path, step: float) -> int:
-    return math.ceil(3.0 * path_length(path) / step)
 
 
 def rollout(

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
-from skytrack.geometry import Path, Point2, bearing, wrap_angle
+from skytrack.geometry import Path, Point2, advance_target, bearing, wrap_angle
 from skytrack.world import Rect, generate_world
 
 WORLD = generate_world(0, 40, 4, Rect(-20, -20, 40, 40))
@@ -113,8 +113,6 @@ class TestSweepJittered:
         cfg = config()
         samples = aug.sweep_jittered(route, cfg, WORLD, 7)
         rng = aug.sweep_rng(cfg.seed, route.id, 7)
-        from skytrack.simulator import advance_target
-
         wps = route.waypoints
         target = advance_target(wps[0], wps, 0, cfg.capture_radius)
         pose_pos, pose_yaw = wps[0], bearing(wps[0], wps[target])

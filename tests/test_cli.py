@@ -1,17 +1,50 @@
 """Config parsing, path synthesis, file round-trips, SVG emission, and the
 end-to-end commands."""
 
+import contextlib
+import ctypes
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 
+import skytrack
+from conftest import children
 from skytrack import augmentation as aug
 from skytrack import cli, learner
 from skytrack.geometry import Path, Point2, path_length, sum_angle_change
 from skytrack.world import generate_world, Rect
+
+SRC = str(FilePath(skytrack.__file__).resolve().parent.parent)
+# How long an ablation worker may outlive its SIGKILLed parent: it finishes
+# the level it is on (about a second in that test) and exits.
+LEVEL_BOUND_S = 20.0
+
+
+def set_child_subreaper(on: bool) -> None:
+    """Adopt (or stop adopting) orphaned descendants of this process."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong]
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(36, int(on), 0, 0, 0) != 0:  # PR_SET_CHILD_SUBREAPER
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER) failed")
+
+
+def group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestParseConfig:
@@ -240,16 +273,21 @@ class TestCommands:
 
     def test_ablation_reuses_sweeps_across_levels(self, tmp_path, monkeypatch):
         # Levels out of order: each must still train on exactly sweeps 0..k-1,
-        # and every training sweep is rendered once.
+        # and every training sweep is rendered once. Training runs in the
+        # level workers, so each one saves its dataset where this process can
+        # read it back.
         levels = [2, 1, 3]
         config = cli.load_config(small_config(tmp_path, ablation_levels="2,1,3"))
         assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
         world, routes = cli._load_scenario(config)
-        trained, sweeps_rendered = [], []
+        trained_dir = tmp_path / "trained"
+        trained_dir.mkdir()
+        sweeps_rendered = []
         real_train, real_optimal, real_jittered = learner.train, aug.sweep_optimal, aug.sweep_jittered
 
         def train(dataset, *args, **kwargs):
-            trained.append(dataset)
+            with open(trained_dir / f"{os.getpid()}_{len(dataset.samples)}.pkl", "wb") as fh:
+                pickle.dump(dataset, fh)
             return real_train(dataset, *args, **kwargs)
 
         def sweep_optimal(*args):
@@ -268,13 +306,95 @@ class TestCommands:
         assert [r["k"] for r in rows] == levels
         assert sweeps_rendered == [0, 1, 2]
         monkeypatch.undo()
-        for k, dataset in zip(levels, trained):
+        trained = {}
+        for file in trained_dir.iterdir():
+            with open(file, "rb") as fh:
+                dataset = pickle.load(fh)
+            trained[1 + max(s.meta[1] for s in dataset.samples)] = dataset
+        assert len(list(trained_dir.iterdir())) == len(levels)
+        assert sorted(trained) == sorted(levels)
+        for k, dataset in trained.items():
             expected = aug.build_dataset(routes[0], cli.augmentation_config(config, k), world)
             assert dataset.features().tobytes() == expected.features().tobytes()
             assert dataset.targets().tobytes() == expected.targets().tobytes()
             assert dataset.feature_mean.tobytes() == expected.feature_mean.tobytes()
             assert dataset.feature_std.tobytes() == expected.feature_std.tobytes()
             assert [s.meta for s in dataset.samples] == [s.meta for s in expected.samples]
+
+    def test_ablation_level_failure_reaps_workers(self, tmp_path, monkeypatch, capsys):
+        # Level 2 fails at once while level 3 would train for a minute: the
+        # failure must surface, and the level 3 worker must be killed and
+        # reaped rather than waited for.
+        cfg = small_config(tmp_path, ablation_levels="1,2,3")
+        config = cli.load_config(cfg)
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        world, routes = cli._load_scenario(config)
+
+        def train(dataset, *args, **kwargs):
+            k = 1 + max(s.meta[1] for s in dataset.samples)
+            if k == 2:
+                raise ValueError("no convergence at k=2")
+            time.sleep(60)
+
+        monkeypatch.setattr(learner, "train", train)
+        monkeypatch.setattr(cli, "ablation_workers", lambda cpus, blas_threads, n_levels: 2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="ablation level k=2: no convergence at k=2"):
+            cli.run_ablation(config, world, routes[0], [1, 2, 3])
+        assert children() == []
+        assert cli.main(["ablation", "--config", str(cfg)]) == 2
+        assert "pipeline failure: ablation level k=2: no convergence at k=2" in capsys.readouterr().err
+        assert children() == []
+        assert time.monotonic() - start < 30.0
+        assert not (tmp_path / "run" / "ablation.csv").exists()
+
+    def test_ablation_worker_death_is_reported(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        config = cli.load_config(cfg)
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        world, routes = cli._load_scenario(config)
+        monkeypatch.setattr(learner, "train", lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(RuntimeError, match="ablation level k=1: worker exited with status 3"):
+            cli.run_ablation(config, world, routes[0], [1])
+        assert children() == []
+
+    def test_ablation_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # This process becomes the reaper of the CLI's orphaned workers, so it
+        # can see them exit and leaves no zombie behind.
+        cfg = small_config(tmp_path, epochs=1000, ablation_levels="1,2")
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "skytrack.cli", "ablation", "--config", str(cfg)]
+        set_child_subreaper(True)
+        proc = subprocess.Popen(command, env=env, start_new_session=True, stdout=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not children(proc.pid):
+                assert proc.poll() is None, "the ablation ended before a worker was seen"
+                assert time.monotonic() < deadline, "no worker started"
+                time.sleep(0.01)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + LEVEL_BOUND_S
+            while group_alive(proc.pid):
+                assert time.monotonic() < deadline, "a worker outlived its killed parent"
+                for pid in children():
+                    os.waitpid(pid, os.WNOHANG)
+                time.sleep(0.01)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            for pid in children():
+                os.waitpid(pid, 0)
+            set_child_subreaper(False)
+
+    @pytest.mark.parametrize(
+        "cpus, blas_threads, n_levels, expected",
+        [(2, 1, 4, 2), (2, 2, 4, 1), (4, 1, 3, 3), (1, 1, 4, 1)],
+    )
+    def test_ablation_workers_rule(self, cpus, blas_threads, n_levels, expected):
+        assert cli.ablation_workers(cpus, blas_threads, n_levels) == expected
 
     @pytest.mark.parametrize(
         "key, value",

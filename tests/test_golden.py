@@ -76,12 +76,13 @@ def test_bytes_independent_of_blas_threads(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         run = tmp_path / f"threads_{threads}"
-        for command in ("gen", "pipeline"):
+        # The ablation's worker count follows the BLAS thread count; its rows must not.
+        for command in ("gen", "pipeline", "ablation"):
             run_cli(
                 {"OPENBLAS_NUM_THREADS": threads},
                 "-m", "skytrack.cli", command, "--config", cfg, "--out-dir", str(run),
             )
-        outputs.append([(run / n).read_bytes() for n in ("path_00_model.json", "path_00_metrics.json")])
+        outputs.append([(run / n).read_bytes() for n in ("path_00_model.json", "path_00_metrics.json", "ablation.csv")])
     assert outputs[0] == outputs[1]
 
 
@@ -102,3 +103,21 @@ def test_import_pins_one_blas_thread_unless_set():
     assert out[3] in ("1", "-1")  # one thread: nothing was started
     out = run_cli({"OPENBLAS_NUM_THREADS": "2"}, "-c", PROBE, *THREAD_VARS).stdout.split()
     assert out[:3] == ["2", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "env, imports, expected",
+    [
+        ({}, "skytrack", "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "skytrack", "2"),
+        # OpenBLAS reads OPENBLAS_NUM_THREADS first, and skytrack's default sets it.
+        ({"OMP_NUM_THREADS": "2"}, "skytrack", "1"),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, "skytrack", "2"),
+        # numpy imported first has read the variables before skytrack's default.
+        ({"OMP_NUM_THREADS": "2"}, "numpy, skytrack", "2"),
+        ({}, "numpy, skytrack", str(len(os.sched_getaffinity(0)))),
+    ],
+)
+def test_blas_threads_is_what_openblas_read(env, imports, expected):
+    probe = f"import {imports}; print(skytrack.BLAS_THREADS)"
+    assert run_cli(env, "-c", probe).stdout.split() == [expected]

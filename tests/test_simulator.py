@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skytrack import augmentation as aug
-from skytrack.geometry import Path, Point2, Pose, wrap_angle
+from skytrack.geometry import Path, Point2, Pose, advance_target, default_max_steps, wrap_angle
 from skytrack.simulator import (
     COMPLETED,
     DIVERGED,
@@ -15,8 +15,6 @@ from skytrack.simulator import (
     ModelPolicy,
     OraclePolicy,
     PrivilegedState,
-    advance_target,
-    default_max_steps,
     load_trajectory,
     rollout,
     save_trajectory,
