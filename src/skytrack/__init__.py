@@ -18,7 +18,9 @@ def _blas_threads(environ) -> int:
         value = environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             return int(value)
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):  # Linux; importing must work elsewhere too
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # numpy's OpenBLAS reads the variables once, when numpy loads; if it loaded

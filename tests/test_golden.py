@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import skytrack
 from skytrack import cli
-from test_cli import small_config
+from test_cli import SRC, small_config
 
 WIDE = {"projection_dim": 128, "hidden_units": 512}
 
@@ -44,7 +43,6 @@ GOLDEN = {
     },
 }
 
-SRC = str(Path(skytrack.__file__).resolve().parent.parent)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
