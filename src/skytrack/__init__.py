@@ -26,9 +26,11 @@ def _blas_threads(environ) -> int:
 # numpy's OpenBLAS reads the variables once, when numpy loads; if it loaded
 # before this module, the default below comes too late to count.
 _seen_by_blas = dict(os.environ) if "numpy" in sys.modules else None
-# BLAS threads only burn CPU on training's small GEMMs; set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# BLAS threads only burn CPU on training's small GEMMs: default to one before
+# numpy loads, unless the user chose a count through any of these variables.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if os.environ.keys().isdisjoint(_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
 # BLAS threads per process, which sizes the ablation's worker count.
 BLAS_THREADS = _blas_threads(os.environ if _seen_by_blas is None else _seen_by_blas)
 
@@ -41,7 +43,7 @@ from .geometry import (
     target_yaw_delta,
     wrap_angle,
 )
-from .world import LandmarkWorld, Observation, Rect, generate_world, render_observation
+from .world import LandmarkWorld, Rect, generate_world, render_observation
 
 __all__ = [
     "Path",
@@ -52,7 +54,6 @@ __all__ = [
     "target_yaw_delta",
     "wrap_angle",
     "LandmarkWorld",
-    "Observation",
     "Rect",
     "generate_world",
     "render_observation",

@@ -1,10 +1,11 @@
 """Training sweeps and dataset construction.
 
-A sweep walks a path at fixed step size, always stepping along the exact
-bearing to the current target waypoint, and emits one labeled sample per
-step. Jittered sweeps perturb each emitted pose (position and yaw) before
-rendering and labeling, so off-path poses carry corrective labels and the
-model learns to recover from drift.
+Each path is walked once at fixed step size, always stepping along the exact
+bearing to the current target waypoint. Every sweep emits one labeled sample
+per step of that walk, so all sweeps have the walk's length. Sweep 0 renders
+the walk as it is; jittered sweeps perturb each pose (position and yaw)
+before rendering and labeling, so off-path poses carry corrective labels and
+the model learns to recover from drift.
 
 Every sweep's RNG stream is derived from (seed, path id, sweep index) via a
 numpy SeedSequence feeding PCG64, so datasets are reproducible sweep by sweep.
@@ -14,20 +15,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import (
-    Path,
-    Point2,
-    Pose,
-    advance_target,
-    bearing,
-    default_max_steps,
-    target_yaw_delta,
-)
-from .world import LandmarkWorld, Observation, render_observation
+from .geometry import Path, Point2, advance_target, bearing, default_max_steps, wrap_angle
+from .world import LandmarkWorld, render_observation
 
 # Held-out evaluation sweeps draw from indices >= this base, so their RNG
 # streams can never collide with training sweeps (which use small indices).
@@ -57,15 +50,29 @@ class AugmentationConfig:
 
 
 @dataclass(frozen=True)
-class Sample:
-    observation: Observation
-    target: float
-    meta: tuple[str, int, int]  # (path id, sweep index, step index)
+class Samples:
+    """Labeled rows as parallel arrays, one entry per row."""
+
+    features: np.ndarray  # (N, D) rendered observations
+    targets: np.ndarray  # (N,) yaw-correction labels
+    path_id: np.ndarray  # (N,) str
+    sweep_index: np.ndarray  # (N,) int64
+    step_index: np.ndarray  # (N,) int64
+
+    def __len__(self) -> int:
+        return int(self.targets.shape[0])
+
+    def __getitem__(self, rows: slice) -> "Samples":
+        return Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concatenate(parts: list["Samples"]) -> "Samples":
+        return Samples(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Samples)))
 
 
 @dataclass
 class Dataset:
-    samples: list[Sample]
+    samples: Samples
     feature_mean: np.ndarray
     feature_std: np.ndarray
 
@@ -73,11 +80,18 @@ class Dataset:
     def dim(self) -> int:
         return int(self.feature_mean.shape[0])
 
-    def features(self) -> np.ndarray:
-        return np.array([s.observation.features for s in self.samples])
 
-    def targets(self) -> np.ndarray:
-        return np.array([s.target for s in self.samples])
+@dataclass(frozen=True)
+class Walk:
+    """A path walked at fixed step size, one row per step: the pose (x, y,
+    yaw) that every sweep perturbs and renders, and the waypoint it steers to."""
+
+    path: Path
+    poses: np.ndarray  # (n, 3)
+    target: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return int(self.target.shape[0])
 
 
 def sweep_rng(seed: int, path_id: str, sweep_index: int) -> np.random.Generator:
@@ -86,100 +100,98 @@ def sweep_rng(seed: int, path_id: str, sweep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag, sweep_index]))
 
 
-def _walk(
-    path: Path,
-    config: AugmentationConfig,
-    world: LandmarkWorld,
-    rng: np.random.Generator | None,
-    sweep_index: int,
-) -> tuple[list[Pose], list[Sample]]:
+def walk_path(path: Path, config: AugmentationConfig) -> Walk:
+    """Step along the exact bearing to the current target waypoint until the
+    last one is captured. Jitter moves only the poses a sweep renders and
+    labels, never the walk, so every sweep of a path shares this one."""
     wps = path.waypoints
     target = advance_target(wps[0], wps, 0, config.capture_radius)
-    if target >= len(wps):
-        return [], []
-    pose = Pose(wps[0], bearing(wps[0], wps[target]))
+    pos = wps[0]
+    yaw = bearing(pos, wps[target]) if target < len(wps) else 0.0
     max_steps = default_max_steps(path, config.step)
-
-    poses: list[Pose] = []
-    samples: list[Sample] = []
-    for step_index in range(max_steps):
-        if rng is None:
-            sample_pose = pose
-        else:
-            # Fixed draw order per sample: dx, dy, dyaw.
-            dx = rng.uniform(-config.pos_jitter, config.pos_jitter)
-            dy = rng.uniform(-config.pos_jitter, config.pos_jitter)
-            dyaw = rng.uniform(-config.yaw_jitter, config.yaw_jitter)
-            sample_pose = Pose(
-                Point2(pose.position.x + dx, pose.position.y + dy),
-                pose.yaw + dyaw,
+    poses: list[tuple[float, float, float]] = []
+    targets: list[int] = []
+    while target < len(wps):
+        if len(poses) == max_steps:
+            raise RuntimeError(
+                f"path {path.id!r}: waypoint {target} unreachable within {max_steps} steps"
             )
-        label = target_yaw_delta(sample_pose, wps[target])
-        obs = render_observation(world, sample_pose, config.bins, config.fov)
-        poses.append(pose)
-        samples.append(Sample(obs, label, (path.id, sweep_index, step_index)))
-
-        heading = bearing(pose.position, wps[target])
-        pos = Point2(
-            pose.position.x + config.step * math.cos(heading),
-            pose.position.y + config.step * math.sin(heading),
-        )
-        pose = Pose(pos, heading)
+        poses.append((pos.x, pos.y, yaw))
+        targets.append(target)
+        yaw = bearing(pos, wps[target])
+        pos = Point2(pos.x + config.step * math.cos(yaw), pos.y + config.step * math.sin(yaw))
         target = advance_target(pos, wps, target, config.capture_radius)
-        if target >= len(wps):
-            poses.append(pose)
-            return poses, samples
-    raise RuntimeError(
-        f"path {path.id!r}: waypoint {target} unreachable within {max_steps} steps"
+    return Walk(path, np.array(poses, dtype=float).reshape(-1, 3), np.array(targets, dtype=np.int64))
+
+
+def _render_sweep(
+    walk: Walk, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int, poses: np.ndarray
+) -> Samples:
+    """Render and label ``poses``, one per step of ``walk``."""
+    wps = walk.path.waypoints
+    # Scalar math.atan2 per row: np.arctan2 differs from it in the last bit
+    # on some rows, and the labels keep the bits of geometry.target_yaw_delta.
+    targets = [
+        wrap_angle(wrap_angle(math.atan2(wps[t].y - y, wps[t].x - x)) - yaw)
+        for (x, y, yaw), t in zip(poses.tolist(), walk.target.tolist())
+    ]
+    n = len(walk)
+    return Samples(
+        features=render_observation(world, poses, config.bins, config.fov),
+        targets=np.array(targets, dtype=float),
+        path_id=np.full(n, walk.path.id),
+        sweep_index=np.full(n, sweep_index, dtype=np.int64),
+        step_index=np.arange(n, dtype=np.int64),
     )
 
 
 def sweep_optimal(
     path: Path, config: AugmentationConfig, world: LandmarkWorld
-) -> tuple[list[Pose], list[Sample]]:
-    """Unperturbed demonstration sweep along the optimal shortest directions."""
-    return _walk(path, config, world, rng=None, sweep_index=0)
+) -> tuple[Walk, Samples]:
+    """Walk the path and render sweep 0, the unperturbed demonstration along
+    the optimal shortest directions."""
+    walk = walk_path(path, config)
+    return walk, _render_sweep(walk, config, world, 0, walk.poses)
 
 
 def sweep_jittered(
-    path: Path, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int
-) -> list[Sample]:
-    """Optimal walk with per-sample pose perturbation; labels recomputed at the
+    walk: Walk, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int
+) -> Samples:
+    """The walk with every pose perturbed; labels are recomputed at the
     perturbed pose so the sweep teaches corrective steering."""
-    rng = sweep_rng(config.seed, path.id, sweep_index)
-    _, samples = _walk(path, config, world, rng=rng, sweep_index=sweep_index)
-    return samples
+    rng = sweep_rng(config.seed, walk.path.id, sweep_index)
+    pj, yj = config.pos_jitter, config.yaw_jitter
+    # One draw, filled row by row (dx, dy, dyaw): the doubles of three scalar draws per step.
+    poses = walk.poses + rng.uniform([-pj, -pj, -yj], [pj, pj, yj], size=(len(walk), 3))
+    poses[:, 2] = [wrap_angle(yaw) for yaw in poses[:, 2].tolist()]
+    return _render_sweep(walk, config, world, sweep_index, poses)
 
 
-def sweep_samples(
-    path: Path, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int
-) -> list[Sample]:
-    """The samples of training sweep ``sweep_index``: sweep 0 is the
-    unperturbed one, every later sweep is jittered."""
-    if sweep_index == 0:
-        return sweep_optimal(path, config, world)[1]
-    return sweep_jittered(path, config, world, sweep_index)
+def training_samples(
+    path: Path, config: AugmentationConfig, world: LandmarkWorld, n_sweeps: int
+) -> tuple[Walk, Samples]:
+    """Sweep 0 (unperturbed) then jittered sweeps 1..n_sweeps-1, each as long
+    as the walk, so the first k * len(walk) rows are the first k sweeps."""
+    walk, first = sweep_optimal(path, config, world)
+    jittered = [sweep_jittered(walk, config, world, i) for i in range(1, n_sweeps)]
+    return walk, Samples.concatenate([first, *jittered])
 
 
 def build_dataset(
     path: Path, config: AugmentationConfig, world: LandmarkWorld
 ) -> Dataset:
-    """Concatenate sweep 0 (unperturbed) plus n_augmented - 1 jittered sweeps
-    and fit the normalization statistics over all samples."""
+    """The n_augmented training sweeps, with normalization statistics fitted
+    over all of their samples."""
     if config.n_augmented < 1:
         raise ValueError("n_augmented must be >= 1")
-    samples: list[Sample] = []
-    for sweep_index in range(config.n_augmented):
-        samples.extend(sweep_samples(path, config, world, sweep_index))
-    return dataset_from_samples(samples)
+    return dataset_from_samples(training_samples(path, config, world, config.n_augmented)[1])
 
 
-def dataset_from_samples(samples: list[Sample]) -> Dataset:
-    if not samples:
+def dataset_from_samples(samples: Samples) -> Dataset:
+    if not len(samples):
         raise ValueError("empty sample list")
-    features = np.array([s.observation.features for s in samples])
-    mean = features.mean(axis=0)
-    std = np.maximum(features.std(axis=0), STD_FLOOR)
+    mean = samples.features.mean(axis=0)
+    std = np.maximum(samples.features.std(axis=0), STD_FLOOR)
     return Dataset(samples, mean, std)
 
 

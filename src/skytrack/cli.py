@@ -23,6 +23,7 @@ import re
 import select
 import signal
 import sys
+import zipfile
 import zlib
 from pathlib import Path as FilePath
 
@@ -139,9 +140,9 @@ def write_resolved_config(config: dict[str, object], out_dir: FilePath) -> None:
     (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n")
 
 
-def augmentation_config(config: dict[str, object], n_augmented: int | None = None) -> aug.AugmentationConfig:
+def augmentation_config(config: dict[str, object]) -> aug.AugmentationConfig:
     return aug.AugmentationConfig(
-        n_augmented=int(n_augmented if n_augmented is not None else config["n_augmented"]),
+        n_augmented=int(config["n_augmented"]),
         pos_jitter=float(config["pos_jitter"]),
         yaw_jitter=float(config["yaw_jitter"]),
         step=float(config["step"]),
@@ -237,46 +238,66 @@ def load_path(file: FilePath | str, path_id: str | None = None) -> Path:
     return Path(tuple(points), path_id if path_id is not None else file.stem)
 
 
+# The arrays of a dataset file, in file order, and their dtypes ("str": unicode of any width).
+DATASET_ARRAYS = {
+    "features": "float64", "targets": "float64", "path_id": "str", "sweep_index": "int64", "step_index": "int64"
+}
+
+
 def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: FilePath | str) -> None:
     """The samples as exact float64 arrays in one uncompressed ``.npz``
     (``features`` (N, D), ``targets``, ``path_id``, ``sweep_index``,
     ``step_index``) plus a JSON sidecar with the normalization statistics and
     the per-sweep RNG stream tags."""
-    meta = [s.meta for s in dataset.samples]
-    sweeps: dict[int, str] = {}
-    for path_id, sweep_index, _ in meta:
-        sweeps.setdefault(sweep_index, f"crc32({path_id})/{sweep_index}")
+    samples = dataset.samples
+    sweeps, first = np.unique(samples.sweep_index, return_index=True)
     # A file handle, not a name: np.savez appends ".npz" to a name without it.
     with open(data_file, "wb") as fh:
-        np.savez(
-            fh,
-            features=dataset.features(),
-            targets=dataset.targets(),
-            path_id=np.array([m[0] for m in meta], dtype=str),
-            sweep_index=np.array([m[1] for m in meta], dtype=np.int64),
-            step_index=np.array([m[2] for m in meta], dtype=np.int64),
-        )
+        np.savez(fh, **{key: getattr(samples, key) for key in DATASET_ARRAYS})
     sidecar = {
         "dim": dataset.dim,
-        "n_samples": len(dataset.samples),
+        "n_samples": len(samples),
         "feature_mean": dataset.feature_mean.tolist(),
         "feature_std": dataset.feature_std.tolist(),
-        "rng_streams": {str(k): v for k, v in sorted(sweeps.items())},
+        "rng_streams": {
+            str(k): f"crc32({samples.path_id[i]})/{k}" for k, i in zip(sweeps.tolist(), first.tolist())
+        },
     }
     FilePath(sidecar_file).write_text(json.dumps(sidecar, sort_keys=True))
 
 
-def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str, fov: float) -> aug.Dataset:
-    sidecar = json.loads(FilePath(sidecar_file).read_text())
-    with np.load(data_file, allow_pickle=False) as arrays:
-        features, targets = arrays["features"], arrays["targets"]
-        meta = zip(arrays["path_id"].tolist(), arrays["sweep_index"].tolist(), arrays["step_index"].tolist())
-    samples = [
-        aug.Sample(observation=aug.Observation(row, fov), target=target, meta=m)
-        for row, target, m in zip(features, targets.tolist(), meta)
-    ]
+def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> None:
+    """Raise ValueError unless the arrays and the sidecar make one dataset."""
+
+    def check(ok: bool, problem: str) -> None:
+        if not ok:
+            raise ValueError(problem)
+
+    rows, dim = sidecar["n_samples"], sidecar["dim"]
+    for key, dtype in DATASET_ARRAYS.items():
+        check(key in arrays, f"missing array {key!r}")
+        a = arrays[key]
+        ok = a.dtype.kind == "U" if dtype == "str" else a.dtype == dtype
+        check(ok, f"{key} has dtype {a.dtype}, not {dtype}")
+        shape = (rows, dim) if key == "features" else (rows,)
+        check(a.shape == shape, f"{key} has shape {a.shape}, not {shape}")
+    for key in ("feature_mean", "feature_std"):
+        check(len(sidecar[key]) == dim, f"sidecar {key} has {len(sidecar[key])} entries, not {dim}")
+    check(np.isfinite(arrays["features"]).all() and np.isfinite(arrays["targets"]).all(), "non-finite values")
+
+
+def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug.Dataset:
+    """Read what save_dataset wrote. A file that is unreadable or does not
+    hold one consistent dataset raises one ValueError naming it."""
+    try:
+        sidecar = json.loads(FilePath(sidecar_file).read_text())
+        with np.load(data_file, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        _check_dataset(arrays, sidecar)
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{data_file}: bad dataset (sidecar {sidecar_file}): {exc}") from exc
     return aug.Dataset(
-        samples,
+        aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS}),
         np.array(sidecar["feature_mean"], dtype=float),
         np.array(sidecar["feature_std"], dtype=float),
     )
@@ -465,13 +486,13 @@ def _ablation_row(
     config: dict[str, object],
     world: LandmarkWorld,
     route: Path,
-    test_set: list[aug.Sample],
-    sweeps: list[list[aug.Sample]],
+    test_set: aug.Samples,
+    samples: aug.Samples,
     k: int,
 ) -> dict[str, object]:
-    """Train on sweeps 0..k-1, fly the model and score it."""
-    acfg = augmentation_config(config, n_augmented=k)
-    dataset = aug.dataset_from_samples([s for sweep in sweeps[:k] for s in sweep])
+    """Train on ``samples``, sweeps 0..k-1, fly the model and score it."""
+    acfg = augmentation_config(config)
+    dataset = aug.dataset_from_samples(samples)
     model, _ = learner.train(
         dataset,
         train_config(config),
@@ -519,16 +540,17 @@ def run_ablation(
     jittered sweeps (disjoint RNG streams) and in closed loop.
 
     Level k trains on sweeps 0..k-1, the same dataset ``aug.build_dataset``
-    gives for ``n_augmented = k``; a sweep does not depend on k, so each one
-    is rendered once, here. Every distinct level then runs in its own forked
-    child, which inherits the sweeps and sends back only its row: the
-    largest k first, at most ``ablation_workers`` children at a time. The
-    first failing level kills and reaps the other children and raises."""
+    gives for ``n_augmented = k``. A sweep does not depend on k, so the path
+    is walked and each sweep rendered once, here; every sweep has the walk's
+    length, so level k's rows are the first k * len(walk). Every distinct
+    level then runs in its own forked child, which inherits the samples and
+    sends back only its row: the largest k first, at most
+    ``ablation_workers`` children at a time. The first failing level kills
+    and reaps the other children and raises."""
     acfg = augmentation_config(config)
-    test_set: list[aug.Sample] = []
-    for i in range(int(config["n_test_sweeps"])):
-        test_set.extend(aug.sweep_jittered(route, acfg, world, aug.TEST_SWEEP_BASE + i))
-    sweeps = [aug.sweep_samples(route, acfg, world, i) for i in range(max(levels))]
+    walk, samples = aug.training_samples(route, acfg, world, max(levels))
+    tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + int(config["n_test_sweeps"]))
+    test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, acfg, world, i) for i in tests])
 
     pending = sorted(set(levels), reverse=True)
     workers = ablation_workers(len(os.sched_getaffinity(0)), BLAS_THREADS, len(pending))
@@ -538,7 +560,7 @@ def run_ablation(
         while pending or running:
             while pending and len(running) < workers:
                 k = pending.pop(0)
-                pid, fd = _fork(_ablation_row, config, world, route, test_set, sweeps, k)
+                pid, fd = _fork(_ablation_row, config, world, route, test_set, samples[: k * len(walk)], k)
                 running[fd] = (pid, k)
             fd = select.select(list(running), [], [])[0][0]
             pid, k = running[fd]

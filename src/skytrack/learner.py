@@ -103,33 +103,20 @@ def init_model(seed: int, input_dim: int, projection_dim: int = 128, hidden: int
     )
 
 
-def forward_raw(model: RegressorModel, normalized_features: np.ndarray) -> float:
-    """Unwrapped head output for one normalized feature vector."""
-    return float(_predict_raw_batch(model, normalized_features.reshape(1, -1))[0])
-
-
-def forward(model: RegressorModel, normalized_features: np.ndarray) -> float:
-    """Predicted yaw delta, wrapped to (-pi, pi]."""
-    return wrap_angle(forward_raw(model, normalized_features))
-
-
 def predict(model: RegressorModel, raw_features: np.ndarray) -> float:
-    """Inference from an unnormalized observation, using the stats captured
-    from the training dataset."""
+    """Predicted yaw delta, wrapped to (-pi, pi], from one unnormalized
+    observation, using the stats captured from the training dataset."""
     if model.feature_mean is None or model.feature_std is None:
         raise ValueError("model carries no normalization statistics")
     x = normalize_features(model.feature_mean, model.feature_std, raw_features)
-    return forward(model, x)
+    return wrap_angle(float(predict_raw(model, x.reshape(1, -1))[0]))
 
 
-def _predict_raw_batch(model: RegressorModel, x: np.ndarray) -> np.ndarray:
+def predict_raw(model: RegressorModel, x: np.ndarray) -> np.ndarray:
+    """Unwrapped head outputs for normalized feature rows (n, D)."""
     if x.shape[1] != model.input_dim:
         raise ValueError(f"dimension mismatch: got {x.shape[1]}, expected {model.input_dim}")
     z = x @ model.projection.T
-    return _predict_from_projected(model, z)
-
-
-def _predict_from_projected(model: RegressorModel, z: np.ndarray) -> np.ndarray:
     h = np.maximum(z @ model.w1.T + model.b1, 0.0)
     return h @ model.w2 + model.b2
 
@@ -227,10 +214,10 @@ def train(
     """Mini-batch training over the full recipe; returns the trained model
     (with the dataset's normalization statistics embedded) and the per-epoch
     mean squared error history."""
-    if not dataset.samples:
+    if not len(dataset.samples):
         raise ValueError("empty dataset")
-    x = normalize_features(dataset.feature_mean, dataset.feature_std, dataset.features())
-    y = dataset.targets()
+    x = normalize_features(dataset.feature_mean, dataset.feature_std, dataset.samples.features)
+    y = dataset.samples.targets
     n = x.shape[0]
 
     model = init_model(seed, x.shape[1], projection_dim, hidden)
@@ -279,14 +266,18 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
 
 
 def load_model(file: FilePath | str) -> RegressorModel:
+    """Read what save_model wrote. Arrays whose dimensions disagree raise a
+    ValueError naming the file."""
     doc = json.loads(FilePath(file).read_text())
-    return RegressorModel(
-        projection=np.array(doc["projection"], dtype=float),
-        w1=np.array(doc["w1"], dtype=float),
-        b1=np.array(doc["b1"], dtype=float),
-        w2=np.array(doc["w2"], dtype=float),
-        b2=float(doc["b2"]),
-        feature_mean=None if doc["feature_mean"] is None else np.array(doc["feature_mean"], dtype=float),
-        feature_std=None if doc["feature_std"] is None else np.array(doc["feature_std"], dtype=float),
-        init_seed=int(doc["init_seed"]),
-    )
+    arrays = {key: np.array(doc[key], dtype=float) for key in ("projection", "w1", "b1", "w2")}
+    for key in ("feature_mean", "feature_std"):
+        arrays[key] = None if doc[key] is None else np.array(doc[key], dtype=float)
+    projection, w1 = arrays["projection"], arrays["w1"]
+    if projection.ndim != 2 or w1.ndim != 2:
+        raise ValueError(f"{file}: projection {projection.shape} and w1 {w1.shape} must be matrices")
+    (f, d), h = projection.shape, w1.shape[0]
+    expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "feature_mean": (d,), "feature_std": (d,)}
+    for key, shape in expected.items():
+        if arrays[key] is not None and arrays[key].shape != shape:
+            raise ValueError(f"{file}: {key} has shape {arrays[key].shape}, expected {shape}")
+    return RegressorModel(b2=float(doc["b2"]), init_seed=int(doc["init_seed"]), **arrays)

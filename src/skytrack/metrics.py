@@ -12,27 +12,20 @@ Three path-following metrics plus the held-out angle MSE:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path as FilePath
 from typing import Sequence
 
 import numpy as np
 
-from .augmentation import Sample, normalize_features
+from .augmentation import Samples, normalize_features
 from .geometry import Path, Point2, point_segment_distance, sum_angle_change
-from .learner import RegressorModel, forward_raw
+from .learner import RegressorModel, predict_raw
 from .simulator import TrajectoryLog
 
 
-def _positions(trajectory) -> list[Point2]:
-    if isinstance(trajectory, TrajectoryLog):
-        return trajectory.positions
-    return list(trajectory)
-
-
-def mean_waypoint_min_distance(path: Path, trajectory) -> float:
+def mean_waypoint_min_distance(path: Path, positions: Sequence[Point2]) -> float:
     """Average over waypoints of the minimum distance to any trajectory point."""
-    positions = _positions(trajectory)
     if not positions:
         raise ValueError("empty trajectory")
     t = np.array([[p.x, p.y] for p in positions])
@@ -41,10 +34,9 @@ def mean_waypoint_min_distance(path: Path, trajectory) -> float:
     return float(d.min(axis=1).mean())
 
 
-def mean_cross_track_distance(path: Path, trajectory) -> float:
+def mean_cross_track_distance(path: Path, positions: Sequence[Point2]) -> float:
     """Average point-to-segment distance to the segment between each sample's
     two closest waypoints."""
-    positions = _positions(trajectory)
     if not positions:
         raise ValueError("empty trajectory")
     wps = path.waypoints
@@ -57,16 +49,18 @@ def mean_cross_track_distance(path: Path, trajectory) -> float:
     return total / len(positions)
 
 
-def angle_mse(model: RegressorModel, test_set: Sequence[Sample]) -> float:
+def angle_mse(model: RegressorModel, test_set: Samples) -> float:
     """Mean squared error of the raw (unwrapped) predictions on labeled samples."""
-    if not test_set:
+    if not len(test_set):
         raise ValueError("empty test set")
     if model.feature_mean is None or model.feature_std is None:
         raise ValueError("model carries no normalization statistics")
     sse = 0.0
-    for sample in test_set:
-        x = normalize_features(model.feature_mean, model.feature_std, sample.observation.features)
-        sse += (forward_raw(model, x) - sample.target) ** 2
+    # One product per row: OpenBLAS routes a one-row product to another
+    # kernel than a batch, and a batched forward changes the last bits.
+    for features, target in zip(test_set.features, test_set.targets.tolist()):
+        x = normalize_features(model.feature_mean, model.feature_std, features)
+        sse += (float(predict_raw(model, x.reshape(1, -1))[0]) - target) ** 2
     return sse / len(test_set)
 
 
@@ -79,21 +73,11 @@ class MetricsReport:
     termination: str
     angle_mse: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "path_id": self.path_id,
-            "mwmd": self.mwmd,
-            "mctd": self.mctd,
-            "sac": self.sac,
-            "termination": self.termination,
-            "angle_mse": self.angle_mse,
-        }
-
 
 def evaluate(
     path: Path,
     trajectory: TrajectoryLog,
-    test_set: Sequence[Sample] | None = None,
+    test_set: Samples | None = None,
     model: RegressorModel | None = None,
 ) -> MetricsReport:
     """Bundle the three trajectory metrics, plus angle MSE when a labeled
@@ -103,8 +87,8 @@ def evaluate(
         mse = angle_mse(model, test_set)
     return MetricsReport(
         path_id=path.id,
-        mwmd=mean_waypoint_min_distance(path, trajectory),
-        mctd=mean_cross_track_distance(path, trajectory),
+        mwmd=mean_waypoint_min_distance(path, trajectory.positions),
+        mctd=mean_cross_track_distance(path, trajectory.positions),
         sac=sum_angle_change(path),
         termination=trajectory.termination,
         angle_mse=mse,
@@ -112,4 +96,4 @@ def evaluate(
 
 
 def save_report(report: MetricsReport, file: FilePath | str) -> None:
-    FilePath(file).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1))
+    FilePath(file).write_text(json.dumps(asdict(report), sort_keys=True, indent=1))

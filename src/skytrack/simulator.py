@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import NamedTuple
 
+import numpy as np
+
 from . import learner
 from .geometry import (
     Path,
@@ -24,7 +26,7 @@ from .geometry import (
     target_yaw_delta,
     wrap_angle,
 )
-from .world import LandmarkWorld, Observation, render_observation
+from .world import LandmarkWorld, render_observation
 
 COMPLETED = "completed"
 MAX_STEPS = "max_steps"
@@ -41,18 +43,8 @@ class PrivilegedState(NamedTuple):
 class OraclePolicy:
     """Privileged policy: always commands the exact rotation toward the target."""
 
-    def command(self, observation: Observation, privileged: PrivilegedState) -> float:
+    def command(self, observation: np.ndarray, privileged: PrivilegedState) -> float:
         return target_yaw_delta(privileged.pose, privileged.target_waypoint)
-
-
-class ConstantPolicy:
-    """Fixed yaw delta every tick; useful as a degenerate baseline in tests."""
-
-    def __init__(self, delta: float):
-        self.delta = delta
-
-    def command(self, observation: Observation, privileged: PrivilegedState) -> float:
-        return self.delta
 
 
 class ModelPolicy:
@@ -70,8 +62,8 @@ class ModelPolicy:
         self.model = model
         self.gain = gain
 
-    def command(self, observation: Observation, privileged: PrivilegedState) -> float:
-        return self.gain * learner.predict(self.model, observation.features)
+    def command(self, observation: np.ndarray, privileged: PrivilegedState) -> float:
+        return self.gain * learner.predict(self.model, observation)
 
 
 @dataclass
@@ -114,7 +106,8 @@ def rollout(
     target_indices = [target]
     termination = MAX_STEPS
     for _ in range(max_steps):
-        obs = render_observation(world, pose, config.bins, config.fov)
+        xy_yaw = np.array([[pose.position.x, pose.position.y, pose.yaw]])
+        obs = render_observation(world, xy_yaw, config.bins, config.fov)[0]
         delta = policy.command(obs, PrivilegedState(pose, wps[target]))
         if not math.isfinite(delta):
             termination = DIVERGED

@@ -16,8 +16,6 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from .geometry import Pose, wrap_angle
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -72,14 +70,6 @@ class LandmarkWorld:
         return int(self.signatures.shape[1])
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Fixed-length feature vector rendered at a pose: B bearing bins x S channels."""
-
-    features: np.ndarray
-    fov: float
-
-
 def generate_world(
     seed: int, n_landmarks: int, signature_dim: int, bounds: Rect
 ) -> LandmarkWorld:
@@ -102,16 +92,21 @@ def generate_world(
 
 
 def render_observation(
-    world: LandmarkWorld, pose: Pose, bins: int, fov: float
-) -> Observation:
-    """Render the bearing-binned signature vector seen from a pose.
+    world: LandmarkWorld, poses: np.ndarray, bins: int, fov: float
+) -> np.ndarray:
+    """Render the bearing-binned signature vectors seen from a batch of poses.
+
+    ``poses`` is (P, 3): x, y and yaw per row. Returns (P, bins * S): one
+    feature vector per pose, B bearing bins x S signature channels.
 
     A landmark at relative bearing beta contributes signature / (1 + range),
     split linearly between the two bins whose centers bracket beta, when
     |beta| <= fov / 2, else nothing. The linear split makes the features
     continuous in pose, which the downstream regressor needs to generalize;
     kernel mass falling outside the outermost bin centers stays in the edge
-    bin, and anything beyond the FOV contributes exactly 0.
+    bin, and anything beyond the FOV contributes exactly 0. Each row's bits
+    do not depend on the other rows: every step is elementwise, and a bin
+    sums its landmarks in landmark order.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -120,24 +115,25 @@ def render_observation(
     s = world.signature_dim
     half = fov / 2.0
     bin_width = fov / bins
-    dx = world.positions[:, 0] - pose.position.x
-    dy = world.positions[:, 1] - pose.position.y
-    raw = np.arctan2(dy, dx) - pose.yaw
+    dx = world.positions[:, 0] - poses[:, 0:1]  # (P, N)
+    dy = world.positions[:, 1] - poses[:, 1:2]
+    raw = np.arctan2(dy, dx) - poses[:, 2:3]
     beta = np.arctan2(np.sin(raw), np.cos(raw))
     beta = np.where(beta == -math.pi, math.pi, beta)
-    visible = np.abs(beta) <= half
+    pose, landmark = np.nonzero(np.abs(beta) <= half)
     # continuous bin coordinate: 0 at the center of bin 0
-    u = np.clip((beta[visible] + half) / bin_width - 0.5, 0.0, bins - 1.0)
+    u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
     lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
     frac = u - lower
-    contribution = world.signatures[visible] * (
-        1.0 / (1.0 + np.hypot(dx[visible], dy[visible]))
+    contribution = world.signatures[landmark] * (
+        1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark]))
     )[:, None]
-    grid = np.zeros((bins, s))
-    np.add.at(grid, lower, contribution * (1.0 - frac)[:, None])
+    row = pose * bins + lower
+    grid = np.zeros((poses.shape[0] * bins, s))
+    np.add.at(grid, row, contribution * (1.0 - frac)[:, None])
     if bins > 1:
-        np.add.at(grid, lower + 1, contribution * frac[:, None])
-    return Observation(grid.reshape(bins * s), fov)
+        np.add.at(grid, row + 1, contribution * frac[:, None])
+    return grid.reshape(poses.shape[0], bins * s)
 
 
 def save_world(world: LandmarkWorld, file: FilePath | str) -> None:

@@ -11,6 +11,8 @@ import glob
 import pytest
 
 import skytrack  # noqa: F401  (before numpy; see above)
+import numpy as np
+from skytrack.augmentation import Samples
 
 
 def children(pid: int | str = "self") -> list[int]:
@@ -30,3 +32,15 @@ def no_leftover_children():
     left = children()
     if left:
         pytest.fail(f"test left child processes behind: {left}")
+
+
+def make_samples(features, targets) -> Samples:
+    """Samples of one sweep of path "p" with the given rows."""
+    n = len(targets)
+    return Samples(
+        np.asarray(features, dtype=float).reshape(n, -1),
+        np.asarray(targets, dtype=float),
+        np.full(n, "p"),
+        np.zeros(n, dtype=np.int64),
+        np.arange(n, dtype=np.int64),
+    )

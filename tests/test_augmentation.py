@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
-from skytrack.geometry import Path, Point2, advance_target, bearing, wrap_angle
+from skytrack.cli import generate_route
+from skytrack.geometry import Path, Point2, Pose, advance_target, bearing, target_yaw_delta, wrap_angle
 from skytrack.world import Rect, generate_world
 
 WORLD = generate_world(0, 40, 4, Rect(-20, -20, 40, 40))
@@ -36,21 +37,21 @@ class TestConfigValidation:
 
 class TestSweepOptimal:
     def test_straight_path_all_zero_labels(self):
-        poses, samples = aug.sweep_optimal(straight_path(), config(), WORLD)
-        assert len(samples) >= 8
-        for s in samples:
-            assert s.target == pytest.approx(0.0, abs=1e-12)
+        walk, samples = aug.sweep_optimal(straight_path(), config(), WORLD)
+        assert len(samples) == len(walk) >= 8
+        for target in samples.targets:
+            assert target == pytest.approx(0.0, abs=1e-12)
 
     def test_fixed_step_spacing(self):
-        poses, _ = aug.sweep_optimal(straight_path(5.0), config(), WORLD)
-        for a, b in zip(poses, poses[1:]):
-            d = math.hypot(b.position.x - a.position.x, b.position.y - a.position.y)
+        walk, _ = aug.sweep_optimal(straight_path(5.0), config(), WORLD)
+        assert len(walk) > 2
+        for d in np.hypot(*np.diff(walk.poses[:, :2], axis=0).T):
             assert d == pytest.approx(0.2, abs=1e-9)
 
     def test_l_shaped_corner_label_jump(self):
         corner = Path((Point2(0, 0), Point2(3, 0), Point2(3, 3)), "L")
         _, samples = aug.sweep_optimal(corner, config(), WORLD)
-        labels = [s.target for s in samples]
+        labels = samples.targets.tolist()
         # straight legs carry ~0 labels; the capture hand-off produces one
         # jump near pi/2 which then decays back toward 0
         peak = max(abs(v) for v in labels)
@@ -69,23 +70,22 @@ class TestSweepOptimal:
 class TestSweepJittered:
     def test_zero_jitter_equals_optimal(self):
         cfg = config(pos_jitter=0.0, yaw_jitter=0.0)
-        _, base = aug.sweep_optimal(straight_path(5.0), cfg, WORLD)
-        jit = aug.sweep_jittered(straight_path(5.0), cfg, WORLD, 1)
+        walk, base = aug.sweep_optimal(straight_path(5.0), cfg, WORLD)
+        jit = aug.sweep_jittered(walk, cfg, WORLD, 1)
         assert len(jit) == len(base)
-        for a, b in zip(base, jit):
-            np.testing.assert_array_equal(a.observation.features, b.observation.features)
-            assert a.target == b.target
+        np.testing.assert_array_equal(base.features, jit.features)
+        assert base.targets.tolist() == jit.targets.tolist()
 
     def test_jitter_bounds(self):
         cfg = config()
         route = straight_path(6.0)
-        poses, _ = aug.sweep_optimal(route, cfg, WORLD)
-        samples = aug.sweep_jittered(route, cfg, WORLD, 3)
-        # the jittered walk follows the optimal trajectory, so perturbations
-        # can be recovered by comparing against the optimal poses
-        assert len(samples) == len(poses) - 1
+        walk, _ = aug.sweep_optimal(route, cfg, WORLD)
+        samples = aug.sweep_jittered(walk, cfg, WORLD, 3)
+        # every jittered sweep perturbs the one walk, so it has one sample
+        # per step of it
+        assert len(samples) == len(walk)
         rng = aug.sweep_rng(cfg.seed, route.id, 3)
-        for base in poses[:-1]:
+        for _ in range(len(walk)):
             dx = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dy = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dyaw = rng.uniform(-cfg.yaw_jitter, cfg.yaw_jitter)
@@ -93,35 +93,37 @@ class TestSweepJittered:
             assert abs(dyaw) <= 0.1
 
     def test_determinism(self):
-        route = straight_path(4.0)
-        a = aug.sweep_jittered(route, config(), WORLD, 2)
-        b = aug.sweep_jittered(route, config(), WORLD, 2)
-        assert [s.target for s in a] == [s.target for s in b]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.observation.features, y.observation.features)
+        walk = aug.walk_path(straight_path(4.0), config())
+        a = aug.sweep_jittered(walk, config(), WORLD, 2)
+        b = aug.sweep_jittered(walk, config(), WORLD, 2)
+        assert a.targets.tolist() == b.targets.tolist()
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_sweep_streams_differ(self):
-        route = straight_path(4.0)
-        a = aug.sweep_jittered(route, config(), WORLD, 1)
-        b = aug.sweep_jittered(route, config(), WORLD, 2)
-        assert [s.target for s in a] != [s.target for s in b]
+        walk = aug.walk_path(straight_path(4.0), config())
+        a = aug.sweep_jittered(walk, config(), WORLD, 1)
+        b = aug.sweep_jittered(walk, config(), WORLD, 2)
+        assert a.targets.tolist() != b.targets.tolist()
 
     def test_label_consistency(self):
-        # reconstruct each perturbed pose and confirm its label points the
-        # corrected heading exactly at the target waypoint
+        # reconstruct each perturbed pose from per-step dx, dy, dyaw draws and
+        # confirm its label points the corrected heading exactly at the target
+        # waypoint: the sweep's one-call draw must keep this draw order
         route = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L5")
         cfg = config()
-        samples = aug.sweep_jittered(route, cfg, WORLD, 7)
+        samples = aug.sweep_jittered(aug.walk_path(route, cfg), cfg, WORLD, 7)
+        assert samples.sweep_index.tolist() == [7] * len(samples)
+        assert samples.step_index.tolist() == list(range(len(samples)))
         rng = aug.sweep_rng(cfg.seed, route.id, 7)
         wps = route.waypoints
         target = advance_target(wps[0], wps, 0, cfg.capture_radius)
         pose_pos, pose_yaw = wps[0], bearing(wps[0], wps[target])
-        for s in samples:
+        for label in samples.targets.tolist():
             dx = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dy = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dyaw = rng.uniform(-cfg.yaw_jitter, cfg.yaw_jitter)
             perturbed = Point2(pose_pos.x + dx, pose_pos.y + dy)
-            corrected = wrap_angle(pose_yaw + dyaw + s.target)
+            corrected = wrap_angle(pose_yaw + dyaw + label)
             assert corrected == pytest.approx(
                 bearing(perturbed, wps[target]), abs=1e-9
             )
@@ -132,12 +134,33 @@ class TestSweepJittered:
             )
             pose_yaw = heading
             target = advance_target(pose_pos, wps, target, cfg.capture_radius)
+        assert target == len(wps)  # one sample per step, and no more
+
+    def test_labels_equal_target_yaw_delta_bit_for_bit(self):
+        # The default scenario's route: a vectorized np.arctan2 gives other
+        # last bits than math.atan2 on 45-70 of its 739 rows per sweep.
+        route = generate_route(0, "path_00", 61, 150.0, 5.0)
+        cfg = config(capture_radius=2.0)
+        walk = aug.walk_path(route, cfg)
+        assert len(walk) == 739
+        samples = aug.sweep_jittered(walk, cfg, WORLD, 3)
+        rng = aug.sweep_rng(cfg.seed, route.id, 3)
+        expected = []
+        for (x, y, yaw), t in zip(walk.poses.tolist(), walk.target.tolist()):
+            dx = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
+            dy = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
+            dyaw = rng.uniform(-cfg.yaw_jitter, cfg.yaw_jitter)
+            pose = Pose(Point2(x + dx, y + dy), yaw + dyaw)
+            expected.append(target_yaw_delta(pose, route.waypoints[t]))
+        assert samples.targets.tobytes() == np.array(expected).tobytes()
 
     @given(st.integers(min_value=1, max_value=50))
     def test_labels_wrapped(self, sweep_index):
-        samples = aug.sweep_jittered(straight_path(2.0), config(), WORLD, sweep_index)
-        for s in samples:
-            assert -math.pi < s.target <= math.pi
+        walk = aug.walk_path(straight_path(2.0), config())
+        samples = aug.sweep_jittered(walk, config(), WORLD, sweep_index)
+        assert len(samples) == len(walk)
+        for target in samples.targets:
+            assert -math.pi < target <= math.pi
 
 
 class TestBuildDataset:
@@ -146,7 +169,8 @@ class TestBuildDataset:
         _, base = aug.sweep_optimal(straight_path(4.0), cfg, WORLD)
         ds = aug.build_dataset(straight_path(4.0), cfg, WORLD)
         assert len(ds.samples) == len(base)
-        assert [s.target for s in ds.samples] == [s.target for s in base]
+        assert ds.samples.targets.tobytes() == base.targets.tobytes()
+        assert ds.samples.features.tobytes() == base.features.tobytes()
 
     def test_sample_count_scales_with_sweeps(self):
         route = straight_path(6.0)
@@ -168,7 +192,7 @@ class TestBuildDataset:
 class TestNormalization:
     def test_self_normalization_stats(self):
         ds = aug.build_dataset(straight_path(8.0), config(n_augmented=4), WORLD)
-        z = aug.normalize_features(ds.feature_mean, ds.feature_std, ds.features())
+        z = aug.normalize_features(ds.feature_mean, ds.feature_std, ds.samples.features)
         active = ds.feature_std > 1e-6
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(z[:, active].std(axis=0), 1.0, atol=1e-6)
@@ -181,10 +205,9 @@ class TestNormalization:
     def test_constant_feature_no_nan(self):
         samples = aug.build_dataset(straight_path(4.0), config(), WORLD).samples
         # force one feature constant across the dataset
-        for s in samples:
-            s.observation.features[0] = 3.25
+        samples.features[:, 0] = 3.25
         ds = aug.dataset_from_samples(samples)
-        z = aug.normalize_features(ds.feature_mean, ds.feature_std, ds.features())
+        z = aug.normalize_features(ds.feature_mean, ds.feature_std, ds.samples.features)
         assert np.all(np.isfinite(z))
         assert np.allclose(z[:, 0], 0.0)
 

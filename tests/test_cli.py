@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -150,17 +151,86 @@ class TestDatasetRoundTrip:
             assert arrays["targets"].dtype == np.float64
             assert arrays["sweep_index"].dtype == arrays["step_index"].dtype == np.int64
             assert arrays["path_id"].dtype.kind == "U"
-        loaded = cli.load_dataset(data_file, sidecar, fov=cfg.fov)
+        loaded = cli.load_dataset(data_file, sidecar)
         assert len(loaded.samples) == len(ds.samples)
         # Bit for bit: array_equal would let -0.0 == 0.0 through.
-        assert loaded.features().tobytes() == ds.features().tobytes()
-        assert loaded.targets().tobytes() == ds.targets().tobytes()
+        for key in cli.DATASET_ARRAYS:
+            a, b = getattr(loaded.samples, key), getattr(ds.samples, key)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
         assert loaded.feature_mean.tobytes() == ds.feature_mean.tobytes()
         assert loaded.feature_std.tobytes() == ds.feature_std.tobytes()
-        assert [s.meta for s in loaded.samples] == [s.meta for s in ds.samples]
-        assert all(type(v) is t for s in loaded.samples for v, t in zip(s.meta, (str, int, int)))
         doc = json.loads(sidecar.read_text())
-        assert set(doc["rng_streams"]) == {"0", "1"}
+        assert doc["rng_streams"] == {"0": "crc32(p)/0", "1": "crc32(p)/1"}
+
+    @staticmethod
+    def _truncate(data_file, sidecar):
+        data_file.write_bytes(data_file.read_bytes()[:-100])
+
+    @staticmethod
+    def _drop_key(data_file, sidecar):
+        with np.load(data_file) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "step_index"}
+        with open(data_file, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @staticmethod
+    def _drop_row(data_file, sidecar):
+        with np.load(data_file) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays["targets"] = arrays["targets"][:-1]
+        with open(data_file, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @staticmethod
+    def _int_targets(data_file, sidecar):
+        with np.load(data_file) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays["targets"] = arrays["targets"].astype(np.int64)
+        with open(data_file, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @staticmethod
+    def _nan_feature(data_file, sidecar):
+        with np.load(data_file) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays["features"][3, 2] = np.nan
+        with open(data_file, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    @staticmethod
+    def _sidecar_count(data_file, sidecar):
+        doc = json.loads(sidecar.read_text())
+        doc["n_samples"] += 1
+        sidecar.write_text(json.dumps(doc))
+
+    @staticmethod
+    def _sidecar_dim(data_file, sidecar):
+        doc = json.loads(sidecar.read_text())
+        doc["dim"] -= 1
+        sidecar.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ("_truncate", "bad dataset"),
+            ("_drop_key", "missing array 'step_index'"),
+            ("_drop_row", r"targets has shape \(\d+,\), not \(\d+,\)"),
+            ("_int_targets", "targets has dtype int64, not float64"),
+            ("_nan_feature", "non-finite values"),
+            ("_sidecar_count", r"features has shape \(\d+, 128\), not \(\d+, 128\)"),
+            ("_sidecar_dim", r"features has shape \(\d+, 128\), not \(\d+, 127\)"),
+        ],
+    )
+    def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
+        world = generate_world(0, 30, 4, Rect(-20, -20, 40, 40))
+        route = Path((Point2(0, 0), Point2(6, 0)), "p")
+        ds = aug.build_dataset(route, aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
+        data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
+        cli.save_dataset(ds, data_file, sidecar)
+        getattr(self, corrupt)(data_file, sidecar)
+        with pytest.raises(ValueError, match=message) as info:
+            cli.load_dataset(data_file, sidecar)
+        assert str(info.value).startswith(f"{data_file}: ")
 
 
 class TestSvgEmission:
@@ -294,10 +364,10 @@ class TestCommands:
             sweeps_rendered.append(0)
             return real_optimal(*args)
 
-        def sweep_jittered(path, config, world, sweep_index):
+        def sweep_jittered(walk, config, world, sweep_index):
             if sweep_index < aug.TEST_SWEEP_BASE:
                 sweeps_rendered.append(sweep_index)
-            return real_jittered(path, config, world, sweep_index)
+            return real_jittered(walk, config, world, sweep_index)
 
         monkeypatch.setattr(learner, "train", train)
         monkeypatch.setattr(aug, "sweep_optimal", sweep_optimal)
@@ -310,16 +380,15 @@ class TestCommands:
         for file in trained_dir.iterdir():
             with open(file, "rb") as fh:
                 dataset = pickle.load(fh)
-            trained[1 + max(s.meta[1] for s in dataset.samples)] = dataset
+            trained[1 + int(dataset.samples.sweep_index.max())] = dataset
         assert len(list(trained_dir.iterdir())) == len(levels)
         assert sorted(trained) == sorted(levels)
         for k, dataset in trained.items():
-            expected = aug.build_dataset(routes[0], cli.augmentation_config(config, k), world)
-            assert dataset.features().tobytes() == expected.features().tobytes()
-            assert dataset.targets().tobytes() == expected.targets().tobytes()
+            expected = aug.build_dataset(routes[0], replace(cli.augmentation_config(config), n_augmented=k), world)
+            for key in cli.DATASET_ARRAYS:
+                assert getattr(dataset.samples, key).tobytes() == getattr(expected.samples, key).tobytes(), key
             assert dataset.feature_mean.tobytes() == expected.feature_mean.tobytes()
             assert dataset.feature_std.tobytes() == expected.feature_std.tobytes()
-            assert [s.meta for s in dataset.samples] == [s.meta for s in expected.samples]
 
     def test_ablation_level_failure_reaps_workers(self, tmp_path, monkeypatch, capsys):
         # Level 2 fails at once while level 3 would train for a minute: the
@@ -331,7 +400,7 @@ class TestCommands:
         world, routes = cli._load_scenario(config)
 
         def train(dataset, *args, **kwargs):
-            k = 1 + max(s.meta[1] for s in dataset.samples)
+            k = 1 + int(dataset.samples.sweep_index.max())
             if k == 2:
                 raise ValueError("no convergence at k=2")
             time.sleep(60)

@@ -32,6 +32,7 @@ GOLDEN = {
         "ablation.csv": "0d770d3c49e206a4db5c78dfadfe12985a7f5ce78e5f77b70ca3561a361771dd",
         "path_00_norm.json": "3abc529ff8dd643770b42594ff9a36e3aab7a70e7bce7068b1119a76268c9edb",
         "manifest.json": "a3f2a59a23ed5e150e9d8e48d8531e22e4c468268bc09909a203c4d063266029",
+        "path_00_dataset.npz": "f3f74e39a02acea8197c5bd6f04b3048858f64da6237d136393eca397c0e3abc",
     },
     "wide": {
         "path_00_model.json": "71552417dc1328d92be2c48cba51d42b43801f8e3a88b2d40e9e40567e10ec1e",
@@ -40,6 +41,7 @@ GOLDEN = {
         "ablation.csv": "6f45d0babd60c7eb7845462ecd59c5411e361d2da88190e1848a61f21af3ca4e",
         "path_00_norm.json": "3abc529ff8dd643770b42594ff9a36e3aab7a70e7bce7068b1119a76268c9edb",
         "manifest.json": "50edbe34949ad77545f870871a289ae4cb2866e6812c51ee534749edb8b6f388",
+        "path_00_dataset.npz": "f3f74e39a02acea8197c5bd6f04b3048858f64da6237d136393eca397c0e3abc",
     },
 }
 
@@ -91,7 +93,7 @@ import numpy as np
 a = np.ones((512, 512))
 a @ a  # large enough that a threaded BLAS would start its workers
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else -1
-print(*(os.environ[v] for v in sys.argv[1:]), tasks)
+print(*(os.environ.get(v, "-") for v in sys.argv[1:]), tasks)
 """
 
 
@@ -100,7 +102,11 @@ def test_import_pins_one_blas_thread_unless_set():
     assert out[:3] == ["1", "1", "1"]
     assert out[3] in ("1", "-1")  # one thread: nothing was started
     out = run_cli({"OPENBLAS_NUM_THREADS": "2"}, "-c", PROBE, *THREAD_VARS).stdout.split()
-    assert out[:3] == ["2", "1", "1"]
+    assert out[:3] == ["2", "-", "-"]
+    # Any one of the variables is the user's choice; the default stays away.
+    out = run_cli({"OMP_NUM_THREADS": "2"}, "-c", PROBE, *THREAD_VARS).stdout.split()
+    assert out[:3] == ["-", "2", "-"]
+    assert out[3] in ("2", "-1")  # OpenBLAS started its second thread
 
 
 @pytest.mark.parametrize(
@@ -108,8 +114,8 @@ def test_import_pins_one_blas_thread_unless_set():
     [
         ({}, "skytrack", "1"),
         ({"OPENBLAS_NUM_THREADS": "2"}, "skytrack", "2"),
-        # OpenBLAS reads OPENBLAS_NUM_THREADS first, and skytrack's default sets it.
-        ({"OMP_NUM_THREADS": "2"}, "skytrack", "1"),
+        # Any one variable set keeps skytrack's default away.
+        ({"OMP_NUM_THREADS": "2"}, "skytrack", "2"),
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, "skytrack", "2"),
         # numpy imported first has read the variables before skytrack's default.
         ({"OMP_NUM_THREADS": "2"}, "numpy, skytrack", "2"),

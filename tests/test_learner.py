@@ -1,10 +1,12 @@
 """Regressor init, forward pass, gradients, Adam, schedule, and training."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import make_samples
 from skytrack import augmentation as aug
 from skytrack.learner import (
     AdamState,
@@ -12,17 +14,15 @@ from skytrack.learner import (
     TrainConfig,
     _loss_grad_projected,
     adam_step,
-    forward,
-    forward_raw,
     init_model,
     load_model,
     loss_and_gradient,
     lr_at,
     predict,
+    predict_raw,
     save_model,
     train,
 )
-from skytrack.world import Observation
 
 
 def tiny_model(seed=0, d=6, f=4, h=5):
@@ -34,11 +34,8 @@ def synthetic_dataset(n=400, d=8, seed=3, target_fn=None):
     feats = rng.uniform(0.0, 1.0, size=(n, d))
     if target_fn is None:
         target_fn = lambda x: 0.0
-    samples = [
-        aug.Sample(Observation(feats[i], math.pi / 2), float(target_fn(feats[i])), ("p", 0, i))
-        for i in range(n)
-    ]
-    return aug.dataset_from_samples(samples)
+    targets = [float(target_fn(feats[i])) for i in range(n)]
+    return aug.dataset_from_samples(make_samples(feats, targets))
 
 
 class TestInitModel:
@@ -74,14 +71,14 @@ class TestForward:
         m = tiny_model()
         m.w1[:] = 0.0
         m.w2[:] = 0.0
-        assert forward_raw(m, np.ones(6)) == 0.0
+        assert predict_raw(m, np.ones((1, 6)))[0] == 0.0
 
     def test_bias_passthrough(self):
         m = tiny_model()
         m.w1[:] = 0.0
         m.w2[:] = 0.0
         m.b2 = 0.42
-        assert forward_raw(m, np.full(6, 7.0)) == pytest.approx(0.42)
+        assert predict_raw(m, np.full((1, 6), 7.0))[0] == pytest.approx(0.42)
 
     def test_matches_naive_reimplementation(self):
         rng = np.random.default_rng(17)
@@ -92,18 +89,19 @@ class TestForward:
         z = m.projection @ x
         h = np.maximum(m.w1 @ z + m.b1, 0.0)
         expected = float(m.w2 @ h + m.b2)
-        assert forward_raw(m, x) == pytest.approx(expected, abs=1e-12)
+        assert predict_raw(m, x.reshape(1, -1))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_forward_is_wrapped(self):
         m = tiny_model()
         m.w1[:] = 0.0
         m.w2[:] = 0.0
         m.b2 = 3 * math.pi / 2
-        assert forward(m, np.zeros(6)) == pytest.approx(-math.pi / 2)
+        m.feature_mean, m.feature_std = np.zeros(6), np.ones(6)
+        assert predict(m, np.zeros(6)) == pytest.approx(-math.pi / 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward_raw(tiny_model(), np.zeros(3))
+            predict_raw(tiny_model(), np.zeros((1, 3)))
 
     def test_predict_requires_stats(self):
         with pytest.raises(ValueError):
@@ -324,7 +322,7 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             train(
-                aug.Dataset([], np.zeros(4), np.ones(4)),
+                aug.Dataset(make_samples(np.zeros((0, 4)), []), np.zeros(4), np.ones(4)),
                 TrainConfig(),
                 seed=0,
             )
@@ -345,3 +343,26 @@ class TestModelRoundTrip:
         assert loaded.feature_mean.tobytes() == model.feature_mean.tobytes()
         x = np.random.default_rng(0).uniform(size=ds.dim)
         assert predict(loaded, x) == predict(model, x)
+
+    @pytest.mark.parametrize(
+        "key, shape, expected",
+        [
+            ("projection", (8,), "must be matrices"),
+            ("w1", (16, 7), r"w1 has shape \(16, 7\), expected \(16, 8\)"),
+            ("b1", (15,), r"b1 has shape \(15,\), expected \(16,\)"),
+            ("w2", (17,), r"w2 has shape \(17,\), expected \(16,\)"),
+            ("feature_mean", (7,), r"feature_mean has shape \(7,\), expected \(8,\)"),
+            ("feature_std", (9,), r"feature_std has shape \(9,\), expected \(8,\)"),
+        ],
+    )
+    def test_load_rejects_disagreeing_dimensions(self, tmp_path, key, shape, expected):
+        model, _ = train(synthetic_dataset(), TrainConfig(epochs=1), seed=8, projection_dim=8, hidden=16)
+        file = tmp_path / "model.json"
+        save_model(model, file)
+        doc = json.loads(file.read_text())
+        doc[key] = np.zeros(shape).tolist()
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=expected) as info:
+            load_model(file)
+        assert str(info.value).startswith(f"{file}: ")
+        assert "\n" not in str(info.value)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_samples
 from skytrack import augmentation as aug
 from skytrack.geometry import Path, Point2, point_segment_distance
 from skytrack.learner import init_model
@@ -18,7 +19,7 @@ from skytrack.metrics import (
     save_report,
 )
 from skytrack.simulator import OraclePolicy, rollout
-from skytrack.world import Observation, Rect, generate_world
+from skytrack.world import Rect, generate_world
 
 
 def brute_force_mwmd(waypoints, positions):
@@ -131,10 +132,7 @@ class TestBruteForceEquivalence:
 
 class TestAngleMse:
     def _samples(self, targets):
-        return [
-            aug.Sample(Observation(np.zeros(4), math.pi / 2), t, ("p", 0, i))
-            for i, t in enumerate(targets)
-        ]
+        return make_samples(np.zeros((len(targets), 4)), targets)
 
     def _zero_model(self, b2=0.0):
         m = init_model(0, 4, 2, 3)
@@ -159,7 +157,7 @@ class TestAngleMse:
 
     def test_empty_test_set(self):
         with pytest.raises(ValueError):
-            angle_mse(self._zero_model(), [])
+            angle_mse(self._zero_model(), self._samples([]))
 
 
 class TestEvaluate:
@@ -180,4 +178,6 @@ class TestEvaluate:
         report = MetricsReport("p", 1.0, 2.0, 3.0, "completed", 0.5)
         file = tmp_path / "report.json"
         save_report(report, file)
-        assert json.loads(file.read_text()) == report.to_dict()
+        assert json.loads(file.read_text()) == {
+            "path_id": "p", "mwmd": 1.0, "mctd": 2.0, "sac": 3.0, "termination": "completed", "angle_mse": 0.5
+        }

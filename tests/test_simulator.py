@@ -11,7 +11,6 @@ from skytrack.simulator import (
     COMPLETED,
     DIVERGED,
     MAX_STEPS,
-    ConstantPolicy,
     ModelPolicy,
     OraclePolicy,
     PrivilegedState,
@@ -22,6 +21,16 @@ from skytrack.simulator import (
 from skytrack.world import Rect, generate_world
 
 WORLD = generate_world(1, 60, 4, Rect(-30, -30, 60, 60))
+
+
+class ConstantPolicy:
+    """Fixed yaw delta every tick: a degenerate baseline."""
+
+    def __init__(self, delta: float):
+        self.delta = delta
+
+    def command(self, observation, privileged: PrivilegedState) -> float:
+        return self.delta
 
 
 def cfg(**overrides):
@@ -147,7 +156,7 @@ class TestModelPolicy:
         policy = ModelPolicy(model)
         from skytrack.world import render_observation
 
-        obs = render_observation(WORLD, Pose(Point2(5, 5), 0.0), 32, math.pi / 2)
+        obs = render_observation(WORLD, np.array([[5.0, 5.0, 0.0]]), 32, math.pi / 2)[0]
         a = policy.command(obs, PrivilegedState(Pose(Point2(0, 0), 0.0), Point2(1, 1)))
         b = policy.command(obs, PrivilegedState(Pose(Point2(9, 9), 2.0), Point2(-5, 3)))
         assert a == b

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skytrack.geometry import Point2, Pose
 from skytrack.world import (
@@ -16,6 +18,11 @@ from skytrack.world import (
 )
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
+
+
+def render(world, pose, bins, fov):
+    """The feature vector rendered at one pose: a batch of one."""
+    return render_observation(world, np.array([[pose.position.x, pose.position.y, pose.yaw]]), bins, fov)[0]
 
 
 def single_landmark_world(x, y, signature):
@@ -76,13 +83,63 @@ class TestGenerateWorld:
             generate_world(0, 4, 0, BOUNDS)
 
 
+def render_reference(world, x, y, yaw, bins, fov):
+    """The renderer one pose at a time, as it was before it took batches."""
+    half, bin_width = fov / 2.0, fov / bins
+    dx = world.positions[:, 0] - x
+    dy = world.positions[:, 1] - y
+    raw = np.arctan2(dy, dx) - yaw
+    beta = np.arctan2(np.sin(raw), np.cos(raw))
+    beta = np.where(beta == -math.pi, math.pi, beta)
+    visible = np.abs(beta) <= half
+    u = np.clip((beta[visible] + half) / bin_width - 0.5, 0.0, bins - 1.0)
+    lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
+    frac = u - lower
+    contribution = world.signatures[visible] * (1.0 / (1.0 + np.hypot(dx[visible], dy[visible])))[:, None]
+    grid = np.zeros((bins, world.signature_dim))
+    np.add.at(grid, lower, contribution * (1.0 - frac)[:, None])
+    if bins > 1:
+        np.add.at(grid, lower + 1, contribution * frac[:, None])
+    return grid.reshape(-1)
+
+
+BATCH_WORLD = generate_world(4, 25, 3, Rect(-10.0, -10.0, 10.0, 10.0))
+
+
+@st.composite
+def pose_batches(draw):
+    """1-12 poses (x, y, yaw); some sit exactly on a landmark."""
+    coord = st.floats(-15.0, 15.0, allow_nan=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            x, y = BATCH_WORLD.positions[draw(st.integers(0, 24))].tolist()
+        else:
+            x, y = draw(coord), draw(coord)
+        rows.append((x, y, draw(st.floats(-math.pi, math.pi))))
+    return np.array(rows)
+
+
 class TestRenderObservation:
+    @given(
+        poses=pose_batches(),
+        bins=st.sampled_from([1, 2, 7, 32]),
+        fov=st.sampled_from([2 * math.pi, math.pi / 2]) | st.floats(1e-3, 2 * math.pi),
+    )
+    @example(poses=np.array([[*BATCH_WORLD.positions[3], 0.5], [0.0, 0.0, -math.pi]]), bins=1, fov=2 * math.pi)
+    def test_batch_equals_each_pose_alone(self, poses, bins, fov):
+        batch = render_observation(BATCH_WORLD, poses, bins, fov)
+        alone = [render_observation(BATCH_WORLD, np.array([row]), bins, fov) for row in poses.tolist()]
+        reference = [render_reference(BATCH_WORLD, *row, bins, fov) for row in poses.tolist()]
+        assert batch.shape == (len(poses), bins * BATCH_WORLD.signature_dim)
+        assert batch.tobytes() == np.concatenate(alone).tobytes() == np.concatenate(reference).tobytes()
+
     def test_dead_ahead_center_bin(self):
         sig = np.zeros(4)
         sig[0] = 1.0
         world = single_landmark_world(1.0, 0.0, sig)
-        obs = render_observation(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
-        grid = obs.features.reshape(9, 4)
+        features = render(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
+        grid = features.reshape(9, 4)
         # intensity 1/(1+1) lands entirely in the middle bin
         assert grid[4, 0] == pytest.approx(0.5)
         grid[4, 0] = 0.0
@@ -90,15 +147,15 @@ class TestRenderObservation:
 
     def test_landmark_behind_invisible(self):
         world = single_landmark_world(-1.0, 0.0, [1, 0, 0, 0])
-        obs = render_observation(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
-        assert np.all(obs.features == 0.0)
+        features = render(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
+        assert np.all(features == 0.0)
 
     def test_fov_boundary_exclusive_outside(self):
         eps = 1e-6
         beta = math.pi / 4 + eps
         world = single_landmark_world(math.cos(beta), math.sin(beta), [1, 0, 0, 0])
-        obs = render_observation(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
-        assert np.all(obs.features == 0.0)
+        features = render(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
+        assert np.all(features == 0.0)
 
     def test_rotation_by_one_bin_shifts_pattern(self):
         bins, fov = 9, math.pi / 2
@@ -106,10 +163,10 @@ class TestRenderObservation:
         # place the landmark on the center of bin 6 so mass is not split
         beta = (6 + 0.5) * bin_width - fov / 2
         world = single_landmark_world(math.cos(beta), math.sin(beta), [1, 0])
-        base = render_observation(world, Pose(Point2(0, 0), 0.0), bins, fov)
-        rotated = render_observation(world, Pose(Point2(0, 0), bin_width), bins, fov)
-        base_grid = base.features.reshape(bins, 2)
-        rot_grid = rotated.features.reshape(bins, 2)
+        base = render(world, Pose(Point2(0, 0), 0.0), bins, fov)
+        rotated = render(world, Pose(Point2(0, 0), bin_width), bins, fov)
+        base_grid = base.reshape(bins, 2)
+        rot_grid = rotated.reshape(bins, 2)
         assert base_grid[6, 0] == pytest.approx(0.5)
         assert rot_grid[5, 0] == pytest.approx(0.5)
 
@@ -119,7 +176,7 @@ class TestRenderObservation:
         # bearing exactly on the edge between bins 4 and 5: mass splits evenly
         beta = bin_width / 2
         world = single_landmark_world(math.cos(beta), math.sin(beta), [1.0])
-        grid = render_observation(world, Pose(Point2(0, 0), 0.0), bins, fov).features
+        grid = render(world, Pose(Point2(0, 0), 0.0), bins, fov)
         assert grid[4] == pytest.approx(0.25)
         assert grid[5] == pytest.approx(0.25)
         assert grid.sum() == pytest.approx(0.5)
@@ -127,16 +184,16 @@ class TestRenderObservation:
     def test_features_continuous_in_yaw(self):
         world = generate_world(2, 40, 4, BOUNDS)
         pose = Pose(Point2(50, 50), 0.3)
-        a = render_observation(world, pose, 32, math.pi / 2).features
-        b = render_observation(world, Pose(pose.position, 0.3 + 1e-4), 32, math.pi / 2).features
+        a = render(world, pose, 32, math.pi / 2)
+        b = render(world, Pose(pose.position, 0.3 + 1e-4), 32, math.pi / 2)
         assert np.linalg.norm(a - b) < 0.05
 
     def test_dimension_is_bins_times_channels(self):
         world = generate_world(2, 17, 6, BOUNDS)
-        obs = render_observation(world, Pose(Point2(50, 50), 0.0), 13, math.pi / 2)
-        assert obs.features.shape == (13 * 6,)
-        assert np.all(obs.features >= 0)
-        assert np.all(np.isfinite(obs.features))
+        features = render(world, Pose(Point2(50, 50), 0.0), 13, math.pi / 2)
+        assert features.shape == (13 * 6,)
+        assert np.all(features >= 0)
+        assert np.all(np.isfinite(features))
 
     def test_rigid_equivariance(self):
         rng = np.random.default_rng(9)
@@ -145,7 +202,7 @@ class TestRenderObservation:
         signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
         world = LandmarkWorld(positions, signatures, Rect(-50, -50, 50, 50), 0)
         pose = Pose(Point2(1.0, -2.0), 0.7)
-        base = render_observation(world, pose, 16, math.pi / 2)
+        base = render(world, pose, 16, math.pi / 2)
 
         phi, tx, ty = 1.1, 4.0, -3.0
         c, s = math.cos(phi), math.sin(phi)
@@ -156,24 +213,24 @@ class TestRenderObservation:
                    s * pose.position.x + c * pose.position.y + ty),
             pose.yaw + phi,
         )
-        transformed = render_observation(world2, pose2, 16, math.pi / 2)
-        np.testing.assert_allclose(transformed.features, base.features, atol=1e-9)
+        transformed = render(world2, pose2, 16, math.pi / 2)
+        np.testing.assert_allclose(transformed, base, atol=1e-9)
 
     def test_approach_increases_intensity(self):
         world = single_landmark_world(10.0, 0.0, [1, 0])
         prev = -1.0
         for x in (0.0, 2.0, 4.0, 6.0):
-            obs = render_observation(world, Pose(Point2(x, 0), 0.0), 9, math.pi / 2)
-            total = obs.features.sum()
+            features = render(world, Pose(Point2(x, 0), 0.0), 9, math.pi / 2)
+            total = features.sum()
             assert total > prev
             prev = total
 
     def test_invalid_arguments(self):
         world = single_landmark_world(1, 0, [1.0])
         with pytest.raises(ValueError):
-            render_observation(world, Pose(Point2(0, 0), 0.0), 0, math.pi / 2)
+            render(world, Pose(Point2(0, 0), 0.0), 0, math.pi / 2)
         with pytest.raises(ValueError):
-            render_observation(world, Pose(Point2(0, 0), 0.0), 8, 0.0)
+            render(world, Pose(Point2(0, 0), 0.0), 8, 0.0)
 
 
 class TestWorldRoundTrip:
