@@ -65,6 +65,15 @@ class Samples:
     def __getitem__(self, rows: slice) -> "Samples":
         return Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
 
+    def __setitem__(self, rows: slice, other: "Samples") -> None:
+        for f in fields(self):
+            getattr(self, f.name)[rows] = getattr(other, f.name)
+
+    def empty_like(self, n: int) -> "Samples":
+        """``n`` uninitialized rows of this sample set's dtypes and widths."""
+        arrays = (getattr(self, f.name) for f in fields(self))
+        return Samples(*(np.empty((n, *a.shape[1:]), a.dtype) for a in arrays))
+
     @staticmethod
     def concatenate(parts: list["Samples"]) -> "Samples":
         return Samples(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Samples)))
@@ -173,8 +182,15 @@ def training_samples(
     """Sweep 0 (unperturbed) then jittered sweeps 1..n_sweeps-1, each as long
     as the walk, so the first k * len(walk) rows are the first k sweeps."""
     walk, first = sweep_optimal(path, config, world)
-    jittered = [sweep_jittered(walk, config, world, i) for i in range(1, n_sweeps)]
-    return walk, Samples.concatenate([first, *jittered])
+    n = len(walk)
+    # Filled sweep by sweep: holding every sweep to concatenate them at the
+    # end leaves freed blocks that the heap may keep, so the RSS of a later
+    # fork would depend on the seed.
+    samples = first.empty_like(n_sweeps * n)
+    samples[:n] = first
+    for i in range(1, n_sweeps):
+        samples[i * n : (i + 1) * n] = sweep_jittered(walk, config, world, i)
+    return walk, samples
 
 
 def build_dataset(

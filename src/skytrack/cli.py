@@ -29,7 +29,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import BLAS_THREADS, learner, metrics, simulator
+from . import BLAS_THREADS, kernels, learner, metrics, simulator
 from . import augmentation as aug
 from .geometry import Path, Point2, path_length, sum_angle_change, wrap_angle
 from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
@@ -89,8 +89,6 @@ def parse_config(text: str) -> dict[str, object]:
         try:
             if isinstance(default, list):
                 config[key] = [int(v) for v in value.split(",") if v.strip()]
-            elif isinstance(default, bool):
-                config[key] = value.lower() in ("1", "true", "yes")
             elif isinstance(default, int):
                 config[key] = int(value)
             elif isinstance(default, float):
@@ -552,6 +550,7 @@ def run_ablation(
     tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + int(config["n_test_sweeps"]))
     test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, acfg, world, i) for i in tests])
 
+    kernels.load()  # built once here; the forked workers inherit it
     pending = sorted(set(levels), reverse=True)
     workers = ablation_workers(len(os.sched_getaffinity(0)), BLAS_THREADS, len(pending))
     running: dict[int, tuple[int, int]] = {}  # read fd -> (pid, k)

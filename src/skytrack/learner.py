@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FilePath
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .augmentation import Dataset, normalize_features
 from .geometry import wrap_angle
 
@@ -53,11 +55,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    # Two work buffers per parameter, so the update allocates no float temporaries.
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.scratch = {k: (np.empty_like(m), np.empty_like(m)) for k, m in self.m.items()}
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -121,27 +118,49 @@ def predict_raw(model: RegressorModel, x: np.ndarray) -> np.ndarray:
     return h @ model.w2 + model.b2
 
 
+def _views(flat: np.ndarray, hidden: int, width: int) -> dict[str, np.ndarray]:
+    """w1 (hidden, width), b1, w2 and b2 as views of one flat vector, in
+    that order."""
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([hidden * width, hidden, hidden]))
+    return {"w1": w1.reshape(hidden, width), "b1": b1, "w2": w2, "b2": b2}
+
+
+class _StepBuffers(NamedTuple):
+    """What one training step writes, for batches of up to ``a.shape[0]`` rows."""
+
+    a: np.ndarray  # pre-activations, then their gradient
+    h: np.ndarray  # activations
+    grads: dict[str, np.ndarray]  # ``_views`` of ``flat``
+    flat: np.ndarray
+
+
+def _step_buffers(model: RegressorModel, rows: int) -> _StepBuffers:
+    hidden, width = model.w1.shape
+    flat = np.empty(hidden * width + 2 * hidden + 1)
+    return _StepBuffers(np.empty((rows, hidden)), np.empty((rows, hidden)), _views(flat, hidden, width), flat)
+
+
 def _loss_grad_projected(
-    model: RegressorModel, z: np.ndarray, targets: np.ndarray
+    model: RegressorModel, z: np.ndarray, targets: np.ndarray, buffers: _StepBuffers | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients for projected rows ``z``. The gradients are
+    written into ``buffers`` (from ``_step_buffers``) when given, so they
+    live until the next call with the same buffers."""
     n = z.shape[0]
-    a = z @ model.w1.T
-    a += model.b1
-    h = np.maximum(a, 0.0)
+    a, h, grads, _ = buffers or _step_buffers(model, n)
+    a, h = a[:n], h[:n]
+    kern = kernels.load()
+    np.matmul(z, model.w1.T, out=a)
+    kern.bias_relu(a, h, model.b1)
     pred = h @ model.w2 + model.b2
     err = pred - targets
     loss = float(np.mean(err**2))
     g = (2.0 / n) * err
-    gw2 = h.T @ g
-    gb2 = float(g.sum())
-    # The rectifier mask multiplies (not assigns), so a masked -0.0 stays -0.0;
-    # the pre-activation buffer is dead once the mask is taken, and holds da.
-    mask = a > 0.0
-    da = np.outer(g, model.w2, out=a)
-    np.multiply(da, mask, out=da)
-    gw1 = da.T @ z
-    gb1 = da.sum(axis=0)
-    return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": np.array([gb2])}
+    np.matmul(h.T, g, out=grads["w2"])
+    grads["b2"][0] = g.sum()
+    kern.relu_backward(a, g, model.w2, grads["b1"])  # a holds da from here on
+    np.matmul(a.T, z, out=grads["w1"])
+    return loss, grads
 
 
 def loss_and_gradient(
@@ -167,34 +186,20 @@ def adam_step(
 
     Per element, in this order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     p -= lr*(m/b1c) / (sqrt(v/b2c) + eps). The moments and parameters are
-    updated in place and the intermediates live in ``state.scratch``, so the
-    result is bit-identical to evaluating the formulas out of place."""
+    updated in place, bit-identical to evaluating the formulas out of place,
+    by the C kernel or its NumPy twin (``kernels.load``). A non-finite
+    gradient raises before anything is updated."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
+    kern = kernels.load()
     for g in grads.values():
-        if not np.all(np.isfinite(g)):
+        if not kern.all_finite(g):
             raise RuntimeError("diverged: non-finite gradient")
     state.t += 1
     b1c = 1.0 - state.beta1**state.t
     b2c = 1.0 - state.beta2**state.t
     for key, p in params.items():
-        g = grads[key]
-        m, v = state.m[key], state.v[key]
-        s1, s2 = state.scratch[key]
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=s1)
-        m += s1
-        v *= state.beta2
-        np.square(g, out=s1)
-        s1 *= 1.0 - state.beta2
-        v += s1
-        np.divide(m, b1c, out=s1)
-        s1 *= lr
-        np.divide(v, b2c, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += state.eps
-        s1 /= s2
-        p -= s1
+        kern.adam(p, grads[key], state.m[key], state.v[key], lr, state.beta1, state.beta2, state.eps, b1c, b2c)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -225,7 +230,14 @@ def train(
     model.feature_std = dataset.feature_std.copy()
     z = x @ model.projection.T  # projection is frozen, so project once
 
-    params = model.trainable()
+    # w1, b1, w2 and b2 live in one flat vector, and so do their gradients,
+    # so each step makes one finite check and one Adam call. Adam works
+    # element by element, so the layout changes no bits.
+    theta = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
+    views = _views(theta, hidden, model.w1.shape[1])
+    model.w1, model.b1, model.w2 = views["w1"], views["b1"], views["w2"]
+    buffers = _step_buffers(model, min(config.batch_size, n))
+    params, grads = {"theta": theta}, {"theta": buffers.flat}
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[float] = []
@@ -235,9 +247,9 @@ def train(
         sse = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = _loss_grad_projected(model, z[idx], y[idx])
+            loss, _ = _loss_grad_projected(model, z[idx], y[idx], buffers)
             adam_step(params, grads, state, lr)
-            model.b2 = float(params["b2"][0])
+            model.b2 = float(theta[-1])
             sse += loss * idx.shape[0]
         epoch_loss = sse / n
         if not math.isfinite(epoch_loss):

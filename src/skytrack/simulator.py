@@ -147,17 +147,28 @@ def save_trajectory(log: TrajectoryLog, file: FilePath | str) -> None:
 
 
 def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = "") -> TrajectoryLog:
+    """Read what save_trajectory wrote. A wrong header, a row with the wrong
+    column count or an unparsable value raises one ValueError naming the
+    file."""
     poses: list[Pose] = []
     commands: list[float] = []
     target_indices: list[int] = []
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRAJECTORY_COLUMNS:
-            raise ValueError(f"unexpected trajectory header: {header}")
-        for row in reader:
+    try:
+        with open(file, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{file}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != TRAJECTORY_COLUMNS:
+        raise ValueError(f"{file}: unexpected trajectory header: {header}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(TRAJECTORY_COLUMNS):
+            raise ValueError(f"{file}: row {line} has {len(row)} columns, expected {len(TRAJECTORY_COLUMNS)}")
+        try:
             poses.append(Pose(Point2(float(row[1]), float(row[2])), float(row[3])))
             if row[4] != "":
                 commands.append(float(row[4]))
             target_indices.append(int(row[5]))
+        except ValueError as exc:
+            raise ValueError(f"{file}: row {line}: {exc}") from exc
     return TrajectoryLog(poses, commands, target_indices, path_id, termination)

@@ -149,8 +149,27 @@ def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
 
 
 def load_world(file: FilePath | str) -> LandmarkWorld:
-    doc = json.loads(FilePath(file).read_text())
-    positions = np.array([lm["position"] for lm in doc["landmarks"]], dtype=float)
-    signatures = np.array([lm["signature"] for lm in doc["landmarks"]], dtype=float)
-    bounds = Rect(*doc["bounds"])
-    return LandmarkWorld(positions, signatures, bounds, int(doc["seed"]))
+    """Read what save_world wrote. A file that does not hold at least one
+    landmark, finite positions, unit-norm signatures of one width and finite
+    non-empty bounds raises one ValueError naming the file."""
+    try:
+        doc = json.loads(FilePath(file).read_text())
+        landmarks = doc["landmarks"]
+        positions = np.array([lm["position"] for lm in landmarks], dtype=float)
+        signatures = np.array([lm["signature"] for lm in landmarks], dtype=float)
+        xmin, ymin, xmax, ymax = (float(b) for b in doc["bounds"])
+        seed = int(doc["seed"])
+        if not landmarks:
+            raise ValueError("no landmarks")
+        if positions.shape != (len(landmarks), 2) or signatures.ndim != 2 or signatures.shape[1] < 1:
+            raise ValueError(f"positions {positions.shape} and signatures {signatures.shape} do not fit")
+        if not (np.isfinite(positions).all() and np.isfinite([xmin, ymin, xmax, ymax]).all()):
+            raise ValueError("non-finite position or bound")
+        if not np.all(np.abs(np.linalg.norm(signatures, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("signatures are not unit-norm")
+        bounds = Rect(xmin, ymin, xmax, ymax)
+    except KeyError as exc:
+        raise ValueError(f"{file}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{file}: {exc}") from exc
+    return LandmarkWorld(positions, signatures, bounds, seed)

@@ -12,6 +12,7 @@ import pytest
 
 import skytrack  # noqa: F401  (before numpy; see above)
 import numpy as np
+from skytrack import kernels
 from skytrack.augmentation import Samples
 
 
@@ -32,6 +33,17 @@ def no_leftover_children():
     left = children()
     if left:
         pytest.fail(f"test left child processes behind: {left}")
+
+
+@pytest.fixture
+def kernel_set(request, monkeypatch):
+    """Runs the test on the kernel set named by the parameter, "c" or
+    "numpy"; skips "c" where no C compiler could build the kernels."""
+    chosen = kernels.load() if request.param == "c" else kernels.NUMPY
+    if chosen.name != request.param:
+        pytest.skip("no C compiler: the NumPy twins are in use")
+    monkeypatch.setattr(kernels, "load", lambda: chosen)
+    return chosen
 
 
 def make_samples(features, targets) -> Samples:

@@ -8,6 +8,7 @@ enough for OpenBLAS to split across threads. They were recorded with
 numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell
 kernels) on x86-64; another numpy or BLAS build may legitimately produce
 other bytes. A change that alters a digest must say why in CHANGES.md.
+Both kernel sets of ``skytrack.kernels`` must give these digests.
 """
 
 import hashlib
@@ -52,8 +53,14 @@ def sha256(file: Path) -> str:
     return hashlib.sha256(file.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_golden_digests(tmp_path, scenario):
+@pytest.mark.parametrize(
+    "scenario, kernel_set",
+    [("small", "c"), ("wide", "c"), ("small", "numpy"), ("wide", "numpy")],
+    ids=["small", "wide", "small-numpy", "wide-numpy"],
+    indirect=["kernel_set"],
+)
+def test_golden_digests(tmp_path, scenario, kernel_set):
+    """The same digests from the C kernels and from their NumPy twins."""
     cfg = str(small_config(tmp_path, **(WIDE if scenario == "wide" else {})))
     for command in ("gen", "ablation", "pipeline"):
         assert cli.main([command, "--config", cfg]) == 0

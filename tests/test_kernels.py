@@ -1,0 +1,282 @@
+"""The C kernels against their NumPy twins, bit for bit; the fallback when
+the compiler is missing; and the checks the C wrappers make before they pass
+a pointer."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from skytrack import augmentation as aug
+from skytrack import kernels, learner
+from test_cli import SRC, small_config
+
+C = kernels.load()
+NUMPY = kernels.NUMPY
+needs_c = pytest.mark.skipif(C is NUMPY, reason="no C compiler: the NumPy twins are in use")
+
+# Finite values of every magnitude plus the special ones.
+special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+values = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=True), special)
+finite = st.floats(-1e3, 1e3)
+
+
+def arrays(shape, elements=values):
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+def run_both(kernel, *arrays_and_scalars):
+    """Run ``kernel`` of each set on its own copies of the arguments; return
+    each set's arrays after the call, and its result."""
+    out = []
+    for k in (C, NUMPY):
+        args = [a.copy() if isinstance(a, np.ndarray) else a for a in arrays_and_scalars]
+        result = getattr(k, kernel)(*args)
+        out.append(([a for a in args if isinstance(a, np.ndarray)], result))
+    return out
+
+
+def same_bits(c, n) -> bool:
+    """Bit for bit, except that one NaN may stand for another: where two
+    NaNs of different sign or payload meet in one add or multiply, C leaves
+    the operand order, and so which NaN comes out, to the compiler. A NaN in
+    any gradient makes adam_step raise, so no model or loss holds one."""
+    (c_arrays, c_result), (n_arrays, n_result) = c, n
+    for x, y in zip(c_arrays, n_arrays):
+        differ = x.view(np.uint64) != y.view(np.uint64)
+        if np.any(differ & ~(np.isnan(x) & np.isnan(y))):
+            return False
+    return c_result == n_result
+
+
+def strictly_same_bits(c, n) -> bool:
+    return [a.tobytes() for a in c[0]] == [a.tobytes() for a in n[0]] and c[1] == n[1]
+
+
+@st.composite
+def batches(draw, elements=values):
+    """A batch of ``n`` rows (1..70, so also a short last batch) over
+    ``width`` hidden units (1..41, so also a tail after the groups of four),
+    with some units dead for the whole batch."""
+    n, width = draw(st.integers(1, 70)), draw(st.integers(1, 41))
+    a = draw(arrays((n, width), elements))
+    dead = draw(st.lists(st.integers(0, width - 1), max_size=width))
+    a[:, dead] = np.where(a[:, dead] > 0.0, -a[:, dead], a[:, dead])
+    return a
+
+
+@needs_c
+class TestBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(batches(), st.data())
+    def test_bias_relu(self, a, data):
+        b1 = data.draw(arrays(a.shape[1]))
+        c, n = run_both("bias_relu", a, np.empty_like(a), b1)
+        assert same_bits(c, n)
+        # np.nan is the only NaN drawn, so one NaN cannot meet another here.
+        assert strictly_same_bits(*run_both("bias_relu", a, np.empty_like(a), np.nan_to_num(b1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches(), st.data())
+    def test_relu_backward(self, a, data):
+        g = data.draw(arrays(a.shape[0]))
+        w2 = data.draw(arrays(a.shape[1]))
+        c, n = run_both("relu_backward", a, g, w2, np.empty(a.shape[1]))
+        assert same_bits(c, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(st.integers(0, 70)))
+    def test_all_finite(self, x):
+        c, n = run_both("all_finite", x)
+        assert strictly_same_bits(c, n)
+        assert c[1] == bool(np.isfinite(x).all())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 5000), st.floats(1e-7, 1e-2), st.data())
+    def test_adam(self, n, t, lr, data):
+        # adam_step passes only finite gradients; the moments stay finite and v >= 0.
+        g = data.draw(arrays(n, st.one_of(finite, st.sampled_from([0.0, -0.0]))))
+        p, m = data.draw(arrays(n, finite)), data.draw(arrays(n, finite))
+        v = np.abs(data.draw(arrays(n, finite)))
+        beta1, beta2 = 0.9, 0.999
+        c, n = run_both("adam", p, g, m, v, lr, beta1, beta2, 1e-8, 1.0 - beta1**t, 1.0 - beta2**t)
+        assert strictly_same_bits(c, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 70), st.data())
+    def test_adam_non_finite_gradient(self, n, data):
+        g = data.draw(arrays(n))
+        p, m = data.draw(arrays(n, finite)), data.draw(arrays(n, finite))
+        v = np.abs(data.draw(arrays(n, finite)))
+        c, n = run_both("adam", p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
+        assert same_bits(c, n)
+
+    def test_loss_and_gradient_on_the_training_shapes(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = learner.init_model(1, 20, projection_dim=128, hidden=512)
+        model.b1[:] = rng.normal(size=512)
+        model.b1[:7] = -1e3  # dead units
+        x, y = rng.normal(size=(37, 20)), rng.normal(size=37)  # a short last batch
+        results = []
+        for k in (C, NUMPY):
+            monkeypatch.setattr(kernels, "load", lambda k=k: k)
+            loss, grads = learner.loss_and_gradient(model, x, y)
+            results.append((loss, {key: g.tobytes() for key, g in grads.items()}))
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kernel_set", ["c", "numpy"], indirect=True)
+def test_non_finite_gradient_changes_nothing(kernel_set):
+    params = learner.init_model(0, 3, projection_dim=8, hidden=16).trainable()
+    state = learner.AdamState.for_params(params)
+    rng = np.random.default_rng(0)
+    learner.adam_step(params, {k: rng.normal(size=p.shape) for k, p in params.items()}, state, 1e-3)
+    before = [(k, p.tobytes(), state.m[k].tobytes(), state.v[k].tobytes()) for k, p in params.items()]
+    grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+    grads["w2"][5] = np.inf  # the params before "w2" in the dict must not move either
+    with pytest.raises(RuntimeError, match="diverged"):
+        learner.adam_step(params, grads, state, 1e-3)
+    assert state.t == 1
+    assert [(k, p.tobytes(), state.m[k].tobytes(), state.v[k].tobytes()) for k, p in params.items()] == before
+
+
+def train_bytes() -> bytes:
+    rng = np.random.default_rng(2)
+    samples = aug.Samples(
+        rng.normal(size=(150, 12)), rng.normal(size=150), np.full(150, "p"),
+        np.zeros(150, dtype=np.int64), np.arange(150, dtype=np.int64),
+    )
+    config = learner.TrainConfig(lr0=1e-3, batch_size=64, epochs=3, lr_halving_period=2)
+    model, history = learner.train(aug.dataset_from_samples(samples), config, seed=1, projection_dim=16, hidden=24)
+    return b"".join(a.tobytes() for a in (model.w1, model.b1, model.w2, np.array([model.b2, *history])))
+
+
+@pytest.fixture
+def fresh_load():
+    """Lets a test rebuild the process's kernel set, and restores it after."""
+    kernels.load.cache_clear()
+    yield
+    kernels.load.cache_clear()
+
+
+@needs_c
+def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(monkeypatch, fresh_load):
+    with_c = train_bytes()
+    monkeypatch.setattr(kernels, "COMPILER", "skytrack-no-such-compiler")
+    kernels.load.cache_clear()
+    assert kernels.load() is NUMPY
+    assert train_bytes() == with_c
+
+
+@needs_c
+def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, fresh_load):
+    monkeypatch.setattr(kernels, "SOURCE", tmp_path / "missing.c")
+    assert kernels.compile_kernels(kernels.COMPILER) is None
+    kernels.load.cache_clear()
+    assert kernels.load() is NUMPY
+
+
+@needs_c
+def test_optimization_level_changes_no_bits(monkeypatch):
+    builds = {opt: kernels.compile_kernels(kernels.COMPILER, opt) for opt in ("-O0", "-O2")}
+    assert None not in builds.values()
+    out = []
+    for k in builds.values():
+        monkeypatch.setattr(kernels, "load", lambda k=k: k)
+        out.append(train_bytes())
+    assert out[0] == out[1]
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(61, 45))
+    a[:, 3] = -1.0
+    b1, g, w2 = rng.normal(size=45), rng.normal(size=61), rng.normal(size=45)
+    p, m, v, grad = rng.normal(size=103), rng.normal(size=103), rng.random(103), rng.normal(size=103)
+    results = []
+    for k in builds.values():
+        a1, h, gb1 = a.copy(), np.empty_like(a), np.empty(45)
+        k.bias_relu(a1, h, b1)
+        k.relu_backward(a1, g, w2, gb1)
+        p1, m1, v1 = p.copy(), m.copy(), v.copy()
+        k.adam(p1, grad, m1, v1, 1e-3, 0.9, 0.999, 1e-8, 0.19, 0.002)
+        results.append(b"".join(x.tobytes() for x in (a1, h, gb1, p1, m1, v1)))
+    assert results[0] == results[1]
+
+
+@needs_c
+class TestWrappersRefuseBadArrays:
+    def good(self):
+        a = np.zeros((4, 8))
+        return {
+            "bias_relu": (a, np.zeros((4, 8)), np.zeros(8)),
+            "relu_backward": (a, np.zeros(4), np.zeros(8), np.zeros(8)),
+            "all_finite": (np.zeros(5),),
+            "adam": (np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6), 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001),
+        }
+
+    @pytest.mark.parametrize(
+        "kernel, position, bad",
+        [
+            ("bias_relu", 0, np.zeros((4, 16))[:, ::2]),  # not contiguous
+            ("bias_relu", 0, np.asfortranarray(np.zeros((4, 8)))),
+            ("bias_relu", 0, np.zeros(32)),  # not a matrix
+            ("bias_relu", 1, np.zeros((4, 7))),
+            ("bias_relu", 2, np.zeros(9)),
+            ("bias_relu", 2, np.zeros(8, dtype=np.float32)),
+            ("relu_backward", 1, np.zeros(5)),
+            ("relu_backward", 2, np.zeros(8, dtype=np.int64)),
+            ("relu_backward", 3, [0.0] * 8),
+            ("all_finite", 0, np.zeros(10)[::2]),
+            ("all_finite", 0, np.zeros(5, dtype=np.complex128)),
+            ("adam", 0, np.zeros(6, dtype=np.float32)),
+            ("adam", 1, np.zeros(7)),
+            ("adam", 2, np.zeros((2, 6))[:, 0]),
+            ("adam", 3, np.zeros(5)),
+        ],
+    )
+    def test_refuses(self, kernel, position, bad):
+        args = list(self.good()[kernel])
+        args[position] = bad
+        with pytest.raises(ValueError):
+            getattr(C, kernel)(*args)
+
+    def test_refuses_read_only(self):
+        p = np.zeros(6)
+        p.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            C.adam(p, np.zeros(6), np.zeros(6), np.zeros(6), 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
+
+    def test_refuses_overlapping_arguments(self):
+        buf = np.zeros(12)
+        with pytest.raises(ValueError, match="overlap"):
+            C.adam(buf[:6], buf[3:9], np.zeros(6), np.zeros(6), 1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001)
+        a = np.zeros((4, 8))
+        with pytest.raises(ValueError, match="overlap"):
+            C.bias_relu(a, a, np.zeros(8))
+
+    def test_accepts_the_good_arguments(self):
+        for kernel, args in self.good().items():
+            getattr(C, kernel)(*args)
+
+
+def test_gen_never_starts_the_compiler_and_ablation_starts_it_once(tmp_path):
+    """A stand-in ``cc`` first on PATH records every start and fails, so a
+    build falls back to NumPy. ``gen`` must not start it. ``ablation`` must
+    start it once, in the parent, not once per forked level worker; that it
+    starts at all shows the stand-in is the compiler found."""
+    bin_dir, marker = tmp_path / "bin", tmp_path / "cc-started"
+    bin_dir.mkdir()
+    fake = bin_dir / kernels.COMPILER
+    fake.write_text(f"#!/bin/sh\necho started >> {marker}\nexit 1\n")
+    fake.chmod(0o755)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    cfg = str(small_config(tmp_path, ablation_levels="1,2,3"))
+    for command in ("gen", "ablation"):
+        subprocess.run([sys.executable, "-m", "skytrack.cli", command, "--config", cfg], env=env, check=True, timeout=300)
+        if command == "gen":
+            assert not marker.exists()
+    assert marker.read_text().split() == ["started"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
 from skytrack.geometry import Path, Point2, Pose, advance_target, default_max_steps, wrap_angle
@@ -205,3 +207,42 @@ class TestTrajectoryRoundTrip:
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_trajectory(bad)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1.0,2.0,0.5,,1\n1,1.0,2.0\n", "row 3 has 3 columns, expected 6"),
+            ("0,1.0,2.0,0.5,,1,7\n", "row 2 has 7 columns, expected 6"),
+            ("0,1.0,2.0,0.5,,1\n\n", "row 3 has 0 columns"),
+            ("0,1.0,abc,0.5,,1\n", "row 2: could not convert"),
+            ("0,1.0,2.0,0.5,,1.5\n", "row 2: invalid literal"),
+            ("0,1.0,2.0,0.5,,1\xff\n", "can't decode byte 0xff"),
+        ],
+    )
+    def test_load_rejects_bad_rows(self, tmp_path, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(("step,x,y,yaw,command,target_index\n" + body).encode("latin-1"))
+        with pytest.raises(ValueError, match=message) as info:
+            load_trajectory(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
+        file = tmp_path / "traj.csv"
+        log = rollout(OraclePolicy(), WORLD, Path((Point2(0, 0), Point2(2, 0)), "p"), cfg())
+        save_trajectory(log, file)
+        raw = bytearray(file.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4), label="at"):
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        file.write_bytes(bytes(raw))
+        try:
+            loaded = load_trajectory(file)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{file}: ")
+        else:  # cut at a row end or inside a number, or a digit changed
+            assert len(loaded.poses) <= len(log.poses)
+            assert len(loaded.target_indices) == len(loaded.poses)

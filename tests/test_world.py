@@ -1,10 +1,11 @@
 """Landmark world synthesis and the bearing-binned renderer."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skytrack.geometry import Point2, Pose
@@ -243,3 +244,56 @@ class TestWorldRoundTrip:
         np.testing.assert_array_equal(loaded.signatures, world.signatures)
         assert loaded.seed == world.seed
         assert loaded.bounds == world.bounds
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda doc: doc.update(landmarks=[]), "no landmarks"),
+            (lambda doc: doc["landmarks"][1].update(signature=[0.5] * 5), "not unit-norm"),
+            (lambda doc: doc["landmarks"][2].update(signature=[1.0, 0.0]), "inhomogeneous"),
+            (lambda doc: [lm.update(signature=1.0) for lm in doc["landmarks"]], "do not fit"),
+            (lambda doc: [lm.update(position=[1.0, 2.0, 3.0]) for lm in doc["landmarks"]], "do not fit"),
+            (lambda doc: doc["landmarks"][0].update(position=[math.inf, 0.0]), "non-finite"),
+            (lambda doc: doc.update(bounds=[0.0, 0.0, -1.0, 100.0]), "empty bounds"),
+            (lambda doc: doc.update(bounds=[0.0, 0.0, math.inf, 100.0]), "non-finite"),
+            (lambda doc: doc.update(bounds=[0.0, 0.0, 100.0]), "unpack"),
+            (lambda doc: doc.pop("bounds"), "missing key 'bounds'"),
+            (lambda doc: doc.pop("seed"), "missing key 'seed'"),
+            (lambda doc: doc["landmarks"][3].pop("signature"), "missing key 'signature'"),
+            (lambda doc: doc.update(landmarks=[[1.0, 2.0]]), "list indices"),
+        ],
+        ids=[
+            "no-landmarks", "non-unit-signature", "ragged-signatures", "scalar-signatures",
+            "3d-positions", "inf-position", "empty-bounds", "inf-bound", "three-bounds",
+            "no-bounds", "no-seed", "no-signature", "landmark-not-an-object",
+        ],
+    )
+    def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
+        file = tmp_path / "world.json"
+        save_world(generate_world(13, 12, 5, BOUNDS), file)
+        doc = json.loads(file.read_text())
+        corrupt(doc)
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as info:
+            load_world(file)
+        assert str(info.value).startswith(f"{file}: ")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
+        file = tmp_path / "world.json"
+        save_world(generate_world(3, 4, 3, BOUNDS), file)
+        raw = bytearray(file.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4), label="at"):
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        file.write_bytes(bytes(raw))
+        try:
+            world = load_world(file)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{file}: ")
+        else:  # a garbled digit can leave a valid world; it must still be one
+            assert world.positions.shape[0] >= 1
+            np.testing.assert_allclose(np.linalg.norm(world.signatures, axis=1), 1.0, atol=1e-9)
