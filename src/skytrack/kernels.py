@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import subprocess
 import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -141,6 +140,8 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
 def compile_kernels(compiler: str, opt: str = "-O2") -> Kernels | None:
     """Build ``_kernels.c`` with ``compiler`` at optimization level ``opt``
     and load it; None if the compiler is missing or the build fails."""
+    import subprocess  # here, not at the top: `gen` imports this module and never builds
+
     with tempfile.TemporaryDirectory(prefix="skytrack-kernels-") as tmp:
         lib_file = Path(tmp) / "_kernels.so"
         try:
