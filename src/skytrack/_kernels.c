@@ -1,5 +1,6 @@
-/* Fused loops for the training step's elementwise work. Each loop does the
-   same IEEE double operations, in the same order, as its NumPy twin in
+/* The two loops of the training step that run faster in C than in NumPy:
+   the rectifier's backward with the bias gradient, and Adam. Each loop does
+   the same IEEE double operations, in the same order, as its NumPy twin in
    kernels.py, so the two give the same bits: build without FMA contraction
    (-ffp-contract=off) and without -ffast-math. The one freedom left to the
    compiler is the operand order of an add or multiply, which decides only
@@ -21,18 +22,6 @@
         for (i = end_; i < (n); i++) __VA_ARGS__                     \
     } while (0)
 
-/* a += b1 row by row, then h = np.maximum(a, 0.0): NaN passes through with
-   its sign, and -0.0 becomes +0.0. */
-void bias_relu(double *restrict a, double *restrict h, const double *restrict b1,
-               ptrdiff_t n, ptrdiff_t width) {
-    for (ptrdiff_t r = 0; r < n * width; r += width)
-        EACH(j, width, {
-            double x = a[r + j] + b1[j];
-            a[r + j] = x;
-            h[r + j] = x <= 0.0 ? 0.0 : x;
-        });
-}
-
 /* da = (g[i] * w2[j]) * (a > 0), written over a; gb1 = da.sum(axis=0),
    which starts from +0.0 and adds one row at a time. The mask is its own
    pass: fused into the product, it becomes a branch the compiler cannot
@@ -49,17 +38,6 @@ void relu_backward(double *restrict a, const double *restrict g, const double *r
             gb1[j] += d;
         });
     }
-}
-
-/* x - x is +0.0 for a finite x and NaN for inf or NaN, so the sums stay
-   +0.0 exactly when every element is finite. */
-int all_finite(const double *restrict x, ptrdiff_t n) {
-    double s[4] = {0.0, 0.0, 0.0, 0.0};
-    ptrdiff_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        for (int k = 0; k < 4; k++) s[k] += x[i + k] - x[i + k];
-    for (; i < n; i++) s[0] += x[i] - x[i];
-    return (s[0] + s[1]) + (s[2] + s[3]) == 0.0;
 }
 
 /* One element at a time, in learner.adam_step's order:

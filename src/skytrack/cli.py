@@ -112,16 +112,20 @@ def validate_config(config: dict[str, object]) -> None:
         if not ok:
             raise ConfigError(f"{key} = {config[key]!r} is out of range: {rule}")
 
+    for key, default in DEFAULTS.items():
+        if isinstance(default, float):
+            check(key, math.isfinite(config[key]), "must be finite")
     for key in (
         "n_paths", "n_landmarks", "signature_dim", "bins", "n_augmented", "batch_size",
         "epochs", "lr_halving_period", "projection_dim", "hidden_units", "n_test_sweeps",
     ):
         check(key, config[key] >= 1, "must be >= 1")
     check("n_waypoints", config["n_waypoints"] >= 2, "must be >= 2")
-    for key in ("fov_deg", "lr0"):
+    for key in ("path_length", "lr0"):
         check(key, config[key] > 0, "must be > 0")
-    for key in ("pos_jitter", "yaw_jitter"):
+    for key in ("world_margin", "pos_jitter", "yaw_jitter"):
         check(key, config[key] >= 0, "must be >= 0")
+    check("fov_deg", 0 < config["fov_deg"] <= 360, "must be in (0, 360]")
     check("command_gain", 0 < config["command_gain"] <= 1, "must be in (0, 1]")
     check("step", 0 < config["step"] <= config["capture_radius"], "must be in (0, capture_radius]")
     levels = config["ablation_levels"]
@@ -411,15 +415,15 @@ def _load_scenario(config: dict[str, object]) -> tuple[LandmarkWorld, list[Path]
     return load_world(world_file), routes
 
 
-def run_path_pipeline(
-    config: dict[str, object], world: LandmarkWorld, route: Path, out_dir: FilePath
-) -> tuple[metrics.MetricsReport, int]:
-    """Dataset -> train -> closed-loop rollout -> metrics, with all artifacts
-    written under out_dir. One model per path; no joint training. Returns
-    the report and the number of training samples."""
-    acfg = augmentation_config(config)
-    dataset = aug.build_dataset(route, acfg, world)
-    save_dataset(dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json")
+def _train_fly_score(
+    config: dict[str, object],
+    world: LandmarkWorld,
+    route: Path,
+    dataset: aug.Dataset,
+    test_set: aug.Samples | None = None,
+) -> tuple[learner.RegressorModel, simulator.TrajectoryLog, metrics.MetricsReport]:
+    """Train a model on ``dataset``, fly it along ``route`` and score the
+    flight, plus the held-out angle MSE when ``test_set`` is given."""
     model, _ = learner.train(
         dataset,
         train_config(config),
@@ -427,14 +431,27 @@ def run_path_pipeline(
         projection_dim=int(config["projection_dim"]),
         hidden=int(config["hidden_units"]),
     )
-    learner.save_model(model, out_dir / f"{route.id}_model.json")
     policy = simulator.ModelPolicy(model, gain=float(config["command_gain"]))
-    log = simulator.rollout(policy, world, route, acfg)
+    log = simulator.rollout(policy, world, route, augmentation_config(config))
+    return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)
+
+
+def run_path_pipeline(
+    config: dict[str, object], world: LandmarkWorld, route: Path, out_dir: FilePath
+) -> tuple[metrics.MetricsReport, int]:
+    """Dataset -> train -> closed-loop rollout -> metrics, with all artifacts
+    written under out_dir. One model per path; no joint training. Returns
+    the report and the number of training samples."""
+    dataset = aug.build_dataset(route, augmentation_config(config), world)
+    save_dataset(dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json")
+    n_samples = len(dataset.samples)
+    model, log, report = _train_fly_score(config, world, route, dataset)
+    del dataset  # so the features are freed before save_model builds the model's JSON text
+    learner.save_model(model, out_dir / f"{route.id}_model.json")
     simulator.save_trajectory(log, out_dir / f"{route.id}_trajectory.csv")
-    report = metrics.evaluate(route, log)
     metrics.save_report(report, out_dir / f"{route.id}_metrics.json")
     emit_overlay_svg(route, log, out_dir / f"{route.id}_overlay.svg")
-    return report, len(dataset.samples)
+    return report, n_samples
 
 
 def cmd_pipeline(config: dict[str, object]) -> int:
@@ -489,18 +506,7 @@ def _ablation_row(
     k: int,
 ) -> dict[str, object]:
     """Train on ``samples``, sweeps 0..k-1, fly the model and score it."""
-    acfg = augmentation_config(config)
-    dataset = aug.dataset_from_samples(samples)
-    model, _ = learner.train(
-        dataset,
-        train_config(config),
-        seed=int(config["seed"]),
-        projection_dim=int(config["projection_dim"]),
-        hidden=int(config["hidden_units"]),
-    )
-    policy = simulator.ModelPolicy(model, gain=float(config["command_gain"]))
-    log = simulator.rollout(policy, world, route, acfg)
-    report = metrics.evaluate(route, log, test_set=test_set, model=model)
+    report = _train_fly_score(config, world, route, aug.dataset_from_samples(samples), test_set)[2]
     return {"k": k, "angle_mse": report.angle_mse, "mctd": report.mctd, "termination": report.termination}
 
 

@@ -1,6 +1,8 @@
-"""The training step's elementwise work as four fused C loops, compiled from
-``_kernels.c`` with the system C compiler the first time ``load`` is called,
-with NumPy twins as the fallback and the reference.
+"""The two loops of the training step that C runs faster than NumPy (the
+rectifier's backward and Adam), compiled from ``_kernels.c`` with the system
+C compiler the first time ``load`` is called, with NumPy twins as the
+fallback and the reference. The rest of the step is NumPy code in
+``learner``.
 
 Both sets do the same IEEE double operations in the same order, and every
 one of them, divide and sqrt included, is correctly rounded, so with FMA
@@ -32,24 +34,15 @@ FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 class Kernels(NamedTuple):
     """One set of kernels; every array argument is float64.
 
-    - ``bias_relu(a, h, b1)``: ``a += b1``, then ``h = max(a, 0)``.
     - ``relu_backward(a, g, w2, gb1)``: ``a = outer(g, w2) * (a > 0)`` and
       ``gb1 = a.sum(axis=0)``.
-    - ``all_finite(x)``: whether every element is finite.
     - ``adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c)``: the in-place
       update of ``learner.adam_step`` for one parameter array.
     """
 
     name: str
-    bias_relu: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     relu_backward: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
-    all_finite: Callable[[np.ndarray], bool]
     adam: Callable[..., None]
-
-
-def _bias_relu(a: np.ndarray, h: np.ndarray, b1: np.ndarray) -> None:
-    a += b1
-    np.maximum(a, 0.0, out=h)
 
 
 def _relu_backward(a: np.ndarray, g: np.ndarray, w2: np.ndarray, gb1: np.ndarray) -> None:
@@ -60,10 +53,6 @@ def _relu_backward(a: np.ndarray, g: np.ndarray, w2: np.ndarray, gb1: np.ndarray
     np.sum(a, axis=0, out=gb1)
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    return bool(np.isfinite(x).all())
-
-
 def _adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c) -> None:
     m *= beta1
     m += g * (1.0 - beta1)
@@ -72,7 +61,7 @@ def _adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c) -> None:
     p -= (m / b1c) * lr / (np.sqrt(v / b2c) + eps)
 
 
-NUMPY = Kernels("numpy", _bias_relu, _relu_backward, _all_finite, _adam)
+NUMPY = Kernels("numpy", _relu_backward, _adam)
 
 
 def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
@@ -109,32 +98,22 @@ def _matrix_shape(a: np.ndarray) -> tuple[int, int]:
 
 def _bind(lib: ctypes.CDLL) -> Kernels:
     ptr, size, f64 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    for name, restype, argtypes in (
-        ("bias_relu", None, [ptr, ptr, ptr, size, size]),
-        ("relu_backward", None, [ptr, ptr, ptr, ptr, size, size]),
-        ("all_finite", ctypes.c_int, [ptr, size]),
-        ("adam", None, [ptr, ptr, ptr, ptr, size] + [f64] * 6),
+    for name, argtypes in (
+        ("relu_backward", [ptr, ptr, ptr, ptr, size, size]),
+        ("adam", [ptr, ptr, ptr, ptr, size] + [f64] * 6),
     ):
         fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
-
-    def bias_relu(a, h, b1):
-        n, width = _matrix_shape(a)
-        lib.bias_relu(*_pointers((a, n * width), (h, n * width), (b1, width)), n, width)
+        fn.restype, fn.argtypes = None, argtypes
 
     def relu_backward(a, g, w2, gb1):
         n, width = _matrix_shape(a)
         lib.relu_backward(*_pointers((a, n * width), (g, n), (w2, width), (gb1, width)), n, width)
 
-    def all_finite(x):
-        n = getattr(x, "size", -1)
-        return bool(lib.all_finite(*_pointers((x, n)), n))
-
     def adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c):
         n = getattr(p, "size", -1)
         lib.adam(*_pointers((p, n), (g, n), (m, n), (v, n)), n, lr, beta1, beta2, eps, b1c, b2c)
 
-    return Kernels("c", bias_relu, relu_backward, all_finite, adam)
+    return Kernels("c", relu_backward, adam)
 
 
 def compile_kernels(compiler: str, opt: str = "-O2") -> Kernels | None:

@@ -149,16 +149,16 @@ def _loss_grad_projected(
     n = z.shape[0]
     a, h, grads, _ = buffers or _step_buffers(model, n)
     a, h = a[:n], h[:n]
-    kern = kernels.load()
     np.matmul(z, model.w1.T, out=a)
-    kern.bias_relu(a, h, model.b1)
+    a += model.b1
+    np.maximum(a, 0.0, out=h)
     pred = h @ model.w2 + model.b2
     err = pred - targets
     loss = float(np.mean(err**2))
     g = (2.0 / n) * err
     np.matmul(h.T, g, out=grads["w2"])
     grads["b2"][0] = g.sum()
-    kern.relu_backward(a, g, model.w2, grads["b1"])  # a holds da from here on
+    kernels.load().relu_backward(a, g, model.w2, grads["b1"])  # a holds da from here on
     np.matmul(a.T, z, out=grads["w1"])
     return loss, grads
 
@@ -191,10 +191,10 @@ def adam_step(
     gradient raises before anything is updated."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    kern = kernels.load()
     for g in grads.values():
-        if not kern.all_finite(g):
+        if not np.isfinite(g).all():
             raise RuntimeError("diverged: non-finite gradient")
+    kern = kernels.load()
     state.t += 1
     b1c = 1.0 - state.beta1**state.t
     b2c = 1.0 - state.beta2**state.t
@@ -278,18 +278,27 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
 
 
 def load_model(file: FilePath | str) -> RegressorModel:
-    """Read what save_model wrote. Arrays whose dimensions disagree raise a
-    ValueError naming the file."""
-    doc = json.loads(FilePath(file).read_text())
-    arrays = {key: np.array(doc[key], dtype=float) for key in ("projection", "w1", "b1", "w2")}
-    for key in ("feature_mean", "feature_std"):
-        arrays[key] = None if doc[key] is None else np.array(doc[key], dtype=float)
-    projection, w1 = arrays["projection"], arrays["w1"]
-    if projection.ndim != 2 or w1.ndim != 2:
-        raise ValueError(f"{file}: projection {projection.shape} and w1 {w1.shape} must be matrices")
-    (f, d), h = projection.shape, w1.shape[0]
-    expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "feature_mean": (d,), "feature_std": (d,)}
-    for key, shape in expected.items():
-        if arrays[key] is not None and arrays[key].shape != shape:
-            raise ValueError(f"{file}: {key} has shape {arrays[key].shape}, expected {shape}")
-    return RegressorModel(b2=float(doc["b2"]), init_seed=int(doc["init_seed"]), **arrays)
+    """Read what save_model wrote. A file that does not parse, misses a key,
+    or holds arrays whose dimensions disagree or a non-finite weight or
+    statistic raises one ValueError naming the file."""
+    try:
+        doc = json.loads(FilePath(file).read_text())
+        arrays = {key: np.array(doc[key], dtype=float) for key in ("projection", "w1", "b1", "w2")}
+        for key in ("feature_mean", "feature_std"):
+            arrays[key] = None if doc[key] is None else np.array(doc[key], dtype=float)
+        b2, init_seed = float(doc["b2"]), int(doc["init_seed"])
+        projection, w1 = arrays["projection"], arrays["w1"]
+        if projection.ndim != 2 or w1.ndim != 2:
+            raise ValueError(f"projection {projection.shape} and w1 {w1.shape} must be matrices")
+        (f, d), h = projection.shape, w1.shape[0]
+        expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "feature_mean": (d,), "feature_std": (d,)}
+        for key, shape in expected.items():
+            if arrays[key] is not None and arrays[key].shape != shape:
+                raise ValueError(f"{key} has shape {arrays[key].shape}, expected {shape}")
+        if not (math.isfinite(b2) and all(np.isfinite(a).all() for a in arrays.values() if a is not None)):
+            raise ValueError("non-finite weight or statistic")
+    except KeyError as exc:
+        raise ValueError(f"{file}: missing key {exc}") from exc
+    except (OverflowError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{file}: {exc}") from exc
+    return RegressorModel(b2=b2, init_seed=init_seed, **arrays)

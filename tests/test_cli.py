@@ -483,6 +483,12 @@ class TestCommands:
             ("lr0", 0.0),
             ("lr0", "nan"),
             ("fov_deg", 0.0),
+            ("fov_deg", 400.0),
+            ("path_length", 0.0),
+            ("world_margin", -100.0),
+            ("capture_radius", "inf"),
+            ("lr0", "inf"),
+            ("sac_budget", "nan"),
             ("pos_jitter", -1.0),
             ("yaw_jitter", -0.1),
             ("command_gain", 0.0),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_samples
 from skytrack import augmentation as aug
@@ -27,6 +29,15 @@ from skytrack.learner import (
 
 def tiny_model(seed=0, d=6, f=4, h=5):
     return init_model(seed, d, projection_dim=f, hidden=h)
+
+
+def tiny_model_file(tmp_path):
+    """A saved ``tiny_model`` with normalization statistics."""
+    model = tiny_model()
+    model.feature_mean, model.feature_std = np.linspace(-1.0, 1.0, 6), np.linspace(0.5, 2.0, 6)
+    file = tmp_path / "model.json"
+    save_model(model, file)
+    return file
 
 
 def synthetic_dataset(n=400, d=8, seed=3, target_fn=None):
@@ -366,3 +377,52 @@ class TestModelRoundTrip:
             load_model(file)
         assert str(info.value).startswith(f"{file}: ")
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda doc: doc.pop("b2"), "missing key 'b2'"),
+            (lambda doc: doc.update(b2=None), "NoneType"),
+            (lambda doc: doc.update(b2=math.inf), "non-finite"),
+            (lambda doc: doc["w1"][0].__setitem__(0, math.nan), "non-finite"),
+            (lambda doc: doc["feature_std"].__setitem__(2, -math.inf), "non-finite"),
+            (lambda doc: doc.update(init_seed=math.inf), "infinity"),
+        ],
+        ids=["missing-b2", "null-b2", "inf-b2", "nan-w1", "inf-std", "inf-seed"],
+    )
+    def test_load_rejects_bad_values(self, tmp_path, edit, expected):
+        file = tiny_model_file(tmp_path)
+        doc = json.loads(file.read_text())
+        edit(doc)
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=expected) as info:
+            load_model(file)
+        assert str(info.value).startswith(f"{file}: ")
+
+    def test_load_rejects_truncated_file(self, tmp_path):
+        file = tiny_model_file(tmp_path)
+        file.write_bytes(file.read_bytes()[:100])
+        with pytest.raises(ValueError) as info:
+            load_model(file)
+        assert str(info.value).startswith(f"{file}: ")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
+        file = tiny_model_file(tmp_path)
+        raw = bytearray(file.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4), label="at"):
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        file.write_bytes(bytes(raw))
+        try:
+            model = load_model(file)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{file}: ")
+        else:  # a garbled digit can leave a valid model; it must still be one
+            assert model.w1.shape == (model.b1.shape[0], model.projection.shape[0])
+            for a in (model.projection, model.w1, model.b1, model.w2, model.feature_mean, model.feature_std):
+                assert a is None or np.isfinite(a).all()
+            assert math.isfinite(model.b2)
