@@ -25,7 +25,10 @@ import signal
 import sys
 import zipfile
 import zlib
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path as FilePath
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,48 +37,49 @@ from . import augmentation as aug
 from .geometry import Path, Point2, path_length, sum_angle_change, wrap_angle
 from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
 
-DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "out_dir": "runs/default",
+@dataclass(frozen=True)
+class RunConfig:
+    seed: int = 0
+    out_dir: str = "runs/default"
     # path synthesis
-    "n_paths": 1,
-    "n_waypoints": 61,
-    "path_length": 150.0,
-    "sac_budget": 5.0,
+    n_paths: int = 1
+    n_waypoints: int = 61
+    path_length: float = 150.0
+    sac_budget: float = 5.0
     # world synthesis
-    "world_margin": 10.0,
-    "n_landmarks": 200,
-    "signature_dim": 8,
-    "bins": 32,
-    "fov_deg": 90.0,
+    world_margin: float = 10.0
+    n_landmarks: int = 200
+    signature_dim: int = 8
+    bins: int = 32
+    fov_deg: float = 90.0
     # augmentation
-    "n_augmented": 16,
-    "pos_jitter": 1.0,
-    "yaw_jitter": 0.1,
-    "step": 0.2,
-    "capture_radius": 2.0,
+    n_augmented: int = 16
+    pos_jitter: float = 1.0
+    yaw_jitter: float = 0.1
+    step: float = 0.2
+    capture_radius: float = 2.0
     # control
-    "command_gain": 0.2,
+    command_gain: float = 0.2
     # training
-    "lr0": 1e-4,
-    "batch_size": 64,
-    "epochs": 100,
-    "lr_halving_period": 25,
-    "projection_dim": 128,
-    "hidden_units": 512,
+    lr0: float = 1e-4
+    batch_size: int = 64
+    epochs: int = 100
+    lr_halving_period: int = 25
+    projection_dim: int = 128
+    hidden_units: int = 512
     # ablation
-    "ablation_levels": [1, 4, 8, 16],
-    "n_test_sweeps": 4,
-}
+    ablation_levels: tuple[int, ...] = (1, 4, 8, 16)
+    n_test_sweeps: int = 4
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config(text: str) -> dict[str, object]:
+def parse_config(text: str) -> RunConfig:
     """Parse flat ``key = value`` lines over the documented defaults."""
-    config = dict(DEFAULTS)
+    types = get_type_hints(RunConfig)  # int, float, str or tuple[int, ...]
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,85 +87,82 @@ def parse_config(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        default = DEFAULTS[key]
         try:
-            if isinstance(default, list):
-                config[key] = [int(v) for v in value.split(",") if v.strip()]
-            elif isinstance(default, int):
-                config[key] = int(value)
-            elif isinstance(default, float):
-                config[key] = float(value)
+            if types[key] == tuple[int, ...]:
+                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
             else:
-                config[key] = value
+                values[key] = types[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return config
+    return RunConfig(**values)
 
 
-def load_config(file: FilePath | str) -> dict[str, object]:
+def load_config(file: FilePath | str) -> RunConfig:
     return parse_config(FilePath(file).read_text())
 
 
-def validate_config(config: dict[str, object]) -> None:
+def validate_config(config: RunConfig) -> None:
     """Reject out-of-range values, naming the key, before a command does any
     work. Comparisons are written so that NaN fails them."""
 
     def check(key: str, ok: bool, rule: str) -> None:
         if not ok:
-            raise ConfigError(f"{key} = {config[key]!r} is out of range: {rule}")
+            raise ConfigError(f"{key} = {getattr(config, key)!r} is out of range: {rule}")
 
-    for key, default in DEFAULTS.items():
-        if isinstance(default, float):
-            check(key, math.isfinite(config[key]), "must be finite")
+    for key, value in vars(config).items():
+        if isinstance(value, float):
+            check(key, math.isfinite(value), "must be finite")
     for key in (
         "n_paths", "n_landmarks", "signature_dim", "bins", "n_augmented", "batch_size",
         "epochs", "lr_halving_period", "projection_dim", "hidden_units", "n_test_sweeps",
     ):
-        check(key, config[key] >= 1, "must be >= 1")
-    check("n_waypoints", config["n_waypoints"] >= 2, "must be >= 2")
+        check(key, getattr(config, key) >= 1, "must be >= 1")
+    check("n_waypoints", config.n_waypoints >= 2, "must be >= 2")
     for key in ("path_length", "lr0"):
-        check(key, config[key] > 0, "must be > 0")
-    for key in ("world_margin", "pos_jitter", "yaw_jitter"):
-        check(key, config[key] >= 0, "must be >= 0")
-    check("fov_deg", 0 < config["fov_deg"] <= 360, "must be in (0, 360]")
-    check("command_gain", 0 < config["command_gain"] <= 1, "must be in (0, 1]")
-    check("step", 0 < config["step"] <= config["capture_radius"], "must be in (0, capture_radius]")
-    levels = config["ablation_levels"]
+        check(key, getattr(config, key) > 0, "must be > 0")
+    for key in ("seed", "sac_budget", "world_margin", "pos_jitter", "yaw_jitter"):
+        check(key, getattr(config, key) >= 0, "must be >= 0")
+    # generate_route's turn per interior waypoint, which must stay below pi
+    turns = config.n_waypoints - 2
+    check("sac_budget", turns < 1 or config.sac_budget / turns < math.pi, "must be < pi * (n_waypoints - 2)")
+    check("fov_deg", 0 < config.fov_deg <= 360, "must be in (0, 360]")
+    check("command_gain", 0 < config.command_gain <= 1, "must be in (0, 1]")
+    check("step", 0 < config.step <= config.capture_radius, "must be in (0, capture_radius]")
+    levels = config.ablation_levels
     check("ablation_levels", bool(levels) and min(levels) >= 1, "must list one or more levels, each >= 1")
 
 
-def write_resolved_config(config: dict[str, object], out_dir: FilePath) -> None:
+def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
     lines = []
-    for key in DEFAULTS:
-        value = config[key]
-        if isinstance(value, list):
+    for key, value in vars(config).items():
+        if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
     (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n")
 
 
-def augmentation_config(config: dict[str, object]) -> aug.AugmentationConfig:
+def augmentation_config(config: RunConfig) -> aug.AugmentationConfig:
     return aug.AugmentationConfig(
-        n_augmented=int(config["n_augmented"]),
-        pos_jitter=float(config["pos_jitter"]),
-        yaw_jitter=float(config["yaw_jitter"]),
-        step=float(config["step"]),
-        capture_radius=float(config["capture_radius"]),
-        seed=int(config["seed"]),
-        bins=int(config["bins"]),
-        fov=math.radians(float(config["fov_deg"])),
+        n_augmented=config.n_augmented,
+        pos_jitter=config.pos_jitter,
+        yaw_jitter=config.yaw_jitter,
+        step=config.step,
+        capture_radius=config.capture_radius,
+        seed=config.seed,
+        bins=config.bins,
+        fov=math.radians(config.fov_deg),
     )
 
 
-def train_config(config: dict[str, object]) -> learner.TrainConfig:
+def train_config(config: RunConfig) -> learner.TrainConfig:
     return learner.TrainConfig(
-        lr0=float(config["lr0"]),
-        batch_size=int(config["batch_size"]),
-        epochs=int(config["epochs"]),
-        lr_halving_period=int(config["lr_halving_period"]),
-        shuffle_seed=int(config["seed"]),
+        lr0=config.lr0,
+        batch_size=config.batch_size,
+        epochs=config.epochs,
+        lr_halving_period=config.lr_halving_period,
+        shuffle_seed=config.seed,
     )
 
 
@@ -223,18 +224,20 @@ def save_path(route: Path, file: FilePath | str) -> None:
 def load_path(file: FilePath | str, path_id: str | None = None) -> Path:
     file = FilePath(file)
     points: list[Point2] = []
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y"]:
-            raise ValueError(f"{file}: expected header 'x,y'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{file}: malformed row at line {lineno}")
-            try:
-                points.append(Point2(float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{file}: malformed row at line {lineno}: {exc}") from exc
+    try:
+        with open(file, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{file}: {exc}") from exc
+    if rows[:1] != [["x", "y"]]:
+        raise ValueError(f"{file}: expected header 'x,y'")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise ValueError(f"{file}: malformed row at line {lineno}")
+        try:
+            points.append(Point2(float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"{file}: malformed row at line {lineno}: {exc}") from exc
     if len(points) < 2:
         raise ValueError(f"{file}: path requires length >= 2")
     return Path(tuple(points), path_id if path_id is not None else file.stem)
@@ -377,22 +380,15 @@ def _path_files(out_dir: FilePath) -> list[FilePath]:
     return sorted(f for f in out_dir.glob("path_*.csv") if re.fullmatch(r"path_\d+\.csv", f.name))
 
 
-def cmd_gen(config: dict[str, object]) -> int:
-    out_dir = FilePath(str(config["out_dir"]))
+def cmd_gen(config: RunConfig) -> int:
+    out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(config["seed"])
     routes = [
-        generate_route(
-            seed,
-            f"path_{i:02d}",
-            int(config["n_waypoints"]),
-            float(config["path_length"]),
-            float(config["sac_budget"]),
-        )
-        for i in range(int(config["n_paths"]))
+        generate_route(config.seed, f"path_{i:02d}", config.n_waypoints, config.path_length, config.sac_budget)
+        for i in range(config.n_paths)
     ]
-    bounds = routes_bounding_box(routes, float(config["world_margin"]))
-    world = generate_world(seed, int(config["n_landmarks"]), int(config["signature_dim"]), bounds)
+    bounds = routes_bounding_box(routes, config.world_margin)
+    world = generate_world(config.seed, config.n_landmarks, config.signature_dim, bounds)
     save_world(world, out_dir / "world.json")
     for route in routes:
         save_path(route, out_dir / f"{route.id}.csv")
@@ -404,8 +400,8 @@ def cmd_gen(config: dict[str, object]) -> int:
     return 0
 
 
-def _load_scenario(config: dict[str, object]) -> tuple[LandmarkWorld, list[Path]]:
-    out_dir = FilePath(str(config["out_dir"]))
+def _load_scenario(config: RunConfig) -> tuple[LandmarkWorld, list[Path]]:
+    out_dir = FilePath(config.out_dir)
     world_file = out_dir / "world.json"
     if not world_file.exists():
         raise FileNotFoundError(f"{world_file} missing; run 'gen' first")
@@ -416,7 +412,7 @@ def _load_scenario(config: dict[str, object]) -> tuple[LandmarkWorld, list[Path]
 
 
 def _train_fly_score(
-    config: dict[str, object],
+    config: RunConfig,
     world: LandmarkWorld,
     route: Path,
     dataset: aug.Dataset,
@@ -427,17 +423,17 @@ def _train_fly_score(
     model, _ = learner.train(
         dataset,
         train_config(config),
-        seed=int(config["seed"]),
-        projection_dim=int(config["projection_dim"]),
-        hidden=int(config["hidden_units"]),
+        seed=config.seed,
+        projection_dim=config.projection_dim,
+        hidden=config.hidden_units,
     )
-    policy = simulator.ModelPolicy(model, gain=float(config["command_gain"]))
+    policy = simulator.ModelPolicy(model, gain=config.command_gain)
     log = simulator.rollout(policy, world, route, augmentation_config(config))
     return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)
 
 
 def run_path_pipeline(
-    config: dict[str, object], world: LandmarkWorld, route: Path, out_dir: FilePath
+    config: RunConfig, world: LandmarkWorld, route: Path, out_dir: FilePath
 ) -> tuple[metrics.MetricsReport, int]:
     """Dataset -> train -> closed-loop rollout -> metrics, with all artifacts
     written under out_dir. One model per path; no joint training. Returns
@@ -454,9 +450,9 @@ def run_path_pipeline(
     return report, n_samples
 
 
-def cmd_pipeline(config: dict[str, object]) -> int:
+def cmd_pipeline(config: RunConfig) -> int:
     world, routes = _load_scenario(config)
-    out_dir = FilePath(str(config["out_dir"]))
+    out_dir = FilePath(config.out_dir)
     write_resolved_config(config, out_dir)
     manifest = []
     failed = False
@@ -498,7 +494,7 @@ def ablation_workers(cpus: int, blas_threads: int, n_levels: int) -> int:
 
 
 def _ablation_row(
-    config: dict[str, object],
+    config: RunConfig,
     world: LandmarkWorld,
     route: Path,
     test_set: aug.Samples,
@@ -535,10 +531,10 @@ def _fork(job, *args) -> tuple[int, int]:
 
 
 def run_ablation(
-    config: dict[str, object],
+    config: RunConfig,
     world: LandmarkWorld,
     route: Path,
-    levels: list[int],
+    levels: Sequence[int],
 ) -> list[dict[str, object]]:
     """Train one model per augmentation level and score each on held-out
     jittered sweeps (disjoint RNG streams) and in closed loop.
@@ -553,7 +549,7 @@ def run_ablation(
     and reaps the other children and raises."""
     acfg = augmentation_config(config)
     walk, samples = aug.training_samples(route, acfg, world, max(levels))
-    tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + int(config["n_test_sweeps"]))
+    tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + config.n_test_sweeps)
     test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, acfg, world, i) for i in tests])
 
     kernels.load()  # built once here; the forked workers inherit it
@@ -589,13 +585,12 @@ def run_ablation(
     return [rows[k] for k in levels]
 
 
-def cmd_ablation(config: dict[str, object]) -> int:
+def cmd_ablation(config: RunConfig) -> int:
     world, routes = _load_scenario(config)
-    out_dir = FilePath(str(config["out_dir"]))
+    out_dir = FilePath(config.out_dir)
     write_resolved_config(config, out_dir)
     route = routes[0]
-    levels = [int(k) for k in config["ablation_levels"]]
-    rows = run_ablation(config, world, route, levels)
+    rows = run_ablation(config, world, route, config.ablation_levels)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["k", "angle_mse", "mctd", "termination"])
         writer.writeheader()
@@ -623,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.out_dir:
-            config["out_dir"] = args.out_dir
+            config = replace(config, out_dir=args.out_dir)
         validate_config(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -38,30 +38,15 @@ class RegressorModel:
     def input_dim(self) -> int:
         return int(self.projection.shape[1])
 
-    def trainable(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": np.array([self.b2]),
-        }
-
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first moments, shaped like the parameters
+    v: np.ndarray  # second moments
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -176,13 +161,8 @@ def loss_and_gradient(
     return _loss_grad_projected(model, z, targets)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """In-place bias-corrected Adam update.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """In-place bias-corrected Adam update of the parameters ``p``.
 
     Per element, in this order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     p -= lr*(m/b1c) / (sqrt(v/b2c) + eps). The moments and parameters are
@@ -191,15 +171,12 @@ def adam_step(
     gradient raises before anything is updated."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    for g in grads.values():
-        if not np.isfinite(g).all():
-            raise RuntimeError("diverged: non-finite gradient")
-    kern = kernels.load()
+    if not np.isfinite(g).all():
+        raise RuntimeError("diverged: non-finite gradient")
     state.t += 1
     b1c = 1.0 - state.beta1**state.t
     b2c = 1.0 - state.beta2**state.t
-    for key, p in params.items():
-        kern.adam(p, grads[key], state.m[key], state.v[key], lr, state.beta1, state.beta2, state.eps, b1c, b2c)
+    kernels.load().adam(p, g, state.m, state.v, lr, state.beta1, state.beta2, state.eps, b1c, b2c)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -237,8 +214,7 @@ def train(
     views = _views(theta, hidden, model.w1.shape[1])
     model.w1, model.b1, model.w2 = views["w1"], views["b1"], views["w2"]
     buffers = _step_buffers(model, min(config.batch_size, n))
-    params, grads = {"theta": theta}, {"theta": buffers.flat}
-    state = AdamState.for_params(params)
+    state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -248,7 +224,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             loss, _ = _loss_grad_projected(model, z[idx], y[idx], buffers)
-            adam_step(params, grads, state, lr)
+            adam_step(theta, buffers.flat, state, lr)
             model.b2 = float(theta[-1])
             sse += loss * idx.shape[0]
         epoch_loss = sse / n

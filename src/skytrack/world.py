@@ -170,6 +170,6 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
         bounds = Rect(xmin, ymin, xmax, ymax)
     except KeyError as exc:
         raise ValueError(f"{file}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OverflowError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{file}: {exc}") from exc
     return LandmarkWorld(positions, signatures, bounds, seed)

@@ -26,6 +26,7 @@ Criteria, in order:
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,20 +63,13 @@ def ablation_study():
     per_seed = {}
     lengths = {}
     for seed in SEEDS:
-        config = dict(cli.DEFAULTS)
-        config["seed"] = seed
-        route = cli.generate_route(
-            seed,
-            "path_00",
-            int(config["n_waypoints"]),
-            float(config["path_length"]),
-            float(config["sac_budget"]),
-        )
+        config = replace(cli.RunConfig(), seed=seed)
+        route = cli.generate_route(seed, "path_00", config.n_waypoints, config.path_length, config.sac_budget)
         world = generate_world(
             seed,
-            int(config["n_landmarks"]),
-            int(config["signature_dim"]),
-            cli.routes_bounding_box([route], float(config["world_margin"])),
+            config.n_landmarks,
+            config.signature_dim,
+            cli.routes_bounding_box([route], config.world_margin),
         )
         per_seed[seed] = cli.run_ablation(config, world, route, ABLATION_LEVELS)
         lengths[seed] = path_length(route)
@@ -222,12 +216,11 @@ def test_criterion_5_gradient_check(capsys):
 
 
 def test_criterion_6_optimizer(capsys):
-    params = {"w": np.array([0.0])}
-    state = learner.AdamState.for_params(params)
+    p = np.array([0.0])
+    state = learner.AdamState(np.zeros(1), np.zeros(1))
     for _ in range(2000):
-        grad = {"w": 2 * (params["w"] - 3.0)}
-        learner.adam_step(params, grad, state, lr=1e-2)
-    gap = abs(params["w"][0] - 3.0)
+        learner.adam_step(p, 2 * (p - 3.0), state, lr=1e-2)
+    gap = abs(p[0] - 3.0)
 
     cfg = learner.TrainConfig()
     schedule_ok = (

@@ -51,14 +51,14 @@ def group_alive(pgid: int) -> bool:
 class TestParseConfig:
     def test_defaults_returned_on_empty(self):
         config = cli.parse_config("")
-        assert config == cli.DEFAULTS
+        assert config == cli.RunConfig()
 
     def test_overrides_and_comments(self):
         text = "seed = 9  # comment\n\nn_landmarks = 17\nout_dir = runs/x\n"
         config = cli.parse_config(text)
-        assert config["seed"] == 9
-        assert config["n_landmarks"] == 17
-        assert config["out_dir"] == "runs/x"
+        assert config.seed == 9
+        assert config.n_landmarks == 17
+        assert config.out_dir == "runs/x"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -74,13 +74,48 @@ class TestParseConfig:
 
     def test_list_value(self):
         config = cli.parse_config("ablation_levels = 1,2,4\n")
-        assert config["ablation_levels"] == [1, 2, 4]
+        assert config.ablation_levels == (1, 2, 4)
 
     def test_resolved_copy_reparses_identically(self, tmp_path):
         config = cli.parse_config("seed = 3\nfov_deg = 45.0\n")
         cli.write_resolved_config(config, tmp_path)
         text = (tmp_path / "config.resolved.txt").read_text()
         assert cli.parse_config(text) == config
+
+    def test_resolved_config_bytes(self, tmp_path):
+        # Every key in order, floats in Python's shortest repr, the levels as
+        # written, and out_dir as given on the command line.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("seed = 7\nlr0 = 1e-4\npath_length = 1e3\nfov_deg = 45\nablation_levels = 2, 1,3\n")
+        out = tmp_path / "elsewhere"
+        assert cli.main(["gen", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "config.resolved.txt").read_bytes() == (
+            "seed = 7\n"
+            f"out_dir = {out}\n"
+            "n_paths = 1\n"
+            "n_waypoints = 61\n"
+            "path_length = 1000.0\n"
+            "sac_budget = 5.0\n"
+            "world_margin = 10.0\n"
+            "n_landmarks = 200\n"
+            "signature_dim = 8\n"
+            "bins = 32\n"
+            "fov_deg = 45.0\n"
+            "n_augmented = 16\n"
+            "pos_jitter = 1.0\n"
+            "yaw_jitter = 0.1\n"
+            "step = 0.2\n"
+            "capture_radius = 2.0\n"
+            "command_gain = 0.2\n"
+            "lr0 = 0.0001\n"
+            "batch_size = 64\n"
+            "epochs = 100\n"
+            "lr_halving_period = 25\n"
+            "projection_dim = 128\n"
+            "hidden_units = 512\n"
+            "ablation_levels = 2,1,3\n"
+            "n_test_sweeps = 4\n"
+        ).encode()
 
 
 class TestGenerateRoute:
@@ -133,6 +168,18 @@ class TestPathRoundTrip:
         file.write_text("a,b\n1,2\n3,4\n")
         with pytest.raises(ValueError, match="header"):
             cli.load_path(file)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [(b"x,y\n1,2\n\xff\xfe,3\n", "can't decode"), (b"x,y\n1,2\n" + b"9" * 200_000 + b",3\n", "field limit")],
+        ids=["not-utf8", "field-too-large"],
+    )
+    def test_unreadable_bytes(self, tmp_path, raw, message):
+        file = tmp_path / "p.csv"
+        file.write_bytes(raw)
+        with pytest.raises(ValueError, match=message) as info:
+            cli.load_path(file)
+        assert str(info.value).startswith(f"{file}: ")
 
 
 class TestDatasetRoundTrip:
@@ -497,6 +544,9 @@ class TestCommands:
             ("step", 2.5),  # above capture_radius = 2.0
             ("ablation_levels", ""),
             ("ablation_levels", "1,0"),
+            ("seed", -1),
+            ("sac_budget", -3.0),
+            ("sac_budget", 200.0),  # a turn of 200 / 7 rad per interior waypoint
         ],
     )
     def test_invalid_config_exits_1_before_any_work(self, tmp_path, capsys, key, value):

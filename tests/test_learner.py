@@ -212,62 +212,57 @@ class TestLossAndGradient:
 
 class TestAdamStep:
     def test_zero_gradient_no_move(self):
-        params = {"w": np.array([1.0, 2.0])}
-        state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-        np.testing.assert_array_equal(params["w"], [1.0, 2.0])
+        p = np.array([1.0, 2.0])
+        state = AdamState(np.zeros(2), np.zeros(2))
+        adam_step(p, np.zeros(2), state, lr=0.1)
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_first_step_magnitude(self):
-        params = {"w": np.array([0.0])}
-        state = AdamState.for_params(params)
-        adam_step(params, {"w": np.array([0.5])}, state, lr=1e-2)
+        p = np.array([0.0])
+        state = AdamState(np.zeros(1), np.zeros(1))
+        adam_step(p, np.array([0.5]), state, lr=1e-2)
         # bias-corrected first step moves ~lr regardless of gradient scale
-        assert abs(params["w"][0]) == pytest.approx(1e-2, rel=1e-4)
+        assert abs(p[0]) == pytest.approx(1e-2, rel=1e-4)
 
     def test_quadratic_convergence(self):
-        params = {"w": np.array([0.0])}
-        state = AdamState.for_params(params)
+        p = np.array([0.0])
+        state = AdamState(np.zeros(1), np.zeros(1))
         for _ in range(2000):
-            grad = {"w": 2 * (params["w"] - 3.0)}
-            adam_step(params, grad, state, lr=1e-2)
-        assert abs(params["w"][0] - 3.0) < 1e-2
+            adam_step(p, 2 * (p - 3.0), state, lr=1e-2)
+        assert abs(p[0] - 3.0) < 1e-2
 
     def test_non_finite_gradient(self):
-        params = {"w": np.array([0.0])}
-        state = AdamState.for_params(params)
+        p = np.array([0.0])
+        state = AdamState(np.zeros(1), np.zeros(1))
         with pytest.raises(RuntimeError, match="diverged"):
-            adam_step(params, {"w": np.array([math.nan])}, state, lr=1e-2)
+            adam_step(p, np.array([math.nan]), state, lr=1e-2)
 
     def test_matches_out_of_place_reference_bit_for_bit(self):
-        def reference_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        def reference_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
             # The original out-of-place update, in Kingma & Ba's order.
             b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
-            for key, p in params.items():
-                g = grads[key]
-                m[key] = b1 * m[key] + (1.0 - b1) * g
-                v[key] = b2 * v[key] + (1.0 - b2) * g**2
-                p -= lr * (m[key] / b1c) / (np.sqrt(v[key] / b2c) + eps)
+            m[:] = b1 * m + (1.0 - b1) * g
+            v[:] = b2 * v + (1.0 - b2) * g**2
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
 
         rng = np.random.default_rng(12)
-        params = init_model(0, 3, projection_dim=128, hidden=512).trainable()
-        ref = {k: p.copy() for k, p in params.items()}
-        m_ref = {k: np.zeros_like(p) for k, p in params.items()}
-        v_ref = {k: np.zeros_like(p) for k, p in params.items()}
-        state = AdamState.for_params(params)
+        model = init_model(0, 3, projection_dim=128, hidden=512)
+        # The default head as train holds it: w1, b1, w2 and b2 in one vector.
+        parts = [model.w1.ravel(), model.b1, model.w2, np.array([model.b2])]
+        p = np.concatenate(parts)
+        assert p.size == 66_561
+        ref, m_ref, v_ref = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        state = AdamState(np.zeros_like(p), np.zeros_like(p))
         for t in range(1, 501):
             lr = 1e-4 / 2 ** (t // 125)
-            grads = {}
-            for key, p in params.items():
-                g = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=p.shape)
-                g[rng.random(p.shape) < 0.05] = 0.0
-                grads[key] = g
-            adam_step(params, grads, state, lr)
-            reference_step(ref, grads, m_ref, v_ref, t, lr)
-            for key in params:
-                assert params[key].tobytes() == ref[key].tobytes(), (t, key)
-        for key in params:
-            assert state.m[key].tobytes() == m_ref[key].tobytes(), key
-            assert state.v[key].tobytes() == v_ref[key].tobytes(), key
+            # each part's gradient at its own scale
+            g = np.concatenate([rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=q.size) for q in parts])
+            g[rng.random(g.size) < 0.05] = 0.0
+            adam_step(p, g, state, lr)
+            reference_step(ref, g, m_ref, v_ref, t, lr)
+            assert p.tobytes() == ref.tobytes(), t
+        assert state.m.tobytes() == m_ref.tobytes()
+        assert state.v.tobytes() == v_ref.tobytes()
 
 
 class TestLearningRateSchedule:

@@ -261,19 +261,22 @@ class TestWorldRoundTrip:
             (lambda doc: doc.pop("seed"), "missing key 'seed'"),
             (lambda doc: doc["landmarks"][3].pop("signature"), "missing key 'signature'"),
             (lambda doc: doc.update(landmarks=[[1.0, 2.0]]), "list indices"),
+            (lambda doc: doc.update(seed=math.inf), "cannot convert float infinity"),
+            # a corruption that returns text is written as it is
+            (lambda doc: json.dumps(doc).replace('"seed": 13', '"seed": 1e999'), "cannot convert float infinity"),
         ],
         ids=[
             "no-landmarks", "non-unit-signature", "ragged-signatures", "scalar-signatures",
             "3d-positions", "inf-position", "empty-bounds", "inf-bound", "three-bounds",
-            "no-bounds", "no-seed", "no-signature", "landmark-not-an-object",
+            "no-bounds", "no-seed", "no-signature", "landmark-not-an-object", "infinite-seed", "seed-1e999",
         ],
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
         file = tmp_path / "world.json"
         save_world(generate_world(13, 12, 5, BOUNDS), file)
         doc = json.loads(file.read_text())
-        corrupt(doc)
-        file.write_text(json.dumps(doc))
+        text = corrupt(doc)
+        file.write_text(text if isinstance(text, str) else json.dumps(doc))
         with pytest.raises(ValueError, match=message) as info:
             load_world(file)
         assert str(info.value).startswith(f"{file}: ")
