@@ -222,25 +222,25 @@ def save_path(route: Path, file: FilePath | str) -> None:
 
 
 def load_path(file: FilePath | str, path_id: str | None = None) -> Path:
+    """Read what save_path wrote. A file that does not hold at least two
+    finite waypoints, no two equal in a row, raises one ValueError naming it."""
     file = FilePath(file)
     points: list[Point2] = []
     try:
         with open(file, newline="") as fh:
             rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        if rows[:1] != [["x", "y"]]:
+            raise ValueError("expected header 'x,y'")
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != 2:
+                raise ValueError(f"malformed row at line {lineno}")
+            try:
+                points.append(Point2(float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
+        return Path(tuple(points), path_id if path_id is not None else file.stem)
+    except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{file}: {exc}") from exc
-    if rows[:1] != [["x", "y"]]:
-        raise ValueError(f"{file}: expected header 'x,y'")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValueError(f"{file}: malformed row at line {lineno}")
-        try:
-            points.append(Point2(float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ValueError(f"{file}: malformed row at line {lineno}: {exc}") from exc
-    if len(points) < 2:
-        raise ValueError(f"{file}: path requires length >= 2")
-    return Path(tuple(points), path_id if path_id is not None else file.stem)
 
 
 # The arrays of a dataset file, in file order, and their dtypes ("str": unicode of any width).
@@ -299,7 +299,8 @@ def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug
         with np.load(data_file, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
         _check_dataset(arrays, sidecar)
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    # zipfile raises NotImplementedError for a garbled compression method or version.
+    except (OSError, EOFError, KeyError, NotImplementedError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{data_file}: bad dataset (sidecar {sidecar_file}): {exc}") from exc
     return aug.Dataset(
         aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS}),
@@ -334,17 +335,16 @@ def _fmt(v: float) -> str:
 
 def emit_overlay_svg(route: Path, trajectory: simulator.TrajectoryLog, file: FilePath | str) -> None:
     """Reference waypoints as circle markers over the flown polyline."""
-    traj = trajectory.positions
-    xs = [p.x for p in route.waypoints] + [p.x for p in traj]
-    ys = [p.y for p in route.waypoints] + [p.y for p in traj]
+    traj = trajectory.poses[:, :2].tolist()
+    xs = [p.x for p in route.waypoints] + [x for x, _ in traj]
+    ys = [p.y for p in route.waypoints] + [y for _, y in traj]
     tf = _svg_transform(xs, ys)
+    pts = " ".join("{},{}".format(*map(_fmt, tf(x, y))) for x, y in traj)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE:.0f}" height="{_SVG_SIZE:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
+        f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.5"/>',
     ]
-    if traj:
-        pts = " ".join("{},{}".format(*map(_fmt, tf(p.x, p.y))) for p in traj)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.5"/>')
     for p in route.waypoints:
         cx, cy = tf(p.x, p.y)
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>')

@@ -255,14 +255,17 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
 
 def load_model(file: FilePath | str) -> RegressorModel:
     """Read what save_model wrote. A file that does not parse, misses a key,
-    or holds arrays whose dimensions disagree or a non-finite weight or
-    statistic raises one ValueError naming the file."""
+    or holds arrays whose dimensions disagree, a non-finite weight or
+    statistic or a seed that is not an integer raises one ValueError naming
+    the file."""
     try:
         doc = json.loads(FilePath(file).read_text())
         arrays = {key: np.array(doc[key], dtype=float) for key in ("projection", "w1", "b1", "w2")}
         for key in ("feature_mean", "feature_std"):
             arrays[key] = None if doc[key] is None else np.array(doc[key], dtype=float)
-        b2, init_seed = float(doc["b2"]), int(doc["init_seed"])
+        b2, init_seed = float(doc["b2"]), int(doc["init_seed"])  # int()'s error names an infinite or NaN seed
+        if type(doc["init_seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
+            raise ValueError(f"init_seed {doc['init_seed']!r} is not an integer")
         projection, w1 = arrays["projection"], arrays["w1"]
         if projection.ndim != 2 or w1.ndim != 2:
             raise ValueError(f"projection {projection.shape} and w1 {w1.shape} must be matrices")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path as FilePath
-from typing import Sequence
 
 import numpy as np
 
@@ -24,28 +23,29 @@ from .learner import RegressorModel, predict_raw
 from .simulator import TrajectoryLog
 
 
-def mean_waypoint_min_distance(path: Path, positions: Sequence[Point2]) -> float:
-    """Average over waypoints of the minimum distance to any trajectory point."""
-    if not positions:
+def mean_waypoint_min_distance(path: Path, positions: np.ndarray) -> float:
+    """Average over waypoints of the minimum distance to any trajectory
+    point; positions is (T, 2)."""
+    if not len(positions):
         raise ValueError("empty trajectory")
-    t = np.array([[p.x, p.y] for p in positions])
     w = np.array([[p.x, p.y] for p in path.waypoints])
-    d = np.linalg.norm(w[:, None, :] - t[None, :, :], axis=2)
+    d = np.linalg.norm(w[:, None, :] - positions[None, :, :], axis=2)
     return float(d.min(axis=1).mean())
 
 
-def mean_cross_track_distance(path: Path, positions: Sequence[Point2]) -> float:
-    """Average point-to-segment distance to the segment between each sample's
-    two closest waypoints."""
-    if not positions:
+def mean_cross_track_distance(path: Path, positions: np.ndarray) -> float:
+    """Average point-to-segment distance to the segment between each of the
+    (T, 2) positions' two closest waypoints."""
+    if not len(positions):
         raise ValueError("empty trajectory")
     wps = path.waypoints
     w = np.array([[p.x, p.y] for p in wps])
+    d = np.hypot(w[None, :, 0] - positions[:, 0:1], w[None, :, 1] - positions[:, 1:2])
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :2].tolist()
     total = 0.0
-    for p in positions:
-        d = np.hypot(w[:, 0] - p.x, w[:, 1] - p.y)
-        nearest = np.argsort(d, kind="stable")[:2]
-        total += point_segment_distance(p, wps[nearest[0]], wps[nearest[1]])
+    # Scalar distances summed in order: math.hypot and np.hypot may differ in the last bit.
+    for (x, y), (i, j) in zip(positions.tolist(), nearest):
+        total += point_segment_distance(Point2(x, y), wps[i], wps[j])
     return total / len(positions)
 
 
@@ -87,8 +87,8 @@ def evaluate(
         mse = angle_mse(model, test_set)
     return MetricsReport(
         path_id=path.id,
-        mwmd=mean_waypoint_min_distance(path, trajectory.positions),
-        mctd=mean_cross_track_distance(path, trajectory.positions),
+        mwmd=mean_waypoint_min_distance(path, trajectory.poses[:, :2]),
+        mctd=mean_cross_track_distance(path, trajectory.poses[:, :2]),
         sac=sum_angle_change(path),
         termination=trajectory.termination,
         angle_mse=mse,

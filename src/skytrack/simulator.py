@@ -68,17 +68,13 @@ class ModelPolicy:
 
 @dataclass
 class TrajectoryLog:
-    """Timestamped record of one rollout."""
+    """Record of one rollout, one row per pose."""
 
-    poses: list[Pose]
-    commands: list[float]
-    target_indices: list[int]
+    poses: np.ndarray  # (n, 3) x, y, yaw
+    commands: np.ndarray  # (n - 1,) the yaw delta that produced each pose after the first
+    targets: np.ndarray  # (n,) int64 index of the target waypoint
     path_id: str
     termination: str
-
-    @property
-    def positions(self) -> list[Point2]:
-        return [p.position for p in self.poses]
 
 
 def rollout(
@@ -97,38 +93,31 @@ def rollout(
     guard = world.bounds.inflated(0.1 * world.bounds.width, 0.1 * world.bounds.height)
 
     target = advance_target(wps[0], wps, 0, config.capture_radius)
-    if target >= len(wps):
-        return TrajectoryLog([Pose(wps[0], 0.0)], [], [target], path.id, COMPLETED)
-    pose = Pose(wps[0], bearing(wps[0], wps[target]))
-
-    poses = [pose]
-    commands: list[float] = []
-    target_indices = [target]
-    termination = MAX_STEPS
-    for _ in range(max_steps):
-        xy_yaw = np.array([[pose.position.x, pose.position.y, pose.yaw]])
-        obs = render_observation(world, xy_yaw, config.bins, config.fov)[0]
-        delta = policy.command(obs, PrivilegedState(pose, wps[target]))
+    x, y = wps[0].x, wps[0].y
+    yaw = bearing(wps[0], wps[target]) if target < len(wps) else 0.0
+    poses = np.empty((max_steps + 1, 3))
+    commands = np.empty(max_steps)
+    targets = np.empty(max_steps + 1, dtype=np.int64)
+    poses[0], targets[0] = (x, y, yaw), target
+    n, termination = 1, MAX_STEPS if target < len(wps) else COMPLETED
+    while termination == MAX_STEPS and n <= max_steps:
+        obs = render_observation(world, poses[n - 1 : n], config.bins, config.fov)[0]
+        delta = policy.command(obs, PrivilegedState(Pose(Point2(x, y), yaw), wps[target]))
         if not math.isfinite(delta):
             termination = DIVERGED
             break
-        yaw = wrap_angle(pose.yaw + delta)
-        pos = Point2(
-            pose.position.x + step * math.cos(yaw),
-            pose.position.y + step * math.sin(yaw),
-        )
-        pose = Pose(pos, yaw)
-        poses.append(pose)
-        commands.append(delta)
-        target = advance_target(pos, wps, target, config.capture_radius)
-        target_indices.append(target)
+        yaw = wrap_angle(yaw + delta)
+        x, y = x + step * math.cos(yaw), y + step * math.sin(yaw)
+        target = advance_target(Point2(x, y), wps, target, config.capture_radius)
+        poses[n], commands[n - 1], targets[n] = (x, y, yaw), delta, target
+        n += 1
         if target >= len(wps):
             termination = COMPLETED
             break
-        if not guard.contains(pos.x, pos.y):
+        if not guard.contains(x, y):
             termination = DIVERGED
             break
-    return TrajectoryLog(poses, commands, target_indices, path.id, termination)
+    return TrajectoryLog(poses[:n], commands[: n - 1], targets[:n], path.id, termination)
 
 
 TRAJECTORY_COLUMNS = ["step", "x", "y", "yaw", "command", "target_index"]
@@ -136,39 +125,53 @@ TRAJECTORY_COLUMNS = ["step", "x", "y", "yaw", "command", "target_index"]
 
 def save_trajectory(log: TrajectoryLog, file: FilePath | str) -> None:
     """Write one row per pose; the command column is the delta that produced it."""
+    commands = [""] + [repr(c) for c in log.commands.tolist()]
     with open(file, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for i, pose in enumerate(log.poses):
-            cmd = "" if i == 0 else repr(log.commands[i - 1])
-            writer.writerow(
-                [i, repr(pose.position.x), repr(pose.position.y), repr(pose.yaw), cmd, log.target_indices[i]]
-            )
+        for i, ((x, y, yaw), cmd, target) in enumerate(zip(log.poses.tolist(), commands, log.targets.tolist())):
+            writer.writerow([i, repr(x), repr(y), repr(yaw), cmd, target])
 
 
 def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = "") -> TrajectoryLog:
-    """Read what save_trajectory wrote. A wrong header, a row with the wrong
-    column count or an unparsable value raises one ValueError naming the
+    """Read what save_trajectory wrote: the header, then at least one row,
+    ``step`` counting rows from 0, a command on every row but the first,
+    finite values, yaw in (-pi, pi] and target indices that start at 0 or
+    more and never decrease. Anything else raises one ValueError naming the
     file."""
-    poses: list[Pose] = []
+    poses: list[tuple[float, float, float]] = []
     commands: list[float] = []
-    target_indices: list[int] = []
+    targets: list[int] = []
     try:
         with open(file, newline="") as fh:
             rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        if rows[:1] != [TRAJECTORY_COLUMNS]:
+            raise ValueError(f"unexpected trajectory header: {rows[0] if rows else None}")
+        if len(rows) == 1:
+            raise ValueError("no poses")
+        for step, row in enumerate(rows[1:]):
+            if len(row) != len(TRAJECTORY_COLUMNS):
+                raise ValueError(f"row {step + 2} has {len(row)} columns, expected {len(TRAJECTORY_COLUMNS)}")
+            try:
+                if int(row[0]) != step:
+                    raise ValueError(f"step {row[0]}, expected {step}")
+                if (row[4] == "") != (step == 0):
+                    raise ValueError("the command must be empty on the first row and only there")
+                x, y, yaw, command = float(row[1]), float(row[2]), float(row[3]), float(row[4] or 0.0)
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(command)):
+                    raise ValueError("non-finite position or command")
+                if not -math.pi < yaw <= math.pi:
+                    raise ValueError(f"yaw {yaw!r} outside (-pi, pi]")
+                poses.append((x, y, yaw))
+                if step:
+                    commands.append(command)
+                target = int(row[5])
+                if target < (targets[-1] if step else 0):
+                    raise ValueError(f"target_index {target} is negative or below the row before")
+                targets.append(target)
+            except ValueError as exc:
+                raise ValueError(f"row {step + 2}: {exc}") from exc
+        targets_array = np.array(targets, dtype=np.int64)
+    except (OverflowError, ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{file}: {exc}") from exc
-    header = rows[0] if rows else None
-    if header != TRAJECTORY_COLUMNS:
-        raise ValueError(f"{file}: unexpected trajectory header: {header}")
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(TRAJECTORY_COLUMNS):
-            raise ValueError(f"{file}: row {line} has {len(row)} columns, expected {len(TRAJECTORY_COLUMNS)}")
-        try:
-            poses.append(Pose(Point2(float(row[1]), float(row[2])), float(row[3])))
-            if row[4] != "":
-                commands.append(float(row[4]))
-            target_indices.append(int(row[5]))
-        except ValueError as exc:
-            raise ValueError(f"{file}: row {line}: {exc}") from exc
-    return TrajectoryLog(poses, commands, target_indices, path_id, termination)
+    return TrajectoryLog(np.array(poses), np.array(commands), targets_array, path_id, termination)

@@ -150,15 +150,18 @@ def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
 
 def load_world(file: FilePath | str) -> LandmarkWorld:
     """Read what save_world wrote. A file that does not hold at least one
-    landmark, finite positions, unit-norm signatures of one width and finite
-    non-empty bounds raises one ValueError naming the file."""
+    landmark, finite positions, unit-norm signatures of one width, finite
+    non-empty bounds and an integer seed raises one ValueError naming the
+    file."""
     try:
         doc = json.loads(FilePath(file).read_text())
         landmarks = doc["landmarks"]
         positions = np.array([lm["position"] for lm in landmarks], dtype=float)
         signatures = np.array([lm["signature"] for lm in landmarks], dtype=float)
         xmin, ymin, xmax, ymax = (float(b) for b in doc["bounds"])
-        seed = int(doc["seed"])
+        seed = int(doc["seed"])  # its error names an infinite or NaN seed
+        if type(doc["seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
+            raise ValueError(f"seed {doc['seed']!r} is not an integer")
         if not landmarks:
             raise ValueError("no landmarks")
         if positions.shape != (len(landmarks), 2) or signatures.ndim != 2 or signatures.shape[1] < 1:

@@ -138,18 +138,18 @@ def test_criterion_3_oracle_tracking(capsys):
 
 def _brute_mwmd(waypoints, positions):
     return sum(
-        min(math.hypot(p.x - w.x, p.y - w.y) for p in positions) for w in waypoints
+        min(math.hypot(x - w.x, y - w.y) for x, y in positions.tolist()) for w in waypoints
     ) / len(waypoints)
 
 
 def _brute_mctd(waypoints, positions):
     total = 0.0
-    for p in positions:
+    for x, y in positions.tolist():
         dists = sorted(
-            (math.hypot(p.x - w.x, p.y - w.y), i) for i, w in enumerate(waypoints)
+            (math.hypot(x - w.x, y - w.y), i) for i, w in enumerate(waypoints)
         )
         (_, i), (_, j) = dists[0], dists[1]
-        total += point_segment_distance(p, waypoints[i], waypoints[j])
+        total += point_segment_distance(Point2(x, y), waypoints[i], waypoints[j])
     return total / len(positions)
 
 
@@ -166,7 +166,7 @@ def test_criterion_4_metric_brute_force(capsys):
             x += rng.uniform(0.1, 3.0)
             y += rng.uniform(-2.0, 2.0)
         route = Path(tuple(pts), "rand")
-        traj = [Point2(float(a), float(b)) for a, b in rng.uniform(-60, 60, size=(n_t, 2))]
+        traj = rng.uniform(-60, 60, size=(n_t, 2))
         worst = max(
             worst,
             abs(mean_waypoint_min_distance(route, traj) - _brute_mwmd(pts, traj)),
@@ -302,11 +302,9 @@ def test_criterion_8_property_suite(capsys):
     world = generate_world(0, 40, 4, cli.routes_bounding_box([route], 5.0))
     log = rollout(OraclePolicy(), world, route, cfg)
     assert log.termination == COMPLETED
-    for a, b in zip(log.poses, log.poses[1:]):
-        d = math.hypot(b.position.x - a.position.x, b.position.y - a.position.y)
-        assert d == pytest.approx(cfg.step, abs=1e-9)
-        motion = math.atan2(b.position.y - a.position.y, b.position.x - a.position.x)
-        assert wrap_angle(motion - b.yaw) == pytest.approx(0.0, abs=1e-9)
+    for (ax, ay, _), (bx, by, b_yaw) in zip(log.poses.tolist(), log.poses[1:].tolist()):
+        assert math.hypot(bx - ax, by - ay) == pytest.approx(cfg.step, abs=1e-9)
+        assert wrap_angle(math.atan2(by - ay, bx - ax) - b_yaw) == pytest.approx(0.0, abs=1e-9)
 
     elapsed = time.monotonic() - start
     report(capsys, 8, elapsed < 60.0, f"wrap/rigid/jitter/step invariants hold ({elapsed:.1f} s)")

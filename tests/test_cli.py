@@ -17,6 +17,8 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import skytrack
 from conftest import children
@@ -169,6 +171,13 @@ class TestPathRoundTrip:
         with pytest.raises(ValueError, match="header"):
             cli.load_path(file)
 
+    def test_repeated_waypoint_names_the_file(self, tmp_path):
+        file = tmp_path / "p.csv"
+        file.write_text("x,y\n1.0,2.0\n3.0,4.0\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(ValueError, match="zero-length segment at waypoint 1") as info:
+            cli.load_path(file)
+        assert str(info.value).startswith(f"{file}: ")
+
     @pytest.mark.parametrize(
         "raw, message",
         [(b"x,y\n1,2\n\xff\xfe,3\n", "can't decode"), (b"x,y\n1,2\n" + b"9" * 200_000 + b",3\n", "field limit")],
@@ -256,6 +265,22 @@ class TestDatasetRoundTrip:
         doc["dim"] -= 1
         sidecar.write_text(json.dumps(doc))
 
+    @staticmethod
+    def _central_directory(data_file, offset, value):
+        """Set a 2-byte field of the first zip central directory entry."""
+        raw = bytearray(data_file.read_bytes())
+        at = raw.index(b"PK\x01\x02") + offset
+        raw[at : at + 2] = value.to_bytes(2, "little")
+        data_file.write_bytes(bytes(raw))
+
+    @classmethod
+    def _zip_method(cls, data_file, sidecar):
+        cls._central_directory(data_file, 10, 99)
+
+    @classmethod
+    def _zip_version(cls, data_file, sidecar):
+        cls._central_directory(data_file, 6, 125)
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -266,6 +291,8 @@ class TestDatasetRoundTrip:
             ("_nan_feature", "non-finite values"),
             ("_sidecar_count", r"features has shape \(\d+, 128\), not \(\d+, 128\)"),
             ("_sidecar_dim", r"features has shape \(\d+, 128\), not \(\d+, 127\)"),
+            ("_zip_method", "compression method is not supported"),
+            ("_zip_version", "zip file version 12.5"),
         ],
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
@@ -278,6 +305,30 @@ class TestDatasetRoundTrip:
         with pytest.raises(ValueError, match=message) as info:
             cli.load_dataset(data_file, sidecar)
         assert str(info.value).startswith(f"{data_file}: ")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
+        world = generate_world(0, 10, 2, Rect(-20, -20, 40, 40))
+        route = Path((Point2(0, 0), Point2(2, 0)), "p")
+        cfg = aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
+        data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
+        cli.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar)
+        file = data.draw(st.sampled_from([data_file, sidecar]), label="file")
+        raw = bytearray(file.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4), label="at"):
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        file.write_bytes(bytes(raw))
+        try:
+            loaded = cli.load_dataset(data_file, sidecar)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{data_file}: ")
+        else:  # a garbled value or digit can leave a valid dataset; it must still be one
+            assert loaded.samples.features.shape == (len(loaded.samples), loaded.dim)
+            assert np.isfinite(loaded.samples.features).all() and np.isfinite(loaded.samples.targets).all()
 
 
 class TestSvgEmission:

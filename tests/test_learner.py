@@ -382,8 +382,14 @@ class TestModelRoundTrip:
             (lambda doc: doc["w1"][0].__setitem__(0, math.nan), "non-finite"),
             (lambda doc: doc["feature_std"].__setitem__(2, -math.inf), "non-finite"),
             (lambda doc: doc.update(init_seed=math.inf), "infinity"),
+            (lambda doc: doc.update(init_seed=1.5), "init_seed 1.5 is not an integer"),
+            (lambda doc: doc.update(init_seed=True), "init_seed True is not an integer"),
+            (lambda doc: doc.update(init_seed="7"), "init_seed '7' is not an integer"),
         ],
-        ids=["missing-b2", "null-b2", "inf-b2", "nan-w1", "inf-std", "inf-seed"],
+        ids=[
+            "missing-b2", "null-b2", "inf-b2", "nan-w1", "inf-std", "inf-seed",
+            "fractional-seed", "bool-seed", "string-seed",
+        ],
     )
     def test_load_rejects_bad_values(self, tmp_path, edit, expected):
         file = tiny_model_file(tmp_path)

@@ -25,17 +25,17 @@ from skytrack.world import Rect, generate_world
 def brute_force_mwmd(waypoints, positions):
     total = 0.0
     for w in waypoints:
-        total += min(math.hypot(p.x - w.x, p.y - w.y) for p in positions)
+        total += min(math.hypot(x - w.x, y - w.y) for x, y in positions.tolist())
     return total / len(waypoints)
 
 
 def brute_force_mctd(waypoints, positions):
     total = 0.0
-    for p in positions:
-        dists = [(math.hypot(p.x - w.x, p.y - w.y), i) for i, w in enumerate(waypoints)]
+    for x, y in positions.tolist():
+        dists = [(math.hypot(x - w.x, y - w.y), i) for i, w in enumerate(waypoints)]
         dists.sort()  # stable: ties resolve to the lower index
         (_, i), (_, j) = dists[0], dists[1]
-        total += point_segment_distance(p, waypoints[i], waypoints[j])
+        total += point_segment_distance(Point2(x, y), waypoints[i], waypoints[j])
     return total / len(positions)
 
 
@@ -48,39 +48,38 @@ def random_instance(rng, max_n=200):
         pts.append(Point2(float(x), float(y)))
         x += rng.uniform(0.1, 3.0)
         y += rng.uniform(-2.0, 2.0)
-    traj = [Point2(float(a), float(b)) for a, b in rng.uniform(-60, 60, size=(n_t, 2))]
-    return Path(tuple(pts), "rand"), traj
+    return Path(tuple(pts), "rand"), rng.uniform(-60, 60, size=(n_t, 2))
 
 
 class TestMeanWaypointMinDistance:
     def test_exact_visits(self):
         p = Path((Point2(0, 0), Point2(2, 0)), "p")
-        traj = [Point2(0, 0), Point2(1, 0), Point2(2, 0)]
+        traj = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert mean_waypoint_min_distance(p, traj) == 0.0
 
     def test_uniform_unit_offset(self):
         p = Path((Point2(0, 0), Point2(2, 0)), "p")
-        traj = [Point2(0, 1), Point2(1, 1), Point2(2, 1)]
+        traj = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
         assert mean_waypoint_min_distance(p, traj) == pytest.approx(1.0)
 
     def test_empty_trajectory(self):
         with pytest.raises(ValueError):
-            mean_waypoint_min_distance(Path((Point2(0, 0), Point2(1, 0)), "p"), [])
+            mean_waypoint_min_distance(Path((Point2(0, 0), Point2(1, 0)), "p"), np.empty((0, 2)))
 
 
 class TestMeanCrossTrackDistance:
     def test_on_segment_zero(self):
         p = Path((Point2(0, 0), Point2(2, 0), Point2(5, 0)), "p")
-        traj = [Point2(0.5, 0), Point2(1.5, 0)]
+        traj = np.array([[0.5, 0.0], [1.5, 0.0]])
         assert mean_cross_track_distance(p, traj) == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_example(self):
         p = Path((Point2(0, 0), Point2(2, 0), Point2(5, 0)), "p")
-        assert mean_cross_track_distance(p, [Point2(1, 0.5)]) == pytest.approx(0.5)
+        assert mean_cross_track_distance(p, np.array([[1.0, 0.5]])) == pytest.approx(0.5)
 
     def test_perpendicular_offset(self):
         p = Path((Point2(0, 0), Point2(10, 0)), "p")
-        traj = [Point2(x, 0.7) for x in np.linspace(1, 9, 17)]
+        traj = np.column_stack([np.linspace(1, 9, 17), np.full(17, 0.7)])
         assert mean_cross_track_distance(p, traj) == pytest.approx(0.7)
 
     def test_bounded_by_nearest_waypoint_distance(self):
@@ -88,7 +87,7 @@ class TestMeanCrossTrackDistance:
         p, traj = random_instance(rng, max_n=40)
         mctd = mean_cross_track_distance(p, traj)
         bound = max(
-            min(math.hypot(q.x - w.x, q.y - w.y) for w in p.waypoints) for q in traj
+            min(math.hypot(x - w.x, y - w.y) for w in p.waypoints) for x, y in traj.tolist()
         )
         assert mctd <= bound + 1e-12
 
@@ -111,11 +110,11 @@ class TestBruteForceEquivalence:
         phi, tx, ty, scale = 0.9, 5.0, -2.0, 3.0
         c, s = math.cos(phi), math.sin(phi)
 
-        def move(q, k=1.0):
-            return Point2(k * (c * q.x - s * q.y) + tx, k * (s * q.x + c * q.y) + ty)
+        def move(x, y, k=1.0):
+            return k * (c * x - s * y) + tx, k * (s * x + c * y) + ty
 
-        p_rigid = Path(tuple(move(w) for w in p.waypoints), "r")
-        traj_rigid = [move(q) for q in traj]
+        p_rigid = Path(tuple(Point2(*move(w.x, w.y)) for w in p.waypoints), "r")
+        traj_rigid = np.array([move(x, y) for x, y in traj.tolist()])
         assert mean_waypoint_min_distance(p_rigid, traj_rigid) == pytest.approx(
             mean_waypoint_min_distance(p, traj), rel=1e-9
         )
@@ -123,8 +122,8 @@ class TestBruteForceEquivalence:
             mean_cross_track_distance(p, traj), rel=1e-9
         )
 
-        p_scaled = Path(tuple(move(w, scale) for w in p.waypoints), "s")
-        traj_scaled = [move(q, scale) for q in traj]
+        p_scaled = Path(tuple(Point2(*move(w.x, w.y, scale)) for w in p.waypoints), "s")
+        traj_scaled = np.array([move(x, y, scale) for x, y in traj.tolist()])
         assert mean_waypoint_min_distance(p_scaled, traj_scaled) == pytest.approx(
             scale * mean_waypoint_min_distance(p_rigid, traj_rigid), rel=1e-9
         )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
@@ -33,6 +33,16 @@ class ConstantPolicy:
 
     def command(self, observation, privileged: PrivilegedState) -> float:
         return self.delta
+
+
+class RandomPolicy:
+    """Finite yaw deltas from one seeded stream."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+
+    def command(self, observation, privileged: PrivilegedState) -> float:
+        return float(self.rng.uniform(-math.pi, math.pi))
 
 
 def cfg(**overrides):
@@ -73,39 +83,38 @@ class TestOracleRollout:
         p = Path((Point2(0, 0), Point2(6, 0)), "straight")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert log.termination == COMPLETED
-        assert all(abs(pose.position.y) < 1e-9 for pose in log.poses)
+        assert all(abs(y) < 1e-9 for y in log.poses[:, 1].tolist())
 
     def test_multi_waypoint_completes(self):
         p = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5), Point2(0, 5)), "U")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert log.termination == COMPLETED
-        assert log.target_indices[-1] == len(p.waypoints)
+        assert log.targets[-1] == len(p.waypoints)
 
     def test_step_length_invariant(self):
         p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
-        for a, b in zip(log.poses, log.poses[1:]):
-            d = math.hypot(b.position.x - a.position.x, b.position.y - a.position.y)
-            assert d == pytest.approx(0.2, abs=1e-9)
+        for (ax, ay, _), (bx, by, _) in zip(log.poses.tolist(), log.poses[1:].tolist()):
+            assert math.hypot(bx - ax, by - ay) == pytest.approx(0.2, abs=1e-9)
 
     def test_heading_motion_invariant(self):
         p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
-        for a, b in zip(log.poses, log.poses[1:]):
-            motion = math.atan2(b.position.y - a.position.y, b.position.x - a.position.x)
-            assert wrap_angle(motion - b.yaw) == pytest.approx(0.0, abs=1e-9)
+        for (ax, ay, _), (bx, by, b_yaw) in zip(log.poses.tolist(), log.poses[1:].tolist()):
+            assert wrap_angle(math.atan2(by - ay, bx - ax) - b_yaw) == pytest.approx(0.0, abs=1e-9)
 
     def test_yaw_command_consistency(self):
         p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert len(log.commands) == len(log.poses) - 1
-        for a, b, delta in zip(log.poses, log.poses[1:], log.commands):
-            assert b.yaw == pytest.approx(wrap_angle(a.yaw + delta), abs=1e-12)
+        yaws = log.poses[:, 2].tolist()
+        for a_yaw, b_yaw, delta in zip(yaws, yaws[1:], log.commands.tolist()):
+            assert b_yaw == pytest.approx(wrap_angle(a_yaw + delta), abs=1e-12)
 
     def test_monotone_target_progress(self):
         p = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
-        assert all(b >= a for a, b in zip(log.target_indices, log.target_indices[1:]))
+        assert all(b >= a for a, b in zip(log.targets.tolist(), log.targets[1:].tolist()))
 
 
 class TestConstantPolicy:
@@ -113,7 +122,7 @@ class TestConstantPolicy:
         p = Path((Point2(0, 0), Point2(6, 0)), "straight")
         log = rollout(ConstantPolicy(0.0), WORLD, p, cfg())
         assert log.termination == COMPLETED
-        ys = {round(pose.position.y, 12) for pose in log.poses}
+        ys = {round(y, 12) for y in log.poses[:, 1].tolist()}
         assert ys == {0.0}
 
     def test_zero_on_l_path_never_turns(self):
@@ -178,13 +187,52 @@ class TestTermination:
         tiny = generate_world(1, 5, 2, Rect(-1, -1, 1, 1))
         log = rollout(ConstantPolicy(0.0), tiny, p, cfg())
         assert log.termination == DIVERGED
-        assert log.poses[-1].position.x > 1.0
+        assert log.poses[-1, 0] > 1.0
 
     def test_start_on_final_waypoint(self):
         p = Path((Point2(0, 0), Point2(0.3, 0)), "tiny")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert log.termination == COMPLETED
-        assert log.commands == []
+        assert log.commands.shape == (0,)
+        assert log.poses.shape == (1, 3) and log.targets.tolist() == [2]
+
+
+class TestGuardBoundary:
+    GUARD = WORLD.bounds.inflated(0.1 * WORLD.bounds.width, 0.1 * WORLD.bounds.height)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        side=st.sampled_from(["xmin", "xmax", "ymin", "ymax"]),
+        inset=st.floats(0.0, 1.0),
+        along=st.floats(0.0, 1.0),
+        goal=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+        policy=st.one_of(st.floats(-4.0, 4.0).map(ConstantPolicy), st.integers(0, 2**32 - 1).map(RandomPolicy)),
+        max_steps=st.integers(0, 200),
+    )
+    def test_rollout_from_the_guard_edge(self, side, inset, along, goal, policy, max_steps):
+        """A start inside the guard, at most 1 m from its edge: every step has
+        the step length, targets never decrease, and a finite policy diverges
+        only by leaving the guard, on the last pose."""
+        g = self.GUARD
+        x = {"xmin": g.xmin + inset, "xmax": g.xmax - inset}.get(side, g.xmin + along * g.width)
+        y = {"ymin": g.ymin + inset, "ymax": g.ymax - inset}.get(side, g.ymin + along * g.height)
+        assume((x, y) != goal)
+        log = rollout(policy, WORLD, Path((Point2(x, y), Point2(*goal)), "edge"), cfg(), max_steps=max_steps)
+        n = len(log.poses)
+        assert 1 <= n <= max_steps + 1
+        assert log.poses.shape == (n, 3) and log.commands.shape == (n - 1,) and log.targets.shape == (n,)
+        steps = np.hypot(*np.diff(log.poses[:, :2], axis=0).T)
+        assert np.all(np.abs(steps - 0.2) <= 1e-9)
+        assert np.all(np.diff(log.targets) >= 0)
+        assert np.isfinite(log.commands).all()
+        assert all(g.contains(px, py) for px, py in log.poses[:-1, :2].tolist())
+        inside = g.contains(*log.poses[-1, :2].tolist())
+        if log.termination == DIVERGED:
+            assert not inside
+        elif log.termination == MAX_STEPS:
+            assert inside and n == max_steps + 1
+        else:
+            assert log.termination == COMPLETED and log.targets[-1] == 2
 
 
 class TestTrajectoryRoundTrip:
@@ -194,13 +242,10 @@ class TestTrajectoryRoundTrip:
         file = tmp_path / "traj.csv"
         save_trajectory(log, file)
         loaded = load_trajectory(file, path_id=log.path_id, termination=log.termination)
-        assert len(loaded.poses) == len(log.poses)
-        assert loaded.commands == log.commands
-        assert loaded.target_indices == log.target_indices
-        for a, b in zip(log.poses, loaded.poses):
-            assert a.position.x == b.position.x
-            assert a.position.y == b.position.y
-            assert a.yaw == b.yaw
+        # Bit for bit, with the same shapes and dtypes.
+        for key in ("poses", "commands", "targets"):
+            a, b = getattr(loaded, key), getattr(log, key)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), key
 
     def test_header_enforced(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -217,6 +262,19 @@ class TestTrajectoryRoundTrip:
             ("0,1.0,abc,0.5,,1\n", "row 2: could not convert"),
             ("0,1.0,2.0,0.5,,1.5\n", "row 2: invalid literal"),
             ("0,1.0,2.0,0.5,,1\xff\n", "can't decode byte 0xff"),
+            ("", "no poses"),
+            ("0,1.0,2.0,0.5,0.1,1\n", "row 2: the command must be empty on the first row and only there"),
+            ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,,1\n", "row 3: the command must be empty on the first row"),
+            ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,0.1,1\n7,1.4,2.0,0.5,0.1,1\n", "row 4: step 7, expected 2"),
+            ("1,1.0,2.0,0.5,,1\n", "row 2: step 1, expected 0"),
+            ("0,nan,2.0,0.5,,1\n", "row 2: non-finite"),
+            ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,inf,1\n", "row 3: non-finite position or command"),
+            ("0,1.0,2.0,nan,,1\n", "row 2: yaw nan outside"),
+            ("0,1.0,2.0,4.0,,1\n", r"row 2: yaw 4.0 outside \(-pi, pi\]"),
+            ("0,1.0,2.0,-3.141592653589793,,1\n", "row 2: yaw -3.141592653589793 outside"),
+            ("0,1.0,2.0,0.5,,99999999999999999999\n", "too large"),
+            ("0,1.0,2.0,0.5,,-1\n", "row 2: target_index -1 is negative"),
+            ("0,1.0,2.0,0.5,,3\n1,1.2,2.0,0.5,0.1,2\n", "row 3: target_index 2 is negative or below the row"),
         ],
     )
     def test_load_rejects_bad_rows(self, tmp_path, body, message):
@@ -245,4 +303,5 @@ class TestTrajectoryRoundTrip:
             assert str(exc).startswith(f"{file}: ")
         else:  # cut at a row end or inside a number, or a digit changed
             assert len(loaded.poses) <= len(log.poses)
-            assert len(loaded.target_indices) == len(loaded.poses)
+            assert len(loaded.targets) == len(loaded.poses)
+            assert len(loaded.commands) == len(loaded.poses) - 1

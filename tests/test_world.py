@@ -264,11 +264,15 @@ class TestWorldRoundTrip:
             (lambda doc: doc.update(seed=math.inf), "cannot convert float infinity"),
             # a corruption that returns text is written as it is
             (lambda doc: json.dumps(doc).replace('"seed": 13', '"seed": 1e999'), "cannot convert float infinity"),
+            (lambda doc: doc.update(seed=1.5), "seed 1.5 is not an integer"),
+            (lambda doc: doc.update(seed=True), "seed True is not an integer"),
+            (lambda doc: doc.update(seed="7"), "seed '7' is not an integer"),
         ],
         ids=[
             "no-landmarks", "non-unit-signature", "ragged-signatures", "scalar-signatures",
             "3d-positions", "inf-position", "empty-bounds", "inf-bound", "three-bounds",
             "no-bounds", "no-seed", "no-signature", "landmark-not-an-object", "infinite-seed", "seed-1e999",
+            "fractional-seed", "bool-seed", "string-seed",
         ],
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
