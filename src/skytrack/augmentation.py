@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import RunConfig
 from .geometry import Path, Point2, advance_target, bearing, default_max_steps, wrap_angle
 from .world import LandmarkWorld, render_observation
 
@@ -27,26 +28,6 @@ from .world import LandmarkWorld, render_observation
 TEST_SWEEP_BASE = 1_000_000
 
 STD_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class AugmentationConfig:
-    n_augmented: int = 16
-    pos_jitter: float = 1.0
-    yaw_jitter: float = 0.1
-    step: float = 0.2
-    capture_radius: float = 2.0
-    seed: int = 0
-    bins: int = 32
-    fov: float = math.pi / 2.0
-
-    def __post_init__(self) -> None:
-        if self.pos_jitter < 0 or self.yaw_jitter < 0:
-            raise ValueError("jitters must be >= 0")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if self.capture_radius < self.step:
-            raise ValueError("capture_radius must be >= step")
 
 
 @dataclass(frozen=True)
@@ -109,7 +90,7 @@ def sweep_rng(seed: int, path_id: str, sweep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, tag, sweep_index]))
 
 
-def walk_path(path: Path, config: AugmentationConfig) -> Walk:
+def walk_path(path: Path, config: RunConfig) -> Walk:
     """Step along the exact bearing to the current target waypoint until the
     last one is captured. Jitter moves only the poses a sweep renders and
     labels, never the walk, so every sweep of a path shares this one."""
@@ -134,7 +115,7 @@ def walk_path(path: Path, config: AugmentationConfig) -> Walk:
 
 
 def _render_sweep(
-    walk: Walk, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int, poses: np.ndarray
+    walk: Walk, config: RunConfig, world: LandmarkWorld, sweep_index: int, poses: np.ndarray
 ) -> Samples:
     """Render and label ``poses``, one per step of ``walk``."""
     wps = walk.path.waypoints
@@ -146,7 +127,7 @@ def _render_sweep(
     ]
     n = len(walk)
     return Samples(
-        features=render_observation(world, poses, config.bins, config.fov),
+        features=render_observation(world, poses, config.bins, math.radians(config.fov_deg)),
         targets=np.array(targets, dtype=float),
         path_id=np.full(n, walk.path.id),
         sweep_index=np.full(n, sweep_index, dtype=np.int64),
@@ -155,7 +136,7 @@ def _render_sweep(
 
 
 def sweep_optimal(
-    path: Path, config: AugmentationConfig, world: LandmarkWorld
+    path: Path, config: RunConfig, world: LandmarkWorld
 ) -> tuple[Walk, Samples]:
     """Walk the path and render sweep 0, the unperturbed demonstration along
     the optimal shortest directions."""
@@ -164,7 +145,7 @@ def sweep_optimal(
 
 
 def sweep_jittered(
-    walk: Walk, config: AugmentationConfig, world: LandmarkWorld, sweep_index: int
+    walk: Walk, config: RunConfig, world: LandmarkWorld, sweep_index: int
 ) -> Samples:
     """The walk with every pose perturbed; labels are recomputed at the
     perturbed pose so the sweep teaches corrective steering."""
@@ -177,7 +158,7 @@ def sweep_jittered(
 
 
 def training_samples(
-    path: Path, config: AugmentationConfig, world: LandmarkWorld, n_sweeps: int
+    path: Path, config: RunConfig, world: LandmarkWorld, n_sweeps: int
 ) -> tuple[Walk, Samples]:
     """Sweep 0 (unperturbed) then jittered sweeps 1..n_sweeps-1, each as long
     as the walk, so the first k * len(walk) rows are the first k sweeps."""
@@ -194,12 +175,10 @@ def training_samples(
 
 
 def build_dataset(
-    path: Path, config: AugmentationConfig, world: LandmarkWorld
+    path: Path, config: RunConfig, world: LandmarkWorld
 ) -> Dataset:
     """The n_augmented training sweeps, with normalization statistics fitted
     over all of their samples."""
-    if config.n_augmented < 1:
-        raise ValueError("n_augmented must be >= 1")
     return dataset_from_samples(training_samples(path, config, world, config.n_augmented)[1])
 
 

@@ -19,120 +19,22 @@ import json
 import math
 import os
 import pickle
-import re
 import select
 import signal
 import sys
 import zipfile
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path as FilePath
-from typing import get_type_hints
 
 import numpy as np
 
 from . import BLAS_THREADS, kernels, learner, metrics, simulator
 from . import augmentation as aug
+from .config import ConfigError, RunConfig, load_config
 from .geometry import Path, Point2, path_length, sum_angle_change, wrap_angle
 from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    out_dir: str = "runs/default"
-    # path synthesis
-    n_paths: int = 1
-    n_waypoints: int = 61
-    path_length: float = 150.0
-    sac_budget: float = 5.0
-    # world synthesis
-    world_margin: float = 10.0
-    n_landmarks: int = 200
-    signature_dim: int = 8
-    bins: int = 32
-    fov_deg: float = 90.0
-    # augmentation
-    n_augmented: int = 16
-    pos_jitter: float = 1.0
-    yaw_jitter: float = 0.1
-    step: float = 0.2
-    capture_radius: float = 2.0
-    # control
-    command_gain: float = 0.2
-    # training
-    lr0: float = 1e-4
-    batch_size: int = 64
-    epochs: int = 100
-    lr_halving_period: int = 25
-    projection_dim: int = 128
-    hidden_units: int = 512
-    # ablation
-    ablation_levels: tuple[int, ...] = (1, 4, 8, 16)
-    n_test_sweeps: int = 4
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse flat ``key = value`` lines over the documented defaults."""
-    types = get_type_hints(RunConfig)  # int, float, str or tuple[int, ...]
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            if types[key] == tuple[int, ...]:
-                values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            else:
-                values[key] = types[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return RunConfig(**values)
-
-
-def load_config(file: FilePath | str) -> RunConfig:
-    return parse_config(FilePath(file).read_text())
-
-
-def validate_config(config: RunConfig) -> None:
-    """Reject out-of-range values, naming the key, before a command does any
-    work. Comparisons are written so that NaN fails them."""
-
-    def check(key: str, ok: bool, rule: str) -> None:
-        if not ok:
-            raise ConfigError(f"{key} = {getattr(config, key)!r} is out of range: {rule}")
-
-    for key, value in vars(config).items():
-        if isinstance(value, float):
-            check(key, math.isfinite(value), "must be finite")
-    for key in (
-        "n_paths", "n_landmarks", "signature_dim", "bins", "n_augmented", "batch_size",
-        "epochs", "lr_halving_period", "projection_dim", "hidden_units", "n_test_sweeps",
-    ):
-        check(key, getattr(config, key) >= 1, "must be >= 1")
-    check("n_waypoints", config.n_waypoints >= 2, "must be >= 2")
-    for key in ("path_length", "lr0"):
-        check(key, getattr(config, key) > 0, "must be > 0")
-    for key in ("seed", "sac_budget", "world_margin", "pos_jitter", "yaw_jitter"):
-        check(key, getattr(config, key) >= 0, "must be >= 0")
-    # generate_route's turn per interior waypoint, which must stay below pi
-    turns = config.n_waypoints - 2
-    check("sac_budget", turns < 1 or config.sac_budget / turns < math.pi, "must be < pi * (n_waypoints - 2)")
-    check("fov_deg", 0 < config.fov_deg <= 360, "must be in (0, 360]")
-    check("command_gain", 0 < config.command_gain <= 1, "must be in (0, 1]")
-    check("step", 0 < config.step <= config.capture_radius, "must be in (0, capture_radius]")
-    levels = config.ablation_levels
-    check("ablation_levels", bool(levels) and min(levels) >= 1, "must list one or more levels, each >= 1")
-
 
 def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
     lines = []
@@ -140,20 +42,7 @@ def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
-    (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n")
-
-
-def augmentation_config(config: RunConfig) -> aug.AugmentationConfig:
-    return aug.AugmentationConfig(
-        n_augmented=config.n_augmented,
-        pos_jitter=config.pos_jitter,
-        yaw_jitter=config.yaw_jitter,
-        step=config.step,
-        capture_radius=config.capture_radius,
-        seed=config.seed,
-        bins=config.bins,
-        fov=math.radians(config.fov_deg),
-    )
+    (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def train_config(config: RunConfig) -> learner.TrainConfig:
@@ -374,12 +263,6 @@ def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath |
 # ---------------------------------------------------------------------------
 # commands
 
-def _path_files(out_dir: FilePath) -> list[FilePath]:
-    # Only the routes `gen` writes; `path_00_trajectory.csv` and the other
-    # per-path artifacts share the prefix.
-    return sorted(f for f in out_dir.glob("path_*.csv") if re.fullmatch(r"path_\d+\.csv", f.name))
-
-
 def cmd_gen(config: RunConfig) -> int:
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,14 +284,13 @@ def cmd_gen(config: RunConfig) -> int:
 
 
 def _load_scenario(config: RunConfig) -> tuple[LandmarkWorld, list[Path]]:
+    """The world and the routes path_00 .. path_{n_paths-1} that 'gen' wrote."""
     out_dir = FilePath(config.out_dir)
-    world_file = out_dir / "world.json"
-    if not world_file.exists():
-        raise FileNotFoundError(f"{world_file} missing; run 'gen' first")
-    routes = [load_path(f) for f in _path_files(out_dir)]
-    if not routes:
-        raise FileNotFoundError(f"no path_*.csv files in {out_dir}; run 'gen' first")
-    return load_world(world_file), routes
+    files = [out_dir / "world.json"] + [out_dir / f"path_{i:02d}.csv" for i in range(config.n_paths)]
+    for file in files:
+        if not file.exists():
+            raise FileNotFoundError(f"{file} missing; run 'gen' first")
+    return load_world(files[0]), [load_path(f) for f in files[1:]]
 
 
 def _train_fly_score(
@@ -428,7 +310,7 @@ def _train_fly_score(
         hidden=config.hidden_units,
     )
     policy = simulator.ModelPolicy(model, gain=config.command_gain)
-    log = simulator.rollout(policy, world, route, augmentation_config(config))
+    log = simulator.rollout(policy, world, route, config)
     return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)
 
 
@@ -438,7 +320,7 @@ def run_path_pipeline(
     """Dataset -> train -> closed-loop rollout -> metrics, with all artifacts
     written under out_dir. One model per path; no joint training. Returns
     the report and the number of training samples."""
-    dataset = aug.build_dataset(route, augmentation_config(config), world)
+    dataset = aug.build_dataset(route, config, world)
     save_dataset(dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json")
     n_samples = len(dataset.samples)
     model, log, report = _train_fly_score(config, world, route, dataset)
@@ -547,10 +429,9 @@ def run_ablation(
     sends back only its row: the largest k first, at most
     ``ablation_workers`` children at a time. The first failing level kills
     and reaps the other children and raises."""
-    acfg = augmentation_config(config)
-    walk, samples = aug.training_samples(route, acfg, world, max(levels))
+    walk, samples = aug.training_samples(route, config, world, max(levels))
     tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + config.n_test_sweeps)
-    test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, acfg, world, i) for i in tests])
+    test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, config, world, i) for i in tests])
 
     kernels.load()  # built once here; the forked workers inherit it
     pending = sorted(set(levels), reverse=True)
@@ -619,7 +500,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.out_dir:
             config = replace(config, out_dir=args.out_dir)
-        validate_config(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

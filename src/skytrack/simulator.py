@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import learner
+from .config import RunConfig
 from .geometry import (
     Path,
     Point2,
@@ -78,16 +79,15 @@ class TrajectoryLog:
 
 
 def rollout(
-    policy, world: LandmarkWorld, path: Path, config, max_steps: int | None = None
+    policy, world: LandmarkWorld, path: Path, config: RunConfig, max_steps: int | None = None
 ) -> TrajectoryLog:
     """Run one closed-loop episode from the head of the path.
 
-    config provides step, capture_radius, bins, and fov (see AugmentationConfig).
     Terminates on final-waypoint capture, step budget exhaustion, a non-finite
     command, or leaving the world bounds by more than a 10% margin.
     """
     wps = path.waypoints
-    step = config.step
+    step, fov = config.step, math.radians(config.fov_deg)
     if max_steps is None:
         max_steps = default_max_steps(path, step)
     guard = world.bounds.inflated(0.1 * world.bounds.width, 0.1 * world.bounds.height)
@@ -101,7 +101,7 @@ def rollout(
     poses[0], targets[0] = (x, y, yaw), target
     n, termination = 1, MAX_STEPS if target < len(wps) else COMPLETED
     while termination == MAX_STEPS and n <= max_steps:
-        obs = render_observation(world, poses[n - 1 : n], config.bins, config.fov)[0]
+        obs = render_observation(world, poses[n - 1 : n], config.bins, fov)[0]
         delta = policy.command(obs, PrivilegedState(Pose(Point2(x, y), yaw), wps[target]))
         if not math.isfinite(delta):
             termination = DIVERGED

@@ -33,6 +33,7 @@ import pytest
 
 from skytrack import augmentation as aug
 from skytrack import cli, learner
+from skytrack.config import RunConfig
 from skytrack.geometry import (
     Path,
     Point2,
@@ -63,7 +64,7 @@ def ablation_study():
     per_seed = {}
     lengths = {}
     for seed in SEEDS:
-        config = replace(cli.RunConfig(), seed=seed)
+        config = replace(RunConfig(), seed=seed)
         route = cli.generate_route(seed, "path_00", config.n_waypoints, config.path_length, config.sac_budget)
         world = generate_world(
             seed,
@@ -115,7 +116,7 @@ def test_criterion_2_closed_loop_recovery(ablation_study, capsys):
 
 def test_criterion_3_oracle_tracking(capsys):
     start = time.monotonic()
-    cfg = aug.AugmentationConfig(n_augmented=1, capture_radius=0.4, seed=0)
+    cfg = RunConfig(n_augmented=1, capture_radius=0.4, seed=0)
     worst_mctd, worst_mwmd = 0.0, 0.0
     for i in range(20):
         route = cli.generate_route(100 + i, f"oracle_{i:02d}", 21, 40.0, 2.0)
@@ -288,7 +289,7 @@ def test_criterion_8_property_suite(capsys):
 
     # jitter bounds: every perturbation drawn for a sweep stays inside the
     # configured box
-    cfg = aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0)
+    cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0)
     for sweep in range(1, 6):
         stream = aug.sweep_rng(cfg.seed, "p", sweep)
         for _ in range(200):

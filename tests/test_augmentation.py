@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
 from skytrack.cli import generate_route
+from skytrack.config import RunConfig
 from skytrack.geometry import Path, Point2, Pose, advance_target, bearing, target_yaw_delta, wrap_angle
 from skytrack.world import Rect, generate_world
 
@@ -22,17 +23,17 @@ def straight_path(length=2.0):
 def config(**overrides):
     defaults = dict(n_augmented=2, capture_radius=0.4, seed=0)
     defaults.update(overrides)
-    return aug.AugmentationConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class TestConfigValidation:
     def test_capture_radius_below_step(self):
         with pytest.raises(ValueError):
-            aug.AugmentationConfig(capture_radius=0.1, step=0.2)
+            RunConfig(capture_radius=0.1, step=0.2)
 
     def test_negative_jitter(self):
         with pytest.raises(ValueError):
-            aug.AugmentationConfig(pos_jitter=-1.0)
+            RunConfig(pos_jitter=-1.0)
 
 
 class TestSweepOptimal:

@@ -24,6 +24,7 @@ import skytrack
 from conftest import children
 from skytrack import augmentation as aug
 from skytrack import cli, learner
+from skytrack.config import ConfigError, RunConfig, load_config, parse_config
 from skytrack.geometry import Path, Point2, path_length, sum_angle_change
 from skytrack.world import generate_world, Rect
 
@@ -52,37 +53,37 @@ def group_alive(pgid: int) -> bool:
 
 class TestParseConfig:
     def test_defaults_returned_on_empty(self):
-        config = cli.parse_config("")
-        assert config == cli.RunConfig()
+        config = parse_config("")
+        assert config == RunConfig()
 
     def test_overrides_and_comments(self):
         text = "seed = 9  # comment\n\nn_landmarks = 17\nout_dir = runs/x\n"
-        config = cli.parse_config(text)
+        config = parse_config(text)
         assert config.seed == 9
         assert config.n_landmarks == 17
         assert config.out_dir == "runs/x"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(cli.ConfigError, match="unknown key"):
-            cli.parse_config("bogus = 1\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("bogus = 1\n")
 
     def test_malformed_line(self):
-        with pytest.raises(cli.ConfigError, match="line 1"):
-            cli.parse_config("just words\n")
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config("just words\n")
 
     def test_bad_value(self):
-        with pytest.raises(cli.ConfigError, match="bad value"):
-            cli.parse_config("seed = banana\n")
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config("seed = banana\n")
 
     def test_list_value(self):
-        config = cli.parse_config("ablation_levels = 1,2,4\n")
+        config = parse_config("ablation_levels = 1,2,4\n")
         assert config.ablation_levels == (1, 2, 4)
 
     def test_resolved_copy_reparses_identically(self, tmp_path):
-        config = cli.parse_config("seed = 3\nfov_deg = 45.0\n")
+        config = parse_config("seed = 3\nfov_deg = 45.0\n")
         cli.write_resolved_config(config, tmp_path)
         text = (tmp_path / "config.resolved.txt").read_text()
-        assert cli.parse_config(text) == config
+        assert parse_config(text) == config
 
     def test_resolved_config_bytes(self, tmp_path):
         # Every key in order, floats in Python's shortest repr, the levels as
@@ -141,7 +142,7 @@ class TestGenerateRoute:
         assert sum_angle_change(route) == pytest.approx(0.0)
 
     def test_budget_too_large(self):
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(ConfigError):
             cli.generate_route(0, "p", 3, 10.0, 4.0)
 
 
@@ -195,7 +196,7 @@ class TestDatasetRoundTrip:
     def test_npz_and_sidecar(self, tmp_path):
         world = generate_world(0, 30, 4, Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(6, 0)), "p")
-        cfg = aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0)
+        cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0)
         ds = aug.build_dataset(route, cfg, world)
         data_file = tmp_path / "d"  # no suffix: the file must keep the given name
         sidecar = tmp_path / "d.json"
@@ -298,7 +299,7 @@ class TestDatasetRoundTrip:
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
         world = generate_world(0, 30, 4, Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(6, 0)), "p")
-        ds = aug.build_dataset(route, aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
+        ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
         cli.save_dataset(ds, data_file, sidecar)
         getattr(self, corrupt)(data_file, sidecar)
@@ -311,7 +312,7 @@ class TestDatasetRoundTrip:
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
         world = generate_world(0, 10, 2, Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(2, 0)), "p")
-        cfg = aug.AugmentationConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
+        cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
         cli.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar)
         file = data.draw(st.sampled_from([data_file, sidecar]), label="file")
@@ -337,7 +338,7 @@ class TestSvgEmission:
         world = generate_world(0, 20, 4, cli.routes_bounding_box([route], 5.0))
         from skytrack.simulator import OraclePolicy, rollout
 
-        cfg = aug.AugmentationConfig(n_augmented=1, capture_radius=0.4, seed=0)
+        cfg = RunConfig(n_augmented=1, capture_radius=0.4, seed=0)
         log = rollout(OraclePolicy(), world, route, cfg)
         file = tmp_path / "overlay.svg"
         cli.emit_overlay_svg(route, log, file)
@@ -416,7 +417,24 @@ class TestCommands:
             assert cli.main(["ablation", "--config", str(cfg)]) == 0
             outputs.append([(run / name).read_bytes() for name in ("path_00_model.json", "ablation.csv")])
         assert outputs[0] == outputs[1]
-        assert cli._path_files(run) == [run / "path_00.csv"]
+        assert [route.id for route in cli._load_scenario(load_config(cfg))[1]] == ["path_00"]
+
+    def test_pipeline_flies_only_the_configured_routes(self, tmp_path):
+        # A later gen with fewer paths leaves the earlier path_01.csv and
+        # path_02.csv behind, over another world; they are not this run's.
+        run = tmp_path / "run"
+        assert cli.main(["gen", "--config", str(small_config(tmp_path, n_paths=3))]) == 0
+        cfg = small_config(tmp_path, n_paths=1, seed=7)
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+        assert [record["path_id"] for record in json.loads((run / "manifest.json").read_text())] == ["path_00"]
+        assert not (run / "path_01_model.json").exists()
+
+    def test_missing_route_file_exits_2_naming_it(self, tmp_path, capsys):
+        assert cli.main(["gen", "--config", str(small_config(tmp_path))]) == 0
+        for command in ("pipeline", "ablation"):
+            assert cli.main([command, "--config", str(small_config(tmp_path, n_paths=2))]) == 2
+            assert f"{tmp_path / 'run' / 'path_01.csv'} missing; run 'gen' first" in capsys.readouterr().err
 
     def test_manifest_sample_counts(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -445,7 +463,7 @@ class TestCommands:
         # level workers, so each one saves its dataset where this process can
         # read it back.
         levels = [2, 1, 3]
-        config = cli.load_config(small_config(tmp_path, ablation_levels="2,1,3"))
+        config = load_config(small_config(tmp_path, ablation_levels="2,1,3"))
         assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
         world, routes = cli._load_scenario(config)
         trained_dir = tmp_path / "trained"
@@ -482,7 +500,7 @@ class TestCommands:
         assert len(list(trained_dir.iterdir())) == len(levels)
         assert sorted(trained) == sorted(levels)
         for k, dataset in trained.items():
-            expected = aug.build_dataset(routes[0], replace(cli.augmentation_config(config), n_augmented=k), world)
+            expected = aug.build_dataset(routes[0], replace(config, n_augmented=k), world)
             for key in cli.DATASET_ARRAYS:
                 assert getattr(dataset.samples, key).tobytes() == getattr(expected.samples, key).tobytes(), key
             assert dataset.feature_mean.tobytes() == expected.feature_mean.tobytes()
@@ -493,7 +511,7 @@ class TestCommands:
         # failure must surface, and the level 3 worker must be killed and
         # reaped rather than waited for.
         cfg = small_config(tmp_path, ablation_levels="1,2,3")
-        config = cli.load_config(cfg)
+        config = load_config(cfg)
         assert cli.main(["gen", "--config", str(cfg)]) == 0
         world, routes = cli._load_scenario(config)
 
@@ -517,7 +535,7 @@ class TestCommands:
 
     def test_ablation_worker_death_is_reported(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path)
-        config = cli.load_config(cfg)
+        config = load_config(cfg)
         assert cli.main(["gen", "--config", str(cfg)]) == 0
         world, routes = cli._load_scenario(config)
         monkeypatch.setattr(learner, "train", lambda *args, **kwargs: os._exit(3))
@@ -610,6 +628,33 @@ class TestCommands:
             assert f"config error: {key} = " in capsys.readouterr().err
         assert sorted(run.iterdir()) == before
         assert not list(run.glob("*_dataset.npz"))
+
+    @pytest.mark.parametrize(
+        "out_dir",
+        ["o#1", "o\n1", "o\r1", "o\x0b1", "o\x1c1", "o\x851", "o\u20281", " o", "o ", "o\t"],
+        ids=["hash", "lf", "cr", "vt", "fs", "nel", "line-separator", "leading-space", "trailing-space", "trailing-tab"],
+    )
+    def test_out_dir_the_resolved_config_cannot_carry_exits_1(self, tmp_path, monkeypatch, capsys, out_dir):
+        # '#' starts a comment, a line break ends the line, and the value is stripped.
+        cfg = small_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for command in ("gen", "pipeline", "ablation"):
+            assert cli.main([command, "--config", str(cfg), "--out-dir", out_dir]) == 1
+            assert "config error: out_dir = " in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.txt"]
+
+    def test_config_that_is_not_utf8_exits_1_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"seed = 1\n\xff\xfe\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        for command in ("gen", "pipeline", "ablation"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "skytrack.cli", command, "--config", str(bad)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr.startswith(f"config error: {bad}: 'utf-8' codec can't decode")
+            assert "Traceback" not in proc.stderr
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

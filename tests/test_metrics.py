@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_samples
-from skytrack import augmentation as aug
+from skytrack.config import RunConfig
 from skytrack.geometry import Path, Point2, point_segment_distance
 from skytrack.learner import init_model
 from skytrack.metrics import (
@@ -164,7 +164,7 @@ class TestEvaluate:
 
     def test_oracle_straight_path(self):
         p = Path((Point2(0, 0), Point2(8, 0)), "straight")
-        cfg = aug.AugmentationConfig(capture_radius=0.4, seed=0)
+        cfg = RunConfig(capture_radius=0.4, seed=0)
         log = rollout(OraclePolicy(), self.WORLD, p, cfg)
         report = evaluate(p, log)
         assert report.termination == "completed"

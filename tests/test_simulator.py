@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from skytrack import augmentation as aug
+from skytrack.config import RunConfig
 from skytrack.geometry import Path, Point2, Pose, advance_target, default_max_steps, wrap_angle
 from skytrack.simulator import (
     COMPLETED,
@@ -48,7 +48,7 @@ class RandomPolicy:
 def cfg(**overrides):
     defaults = dict(n_augmented=1, capture_radius=0.4, seed=0)
     defaults.update(overrides)
-    return aug.AugmentationConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class TestAdvanceTarget:
