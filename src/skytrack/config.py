@@ -5,6 +5,7 @@ so every one that exists is valid, a library caller's included."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -64,27 +65,30 @@ class RunConfig:
             "epochs", "lr_halving_period", "projection_dim", "hidden_units", "n_test_sweeps",
         ):
             check(key, getattr(self, key) >= 1, "must be >= 1")
-        check("n_waypoints", self.n_waypoints >= 2, "must be >= 2")
+        # generate_route divides path_length by the segment count as a float.
+        check("n_waypoints", 2 <= self.n_waypoints <= sys.float_info.max, "must be >= 2 and fit in a float")
         for key in ("path_length", "lr0"):
             check(key, getattr(self, key) > 0, "must be > 0")
         for key in ("seed", "sac_budget", "world_margin", "pos_jitter", "yaw_jitter"):
             check(key, getattr(self, key) >= 0, "must be >= 0")
         # generate_route's turn per interior waypoint, which must stay below
-        # pi. With more turns than radians of budget each turn is below 1 rad;
-        # that test comes first, as the division overflows past 1e308 turns.
+        # pi; the turn count fits in a float, as checked above.
         turns = self.n_waypoints - 2
-        ok = turns < 1 or turns > self.sac_budget or self.sac_budget / turns < math.pi
+        ok = turns < 1 or self.sac_budget / turns < math.pi
         check("sac_budget", ok, "must be < pi * (n_waypoints - 2)")
         check("fov_deg", 0 < self.fov_deg <= 360, "must be in (0, 360]")
         check("command_gain", 0 < self.command_gain <= 1, "must be in (0, 1]")
         check("step", 0 < self.step <= self.capture_radius, "must be in (0, capture_radius]")
         levels = self.ablation_levels
         check("ablation_levels", bool(levels) and min(levels) >= 1, "must list one or more levels, each >= 1")
-        # config.resolved.txt must read back as written: '#' starts a
-        # comment, a line break ends the line and the value is stripped.
+        # config.resolved.txt must read back as written: it is UTF-8 text
+        # (which cannot hold a lone surrogate, as os.fsdecode makes of a byte
+        # that is not UTF-8), '#' starts a comment, a line break ends the line
+        # and the value is stripped.
         out_dir = self.out_dir
-        ok = "#" not in out_dir and len(out_dir.splitlines()) <= 1 and out_dir == out_dir.strip()
-        check("out_dir", ok, "must hold no '#' or line break, nor start or end with whitespace")
+        ok = out_dir.encode("utf-8", "replace").decode("utf-8") == out_dir
+        ok = ok and "#" not in out_dir and len(out_dir.splitlines()) <= 1 and out_dir == out_dir.strip()
+        check("out_dir", ok, "must be UTF-8 text with no '#' or line break, nor start or end with whitespace")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -1,34 +1,51 @@
-"""The two loops of the training step that C runs faster than NumPy (the
-rectifier's backward and Adam), compiled from ``_kernels.c`` with the system
-C compiler the first time ``load`` is called, with NumPy twins as the
-fallback and the reference. The rest of the step is NumPy code in
-``learner``.
+"""The training step in two sets that give the same bits: C and NumPy.
+
+The C set (``_kernels.c``) runs one whole epoch of ``learner.train`` per
+call: row gather, forward GEMM, bias and rectifier, head, loss, backward,
+finite check and Adam. It sends every product to the BLAS routine that
+numpy's matmul picks for it, with the same arguments, in the OpenBLAS that
+numpy itself loaded (``BLAS``, looked up once per process). The NumPy set
+runs the same epoch as a Python loop of NumPy steps. It is the reference,
+and the C set leaves to it what numpy sends elsewhere than dgemm or dgemv:
+a one-row batch, or a head under 2 units wide or deep.
 
 Both sets do the same IEEE double operations in the same order, and every
 one of them, divide and sqrt included, is correctly rounded, so with FMA
 contraction off (and no ``-ffast-math``) they give the same bits. Only where
 two different NaNs meet in one add or multiply may the two sets return
-different NaNs. The build writes into a private
-temporary directory that is removed once the library is loaded; nothing is
-cached on disk. If the compiler is missing or the build fails, ``load``
-returns the NumPy twins without a word.
+different NaNs.
+
+``start_build`` starts the system C compiler in the background, in its own
+process group, writing into a private temporary directory; ``load`` waits
+for it, loads the library and removes the directory, and ``stop_build``
+kills a build that ``load`` never took. Nothing is cached on disk. If the
+compiler is missing, the build fails or numpy's OpenBLAS lacks a ``BLAS``
+symbol, ``load`` returns the NumPy set without a word.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import os
+import signal
 import tempfile
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    import subprocess
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 COMPILER = "cc"
 # -fno-math-errno drops only the errno write of sqrt on a negative argument,
 # which lets the compiler use the SIMD square root; the result is unchanged.
 FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+# numpy's CBLAS with 64-bit integers, as its wheels' scipy-openblas exports it.
+BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
 
 
 class Kernels(NamedTuple):
@@ -38,11 +55,27 @@ class Kernels(NamedTuple):
       ``gb1 = a.sum(axis=0)``.
     - ``adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c)``: the in-place
       update of ``learner.adam_step`` for one parameter array.
+    - ``train_epoch(z, y, order, theta, state, hidden, batch_size, lr)``:
+      the Adam steps of one epoch over the rows ``order`` (int64) of the
+      projected features ``z`` and targets ``y``, in batches of
+      ``batch_size``, on the flat parameters ``theta`` (see ``split``) and
+      the moments and step count of ``state`` (a ``learner.AdamState``).
+      Returns the sum of each batch's loss times its rows. A non-finite
+      gradient raises ``RuntimeError("diverged ...")`` before its step
+      changes anything.
     """
 
     name: str
     relu_backward: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
     adam: Callable[..., None]
+    train_epoch: Callable[..., float]
+
+
+def split(theta: np.ndarray, hidden: int, width: int) -> list[np.ndarray]:
+    """w1 (hidden, width), b1, w2 and b2 (one element) as views of one flat
+    vector, in that order."""
+    w1, b1, w2, b2 = np.split(theta, np.cumsum([hidden * width, hidden, hidden]))
+    return [w1.reshape(hidden, width), b1, w2, b2]
 
 
 def _relu_backward(a: np.ndarray, g: np.ndarray, w2: np.ndarray, gb1: np.ndarray) -> None:
@@ -61,7 +94,49 @@ def _adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c) -> None:
     p -= (m / b1c) * lr / (np.sqrt(v / b2c) + eps)
 
 
-NUMPY = Kernels("numpy", _relu_backward, _adam)
+def head_gradient(z, y, w1, b1, w2, b2, grads, relu_backward=_relu_backward) -> float:
+    """The head's mean squared error on the projected rows ``z`` (at least
+    one) against ``y``, and its gradient, written into ``grads``: arrays
+    shaped like ``w1``, ``b1``, ``w2`` and ``b2`` (one element)."""
+    a = z @ w1.T
+    a += b1
+    h = np.maximum(a, 0.0)
+    err = h @ w2 + b2 - y
+    loss = float(np.mean(err**2))
+    g = (2.0 / z.shape[0]) * err
+    gw1, gb1, gw2, gb2 = grads
+    np.matmul(h.T, g, out=gw2)
+    gb2[0] = g.sum()
+    relu_backward(a, g, w2, gb1)  # a holds da from here on
+    np.matmul(a.T, z, out=gw1)
+    return loss
+
+
+def adam_update(adam, p: np.ndarray, g: np.ndarray, state, lr: float) -> None:
+    """One Adam step of ``p`` by the kernel ``adam``, with the moments and
+    step count of ``state``; a non-finite ``g`` raises before anything
+    moves."""
+    if not np.isfinite(g).all():
+        raise RuntimeError("diverged: non-finite gradient")
+    state.t += 1
+    b1c = 1.0 - state.beta1**state.t
+    b2c = 1.0 - state.beta2**state.t
+    adam(p, g, state.m, state.v, lr, state.beta1, state.beta2, state.eps, b1c, b2c)
+
+
+def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> float:
+    w1, b1, w2, b2 = split(theta, hidden, z.shape[1])
+    grad = np.empty_like(theta)
+    grads = split(grad, hidden, z.shape[1])
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        loss = head_gradient(z[idx], y[idx], w1, b1, w2, b2, grads)
+        adam_update(_adam, theta, grad, state, lr)
+        sse += loss * idx.shape[0]
+    return sse
+
+
+NUMPY = Kernels("numpy", _relu_backward, _adam, _numpy_epoch)
 
 
 def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
@@ -96,14 +171,25 @@ def _matrix_shape(a: np.ndarray) -> tuple[int, int]:
     return a.shape
 
 
-def _bind(lib: ctypes.CDLL) -> Kernels:
+def _blas() -> list[int]:
+    """The addresses of the ``BLAS`` routines in the OpenBLAS that numpy
+    calls: a symbol lookup on numpy's core extension searches the libraries
+    that extension links. Raises AttributeError if one is missing."""
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS]
+
+
+def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Kernels:
     ptr, size, f64 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    for name, argtypes in (
-        ("relu_backward", [ptr, ptr, ptr, ptr, size, size]),
-        ("adam", [ptr, ptr, ptr, ptr, size] + [f64] * 6),
+    for name, restype, argtypes in (
+        ("relu_backward", None, [ptr, ptr, ptr, ptr, size, size]),
+        ("adam", None, [ptr, ptr, ptr, ptr, size] + [f64] * 6),
+        ("train_epoch", size, [ptr] * 3 + [size] * 4 + [ptr] * 3 + [size] + [f64] * 4 + [ptr] * 3),
     ):
         fn = getattr(lib, name)
-        fn.restype, fn.argtypes = None, argtypes
+        fn.restype, fn.argtypes = restype, argtypes
 
     def relu_backward(a, g, w2, gb1):
         n, width = _matrix_shape(a)
@@ -113,31 +199,117 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
         n = getattr(p, "size", -1)
         lib.adam(*_pointers((p, n), (g, n), (m, n), (v, n)), n, lr, beta1, beta2, eps, b1c, b2c)
 
-    return Kernels("c", relu_backward, adam)
+    def train_epoch(z, y, order, theta, state, hidden, batch_size, lr):
+        rows, width = _matrix_shape(z)
+        n = len(order)
+        if not (order.dtype == np.int64 and order.ndim == 1 and order.flags.c_contiguous):
+            raise ValueError("expected C-contiguous int64 row indices")
+        if n and not (0 <= order.min() and order.max() < rows):
+            raise ValueError(f"row indices outside 0..{rows - 1}")
+        # The C loop takes the batches of 2 or more rows of a head at least 2
+        # wide and deep, whose products numpy sends to dgemm or dgemv; the
+        # NumPy step takes the rest: a 1-row last batch, or the whole epoch.
+        done = 0 if min(batch_size, hidden, width) < 2 else n - (n % batch_size == 1)
+        params = hidden * width + 2 * hidden + 1
+        pointers = _pointers((z, rows * width), (y, rows), (theta, params), (state.m, params), (state.v, params))
+        sse = ctypes.c_double(0.0)
+        steps = lib.train_epoch(
+            *pointers[:2], order.ctypes.data, done, width, hidden, batch_size, *pointers[2:], state.t,
+            lr, state.beta1, state.beta2, state.eps, dgemm, dgemv, ctypes.byref(sse),
+        )
+        if steps < 0:
+            raise MemoryError("train_epoch: out of memory")
+        state.t += steps
+        if steps < -(-done // batch_size):
+            raise RuntimeError("diverged: non-finite gradient")
+        return _numpy_epoch(z, y, order[done:], theta, state, hidden, batch_size, lr, sse.value)
+
+    return Kernels("c", relu_backward, adam, train_epoch)
+
+
+class _Build(NamedTuple):
+    process: subprocess.Popen | None  # None if the compiler did not start
+    directory: tempfile.TemporaryDirectory
+
+
+def _start(compiler: str, opt: str = "-O2") -> _Build:
+    import subprocess  # here, not at the top: `gen` imports this module and never builds
+
+    directory = tempfile.TemporaryDirectory(prefix="skytrack-kernels-")
+    lib_file = Path(directory.name) / "_kernels.so"
+    try:
+        process = subprocess.Popen(
+            [compiler, opt, *FLAGS, "-o", str(lib_file), str(SOURCE), "-lm"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its own process group, so _reap reaches cc's children too
+        )
+    except OSError:
+        process = None
+    return _Build(process, directory)
+
+
+def _reap(build: _Build) -> None:
+    """Kill the build's process group if the compiler still runs, wait for
+    it, and remove the build directory."""
+    if build.process is not None and build.process.poll() is None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(build.process.pid, signal.SIGKILL)
+        build.process.wait()
+    build.directory.cleanup()
+
+
+def _finish(build: _Build) -> Kernels | None:
+    """Wait for the build and load it; None if the compiler is missing, the
+    build fails or numpy's OpenBLAS lacks a ``BLAS`` symbol."""
+    import subprocess
+
+    try:
+        blas = _blas()
+        if build.process is None or build.process.wait(timeout=120) != 0:
+            return None
+        lib = ctypes.CDLL(str(Path(build.directory.name) / "_kernels.so"))
+    except (AttributeError, ImportError, OSError, subprocess.TimeoutExpired):
+        return None
+    finally:
+        _reap(build)
+    return _bind(lib, *blas)
 
 
 def compile_kernels(compiler: str, opt: str = "-O2") -> Kernels | None:
     """Build ``_kernels.c`` with ``compiler`` at optimization level ``opt``
-    and load it; None if the compiler is missing or the build fails."""
-    import subprocess  # here, not at the top: `gen` imports this module and never builds
+    and load it; None if the C set cannot be had (see ``_finish``)."""
+    return _finish(_start(compiler, opt))
 
-    with tempfile.TemporaryDirectory(prefix="skytrack-kernels-") as tmp:
-        lib_file = Path(tmp) / "_kernels.so"
-        try:
-            subprocess.run(
-                [compiler, opt, *FLAGS, "-o", str(lib_file), str(SOURCE), "-lm"],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            lib = ctypes.CDLL(str(lib_file))
-        except (OSError, subprocess.SubprocessError):
-            return None
-    return _bind(lib)
+
+_build: _Build | None = None  # started by start_build, taken by load
+_loaded = False
+
+
+def start_build() -> None:
+    """Start building the C set in the background, so that the compiler
+    runs while the caller does other work; ``load`` waits for it. Once per
+    process: a no-op after ``load`` or while a build runs."""
+    global _build
+    if _build is None and not _loaded:
+        _build = _start(COMPILER)
+
+
+def stop_build() -> None:
+    """Kill and reap a build that ``load`` has not taken, and remove its
+    directory; every process that calls ``start_build`` calls this before it
+    exits."""
+    global _build
+    if _build is not None:
+        _reap(_build)
+        _build = None
 
 
 @functools.cache
 def load() -> Kernels:
-    """The C kernels, built once per process on the first call; the NumPy
-    twins if they cannot be built. A forked child inherits the loaded set."""
-    return compile_kernels(COMPILER) or NUMPY
+    """The C set, built once per process on the first call (or taken from
+    ``start_build``); the NumPy set if it cannot be had. A forked child
+    inherits the loaded set."""
+    global _build, _loaded
+    build, _build, _loaded = _build or _start(COMPILER), None, True
+    return _finish(build) or NUMPY

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,49 +102,13 @@ def predict_raw(model: RegressorModel, x: np.ndarray) -> np.ndarray:
     return h @ model.w2 + model.b2
 
 
-def _views(flat: np.ndarray, hidden: int, width: int) -> dict[str, np.ndarray]:
-    """w1 (hidden, width), b1, w2 and b2 as views of one flat vector, in
-    that order."""
-    w1, b1, w2, b2 = np.split(flat, np.cumsum([hidden * width, hidden, hidden]))
-    return {"w1": w1.reshape(hidden, width), "b1": b1, "w2": w2, "b2": b2}
-
-
-class _StepBuffers(NamedTuple):
-    """What one training step writes, for batches of up to ``a.shape[0]`` rows."""
-
-    a: np.ndarray  # pre-activations, then their gradient
-    h: np.ndarray  # activations
-    grads: dict[str, np.ndarray]  # ``_views`` of ``flat``
-    flat: np.ndarray
-
-
-def _step_buffers(model: RegressorModel, rows: int) -> _StepBuffers:
-    hidden, width = model.w1.shape
-    flat = np.empty(hidden * width + 2 * hidden + 1)
-    return _StepBuffers(np.empty((rows, hidden)), np.empty((rows, hidden)), _views(flat, hidden, width), flat)
-
-
 def _loss_grad_projected(
-    model: RegressorModel, z: np.ndarray, targets: np.ndarray, buffers: _StepBuffers | None = None
+    model: RegressorModel, z: np.ndarray, targets: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients for projected rows ``z``. The gradients are
-    written into ``buffers`` (from ``_step_buffers``) when given, so they
-    live until the next call with the same buffers."""
-    n = z.shape[0]
-    a, h, grads, _ = buffers or _step_buffers(model, n)
-    a, h = a[:n], h[:n]
-    np.matmul(z, model.w1.T, out=a)
-    a += model.b1
-    np.maximum(a, 0.0, out=h)
-    pred = h @ model.w2 + model.b2
-    err = pred - targets
-    loss = float(np.mean(err**2))
-    g = (2.0 / n) * err
-    np.matmul(h.T, g, out=grads["w2"])
-    grads["b2"][0] = g.sum()
-    kernels.load().relu_backward(a, g, model.w2, grads["b1"])  # a holds da from here on
-    np.matmul(a.T, z, out=grads["w1"])
-    return loss, grads
+    """Loss and gradients for projected rows ``z``."""
+    grads = {key: np.empty_like(getattr(model, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
+    args = (z, targets, model.w1, model.b1, model.w2, model.b2, list(grads.values()))
+    return kernels.head_gradient(*args, kernels.load().relu_backward), grads
 
 
 def loss_and_gradient(
@@ -171,12 +134,7 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
     gradient raises before anything is updated."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    if not np.isfinite(g).all():
-        raise RuntimeError("diverged: non-finite gradient")
-    state.t += 1
-    b1c = 1.0 - state.beta1**state.t
-    b2c = 1.0 - state.beta2**state.t
-    kernels.load().adam(p, g, state.m, state.v, lr, state.beta1, state.beta2, state.eps, b1c, b2c)
+    kernels.adam_update(kernels.load().adam, p, g, state, lr)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -209,24 +167,18 @@ def train(
 
     # w1, b1, w2 and b2 live in one flat vector, and so do their gradients,
     # so each step makes one finite check and one Adam call. Adam works
-    # element by element, so the layout changes no bits.
+    # element by element, so the layout changes no bits. The kernel set runs
+    # each epoch in one call; the shuffle and the schedule stay here.
     theta = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
-    views = _views(theta, hidden, model.w1.shape[1])
-    model.w1, model.b1, model.w2 = views["w1"], views["b1"], views["w2"]
-    buffers = _step_buffers(model, min(config.batch_size, n))
+    model.w1, model.b1, model.w2, _ = kernels.split(theta, hidden, model.w1.shape[1])
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
+    train_epoch = kernels.load().train_epoch
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[float] = []
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
-        order = rng.permutation(n)
-        sse = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, _ = _loss_grad_projected(model, z[idx], y[idx], buffers)
-            adam_step(theta, buffers.flat, state, lr)
-            model.b2 = float(theta[-1])
-            sse += loss * idx.shape[0]
+        sse = train_epoch(z, y, rng.permutation(n), theta, state, hidden, config.batch_size, lr)
+        model.b2 = float(theta[-1])
         epoch_loss = sse / n
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"diverged at epoch {epoch}")

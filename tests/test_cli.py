@@ -616,6 +616,7 @@ class TestCommands:
             ("seed", -1),
             ("sac_budget", -3.0),
             ("sac_budget", 200.0),  # a turn of 200 / 7 rad per interior waypoint
+            ("n_waypoints", "1" + "0" * 400),  # more segments than a float holds
         ],
     )
     def test_invalid_config_exits_1_before_any_work(self, tmp_path, capsys, key, value):
@@ -631,8 +632,11 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "out_dir",
-        ["o#1", "o\n1", "o\r1", "o\x0b1", "o\x1c1", "o\x851", "o\u20281", " o", "o ", "o\t"],
-        ids=["hash", "lf", "cr", "vt", "fs", "nel", "line-separator", "leading-space", "trailing-space", "trailing-tab"],
+        ["o#1", "o\n1", "o\r1", "o\x0b1", "o\x1c1", "o\x851", "o\u20281", " o", "o ", "o\t", "o\udcff"],
+        ids=[
+            "hash", "lf", "cr", "vt", "fs", "nel", "line-separator", "leading-space", "trailing-space", "trailing-tab",
+            "not-utf8",  # the lone surrogate that os.fsdecode makes of the byte 0xff
+        ],
     )
     def test_out_dir_the_resolved_config_cannot_carry_exits_1(self, tmp_path, monkeypatch, capsys, out_dir):
         # '#' starts a comment, a line break ends the line, and the value is stripped.

@@ -1,10 +1,12 @@
-"""The C kernels against their NumPy twins, bit for bit; the fallback when
-the compiler is missing; and the checks the C wrappers make before they pass
-a pointer."""
+"""The C kernels against their NumPy twins, bit for bit, one C training
+epoch against one NumPy epoch among them; the fallback when the compiler or
+a BLAS symbol is missing; the checks the C wrappers make before they pass a
+pointer; and when the compiler starts and that it never outlives a command."""
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skytrack import augmentation as aug
-from skytrack import kernels, learner
+from skytrack import cli, kernels, learner
 from test_cli import SRC, small_config
 
 C = kernels.load()
@@ -80,6 +82,14 @@ class TestBitIdentity:
         c, n = run_both("relu_backward", a, g, w2, np.empty(a.shape[1]))
         assert same_bits(c, n)
 
+    @pytest.mark.parametrize("n", [9, 24, 70])
+    def test_relu_backward_single_column(self, n):
+        # numpy sums one column as a contiguous run (pairwise), not row by row.
+        rng = np.random.default_rng(n)
+        g, w2 = rng.normal(scale=1e3, size=n), rng.normal(scale=1e3, size=1)
+        c, numpy = run_both("relu_backward", np.ones((n, 1)), g, w2, np.empty(1))
+        assert strictly_same_bits(c, numpy)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 70), st.integers(1, 5000), st.floats(1e-7, 1e-2), st.data())
     def test_adam(self, n, t, lr, data):
@@ -112,6 +122,57 @@ class TestBitIdentity:
             loss, grads = learner.loss_and_gradient(model, x, y)
             results.append((loss, {key: g.tobytes() for key, g in grads.items()}))
         assert results[0] == results[1]
+
+
+@st.composite
+def epochs(draw):
+    """The arguments of one ``train_epoch``: 1..200 rows (so every batch
+    tail of 1..63 rows at batch size 64), heads of 1..41 units over 1..41
+    projected columns (so also widths and depths under 2 and off the groups
+    of four), some all-zero rows, and an Adam state part way through."""
+    n, width, hidden = draw(st.integers(1, 200)), draw(st.integers(1, 41)), draw(st.integers(1, 41))
+    batch_size = draw(st.one_of(st.just(64), st.integers(1, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, width))
+    z[rng.random(n) < 0.2] = 0.0
+    size = hidden * width + 2 * hidden + 1
+    theta = rng.normal(scale=0.5, size=size)
+    state = learner.AdamState(rng.normal(scale=0.01, size=size), rng.random(size) * 1e-4, draw(st.integers(0, 5000)))
+    args = [z, rng.normal(size=n), rng.permutation(n), theta, state, hidden, batch_size]
+    return args + [draw(st.floats(1e-6, 1e-1))]
+
+
+def run_epoch(kernel_set, z, y, order, theta, state, *rest):
+    """Run one epoch of ``kernel_set`` on copies; return the parameters,
+    moments and step count after it, and its SSE or the error it raised."""
+    theta, state = theta.copy(), learner.AdamState(state.m.copy(), state.v.copy(), state.t)
+    try:
+        result = kernel_set.train_epoch(z, y, order, theta, state, *rest)
+    except RuntimeError as exc:
+        result = str(exc)
+    return theta.tobytes(), state.m.tobytes(), state.v.tobytes(), state.t, result
+
+
+@needs_c
+@settings(max_examples=200, deadline=None)
+@given(epochs())
+def test_c_epoch_equals_numpy_epoch(args):
+    assert run_epoch(C, *args) == run_epoch(NUMPY, *args)
+
+
+@needs_c
+@settings(max_examples=60, deadline=None)
+@given(epochs(), st.data())
+def test_non_finite_gradient_mid_epoch_stops_both_sets_at_the_same_step(args, data):
+    z, y, order = args[:3]
+    row = data.draw(st.integers(0, len(y) - 1))
+    y = y.copy()
+    y[row] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    c = run_epoch(C, z, y, order, *args[3:])
+    assert c[-1] == "diverged: non-finite gradient"
+    # the steps before the batch that holds the row, and none after
+    assert c[3] == args[4].t + int(np.flatnonzero(order == row)[0]) // args[6]
+    assert c == run_epoch(NUMPY, z, y, order, *args[3:])
 
 
 @pytest.mark.parametrize("kernel_set", ["c", "numpy"], indirect=True)
@@ -164,6 +225,15 @@ def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, fresh_load):
     assert kernels.compile_kernels(kernels.COMPILER) is None
     kernels.load.cache_clear()
     assert kernels.load() is NUMPY
+
+
+@needs_c
+def test_missing_blas_symbols_fall_back_to_numpy_with_the_same_bytes(monkeypatch, fresh_load):
+    with_c = train_bytes()
+    monkeypatch.setattr(kernels, "BLAS", ("scipy_cblas_dgemm64_", "skytrack_no_such_dgemv"))
+    kernels.load.cache_clear()
+    assert kernels.load() is NUMPY
+    assert train_bytes() == with_c
 
 
 @needs_c
@@ -245,21 +315,63 @@ class TestWrappersRefuseBadArrays:
             getattr(C, kernel)(*args)
 
 
-def test_gen_never_starts_the_compiler_and_ablation_starts_it_once(tmp_path):
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie, which no one has reaped yet, does not."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_gen_never_starts_the_compiler_and_ablation_starts_it_once(tmp_path, monkeypatch, fresh_load):
     """A stand-in ``cc`` first on PATH records every start and fails, so a
     build falls back to NumPy. ``gen`` must not start it. ``ablation`` must
-    start it once, in the parent, not once per forked level worker; that it
-    starts at all shows the stand-in is the compiler found."""
+    start it once, in the parent, not once per forked level worker, and be
+    done with it before the first fork; ``pipeline`` starts it once too.
+    That it starts at all shows the stand-in is the compiler found. A
+    stand-in that keeps running, with a child of its own, must be killed
+    with its child when a command ends without waiting for the build: a
+    ``pipeline`` whose every route fails before training, and an
+    ``ablation`` that raises."""
     bin_dir, marker = tmp_path / "bin", tmp_path / "cc-started"
     bin_dir.mkdir()
     fake = bin_dir / kernels.COMPILER
     fake.write_text(f"#!/bin/sh\necho started >> {marker}\nexit 1\n")
     fake.chmod(0o755)
-    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    path = f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}"
+    env = dict(os.environ, PATH=path)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     cfg = str(small_config(tmp_path, ablation_levels="1,2,3"))
-    for command in ("gen", "ablation"):
+    for command, starts in (("gen", 0), ("ablation", 1), ("pipeline", 2)):
         subprocess.run([sys.executable, "-m", "skytrack.cli", command, "--config", cfg], env=env, check=True, timeout=300)
-        if command == "gen":
-            assert not marker.exists()
-    assert marker.read_text().split() == ["started"]
+        assert marker.exists() == bool(starts)
+        assert starts == 0 or marker.read_text().split() == ["started"] * starts
+
+    # In this process, as a fresh one: the build is taken before the first fork.
+    monkeypatch.setenv("PATH", path)
+    monkeypatch.setattr(kernels, "_loaded", False)
+    fork = cli._fork
+
+    def checked_fork(*args):
+        assert kernels._build is None and kernels.load.cache_info().currsize == 1
+        return fork(*args)
+
+    monkeypatch.setattr(cli, "_fork", checked_fork)
+    assert cli.main(["ablation", "--config", cfg]) == 0
+    assert marker.read_text().split() == ["started"] * 3
+
+    pids = tmp_path / "cc-pids"
+    fake.write_text(f"#!/bin/sh\necho $$ >> {pids}\nsleep 60 &\necho $! >> {pids}\nwait\n")
+    kernels.load.cache_clear()
+    monkeypatch.setattr(kernels, "_loaded", False)
+    run = tmp_path / "run"
+    (run / "path_00_dataset.npz").unlink()
+    (run / "path_00_dataset.npz").mkdir()  # every route fails before training
+    assert cli.main(["pipeline", "--config", cfg]) == 2
+    (run / "config.resolved.txt").unlink()
+    (run / "config.resolved.txt").mkdir()  # ablation raises before training
+    assert cli.main(["ablation", "--config", cfg]) == 2
+    # A kill may come before the stand-in has written its pid; what it wrote must be gone.
+    started = [int(pid) for pid in pids.read_text().split()] if pids.exists() else []
+    assert not any(alive(pid) for pid in started)
+    assert kernels._build is None
