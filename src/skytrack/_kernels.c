@@ -1,14 +1,13 @@
-/* One training epoch of learner.train in C, and the two elementwise loops
-   it shares with the reference step (the rectifier's backward with the bias
-   gradient, and Adam). Every loop does the same IEEE double operations, in
-   the same order, as the NumPy step in kernels.py, and every product goes to
-   the same OpenBLAS routine, with the same arguments, that numpy's matmul
-   picks for it, so the two give the same bits: build without FMA
-   contraction (-ffp-contract=off) and without -ffast-math. The one freedom
-   left to the compiler is the operand order of an add or multiply, which
-   decides only which NaN comes out where two different NaNs meet. Arrays
-   are C-contiguous and do not overlap; kernels.py checks both before it
-   passes a pointer. */
+/* One training epoch of learner.train in C. Every loop does the same IEEE
+   double operations, in the same order, as the NumPy epoch in kernels.py,
+   and every product goes to the same OpenBLAS routine, with the same
+   arguments, that numpy's matmul picks for it, so the two give the same
+   bits: build without FMA contraction (-ffp-contract=off) and without
+   -ffast-math. The one freedom left to the compiler is the operand order of
+   an add or multiply, which decides only which NaN comes out where two
+   different NaNs meet; a NaN in a gradient stops the epoch before its step
+   stores anything. Arrays are C-contiguous and do not overlap; kernels.py
+   checks both before it passes a pointer. */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -50,12 +49,11 @@ static double pairwise(const double *x, ptrdiff_t n) {
 }
 
 /* da = (g[i] * w2[j]) * (a > 0), written over a; gb1 = da.sum(axis=0),
-   which starts from +0.0 and adds one row at a time, except for a single
-   column, which numpy sums as one contiguous run. The mask is its own
-   pass: fused into the product, it becomes a branch the compiler cannot
-   pack into SIMD registers. */
-void relu_backward(double *restrict a, const double *restrict g, const double *restrict w2,
-                   double *restrict gb1, ptrdiff_t n, ptrdiff_t width) {
+   which for width >= 2 starts from +0.0 and adds one row at a time. The
+   mask is its own pass: fused into the product, it becomes a branch the
+   compiler cannot pack into SIMD registers. */
+static void relu_backward(double *restrict a, const double *restrict g, const double *restrict w2,
+                          double *restrict gb1, ptrdiff_t n, ptrdiff_t width) {
     for (ptrdiff_t j = 0; j < width; j++) gb1[j] = 0.0;
     for (ptrdiff_t r = 0; r < n; r++) {
         double *row = a + r * width;
@@ -66,10 +64,9 @@ void relu_backward(double *restrict a, const double *restrict g, const double *r
             gb1[j] += d;
         });
     }
-    if (width == 1) gb1[0] = 0.0 + pairwise(a, n);
 }
 
-/* One element at a time, in learner.adam_step's order:
+/* One element at a time, in kernels._adam's order:
    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
    p -= lr*(m/b1c) / (sqrt(v/b2c) + eps).
    The divider sets the loop's speed. Once beta1**t is below half an ulp of
@@ -83,8 +80,8 @@ void relu_backward(double *restrict a, const double *restrict g, const double *r
         v[i] = vi;                                               \
         p[i] -= (M_HAT) * lr / (sqrt(vi / b2c) + eps);           \
     }
-void adam(double *restrict p, const double *restrict g, double *restrict m, double *restrict v,
-          ptrdiff_t n, double lr, double beta1, double beta2, double eps, double b1c, double b2c) {
+static void adam(double *restrict p, const double *restrict g, double *restrict m, double *restrict v,
+                 ptrdiff_t n, double lr, double beta1, double beta2, double eps, double b1c, double b2c) {
     const double c1 = 1.0 - beta1, c2 = 1.0 - beta2;
     if (b1c == 1.0)
         EACH(i, n, ADAM_STEP(mi));

@@ -1,4 +1,4 @@
-"""The training step in two sets that give the same bits: C and NumPy.
+"""The training epoch in two sets that give the same bits: C and NumPy.
 
 The C set (``_kernels.c``) runs one whole epoch of ``learner.train`` per
 call: row gather, forward GEMM, bias and rectifier, head, loss, backward,
@@ -11,9 +11,7 @@ a one-row batch, or a head under 2 units wide or deep.
 
 Both sets do the same IEEE double operations in the same order, and every
 one of them, divide and sqrt included, is correctly rounded, so with FMA
-contraction off (and no ``-ffast-math``) they give the same bits. Only where
-two different NaNs meet in one add or multiply may the two sets return
-different NaNs.
+contraction off (and no ``-ffast-math``) they give the same bits.
 
 ``start_build`` starts the system C compiler in the background, in its own
 process group, writing into a private temporary directory; ``load`` waits
@@ -48,29 +46,6 @@ FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
 
 
-class Kernels(NamedTuple):
-    """One set of kernels; every array argument is float64.
-
-    - ``relu_backward(a, g, w2, gb1)``: ``a = outer(g, w2) * (a > 0)`` and
-      ``gb1 = a.sum(axis=0)``.
-    - ``adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c)``: the in-place
-      update of ``learner.adam_step`` for one parameter array.
-    - ``train_epoch(z, y, order, theta, state, hidden, batch_size, lr)``:
-      the Adam steps of one epoch over the rows ``order`` (int64) of the
-      projected features ``z`` and targets ``y``, in batches of
-      ``batch_size``, on the flat parameters ``theta`` (see ``split``) and
-      the moments and step count of ``state`` (a ``learner.AdamState``).
-      Returns the sum of each batch's loss times its rows. A non-finite
-      gradient raises ``RuntimeError("diverged ...")`` before its step
-      changes anything.
-    """
-
-    name: str
-    relu_backward: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
-    adam: Callable[..., None]
-    train_epoch: Callable[..., float]
-
-
 def split(theta: np.ndarray, hidden: int, width: int) -> list[np.ndarray]:
     """w1 (hidden, width), b1, w2 and b2 (one element) as views of one flat
     vector, in that order."""
@@ -94,7 +69,7 @@ def _adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c) -> None:
     p -= (m / b1c) * lr / (np.sqrt(v / b2c) + eps)
 
 
-def head_gradient(z, y, w1, b1, w2, b2, grads, relu_backward=_relu_backward) -> float:
+def head_gradient(z, y, w1, b1, w2, b2, grads) -> float:
     """The head's mean squared error on the projected rows ``z`` (at least
     one) against ``y``, and its gradient, written into ``grads``: arrays
     shaped like ``w1``, ``b1``, ``w2`` and ``b2`` (one element)."""
@@ -107,36 +82,42 @@ def head_gradient(z, y, w1, b1, w2, b2, grads, relu_backward=_relu_backward) -> 
     gw1, gb1, gw2, gb2 = grads
     np.matmul(h.T, g, out=gw2)
     gb2[0] = g.sum()
-    relu_backward(a, g, w2, gb1)  # a holds da from here on
+    _relu_backward(a, g, w2, gb1)  # a holds da from here on
     np.matmul(a.T, z, out=gw1)
     return loss
 
 
-def adam_update(adam, p: np.ndarray, g: np.ndarray, state, lr: float) -> None:
-    """One Adam step of ``p`` by the kernel ``adam``, with the moments and
-    step count of ``state``; a non-finite ``g`` raises before anything
-    moves."""
+def adam_update(p: np.ndarray, g: np.ndarray, state, lr: float) -> None:
+    """One Adam step of ``p`` with the moments and step count of ``state``;
+    a non-finite ``g`` raises before anything moves."""
     if not np.isfinite(g).all():
         raise RuntimeError("diverged: non-finite gradient")
     state.t += 1
     b1c = 1.0 - state.beta1**state.t
     b2c = 1.0 - state.beta2**state.t
-    adam(p, g, state.m, state.v, lr, state.beta1, state.beta2, state.eps, b1c, b2c)
+    _adam(p, g, state.m, state.v, lr, state.beta1, state.beta2, state.eps, b1c, b2c)
 
 
 def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> float:
+    """The Adam steps of one epoch over the rows ``order`` (int64) of the
+    projected features ``z`` and targets ``y`` (float64), in batches of
+    ``batch_size``, on the flat parameters ``theta`` (see ``split``) and the
+    moments and step count of ``state`` (a ``learner.AdamState``). Returns
+    ``sse`` plus the sum of each batch's loss times its rows. A non-finite
+    gradient raises ``RuntimeError("diverged ...")`` before its step
+    changes anything. ``load`` returns this function or its C twin."""
     w1, b1, w2, b2 = split(theta, hidden, z.shape[1])
     grad = np.empty_like(theta)
     grads = split(grad, hidden, z.shape[1])
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         loss = head_gradient(z[idx], y[idx], w1, b1, w2, b2, grads)
-        adam_update(_adam, theta, grad, state, lr)
+        adam_update(theta, grad, state, lr)
         sse += loss * idx.shape[0]
     return sse
 
 
-NUMPY = Kernels("numpy", _relu_backward, _adam, _numpy_epoch)
+NUMPY = _numpy_epoch
 
 
 def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
@@ -155,20 +136,13 @@ def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
         ):
             kind = f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
             raise ValueError(f"expected a writeable C-contiguous float64 array of {size} elements, got {kind}")
-        # A quarter of the time of x.ctypes.data, which matters at four arrays per call.
-        start = ctypes.addressof(ctypes.c_char.from_buffer(x)) if size else 0
+        start = x.ctypes.data
         spans.append((start, start + x.nbytes))
     for i, (lo, hi) in enumerate(spans):
         for lo2, hi2 in spans[i + 1 :]:
             if lo < hi2 and lo2 < hi:
                 raise ValueError("kernel arguments overlap")
     return [start for start, _ in spans]
-
-
-def _matrix_shape(a: np.ndarray) -> tuple[int, int]:
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return a.shape
 
 
 def _blas() -> list[int]:
@@ -181,26 +155,16 @@ def _blas() -> list[int]:
     return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS]
 
 
-def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Kernels:
+def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Callable[..., float]:
+    """The C ``train_epoch``, with the arguments and result of ``NUMPY``."""
     ptr, size, f64 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    for name, restype, argtypes in (
-        ("relu_backward", None, [ptr, ptr, ptr, ptr, size, size]),
-        ("adam", None, [ptr, ptr, ptr, ptr, size] + [f64] * 6),
-        ("train_epoch", size, [ptr] * 3 + [size] * 4 + [ptr] * 3 + [size] + [f64] * 4 + [ptr] * 3),
-    ):
-        fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
-
-    def relu_backward(a, g, w2, gb1):
-        n, width = _matrix_shape(a)
-        lib.relu_backward(*_pointers((a, n * width), (g, n), (w2, width), (gb1, width)), n, width)
-
-    def adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c):
-        n = getattr(p, "size", -1)
-        lib.adam(*_pointers((p, n), (g, n), (m, n), (v, n)), n, lr, beta1, beta2, eps, b1c, b2c)
+    epoch = lib.train_epoch
+    epoch.restype, epoch.argtypes = size, [ptr] * 3 + [size] * 4 + [ptr] * 3 + [size] + [f64] * 4 + [ptr] * 3
 
     def train_epoch(z, y, order, theta, state, hidden, batch_size, lr):
-        rows, width = _matrix_shape(z)
+        if not isinstance(z, np.ndarray) or z.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        rows, width = z.shape
         n = len(order)
         if not (order.dtype == np.int64 and order.ndim == 1 and order.flags.c_contiguous):
             raise ValueError("expected C-contiguous int64 row indices")
@@ -213,7 +177,7 @@ def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Kernels:
         params = hidden * width + 2 * hidden + 1
         pointers = _pointers((z, rows * width), (y, rows), (theta, params), (state.m, params), (state.v, params))
         sse = ctypes.c_double(0.0)
-        steps = lib.train_epoch(
+        steps = epoch(
             *pointers[:2], order.ctypes.data, done, width, hidden, batch_size, *pointers[2:], state.t,
             lr, state.beta1, state.beta2, state.eps, dgemm, dgemv, ctypes.byref(sse),
         )
@@ -224,7 +188,7 @@ def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Kernels:
             raise RuntimeError("diverged: non-finite gradient")
         return _numpy_epoch(z, y, order[done:], theta, state, hidden, batch_size, lr, sse.value)
 
-    return Kernels("c", relu_backward, adam, train_epoch)
+    return train_epoch
 
 
 class _Build(NamedTuple):
@@ -259,7 +223,7 @@ def _reap(build: _Build) -> None:
     build.directory.cleanup()
 
 
-def _finish(build: _Build) -> Kernels | None:
+def _finish(build: _Build) -> Callable[..., float] | None:
     """Wait for the build and load it; None if the compiler is missing, the
     build fails or numpy's OpenBLAS lacks a ``BLAS`` symbol."""
     import subprocess
@@ -276,9 +240,9 @@ def _finish(build: _Build) -> Kernels | None:
     return _bind(lib, *blas)
 
 
-def compile_kernels(compiler: str, opt: str = "-O2") -> Kernels | None:
+def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | None:
     """Build ``_kernels.c`` with ``compiler`` at optimization level ``opt``
-    and load it; None if the C set cannot be had (see ``_finish``)."""
+    and load its epoch; None if the C set cannot be had (see ``_finish``)."""
     return _finish(_start(compiler, opt))
 
 
@@ -306,10 +270,10 @@ def stop_build() -> None:
 
 
 @functools.cache
-def load() -> Kernels:
-    """The C set, built once per process on the first call (or taken from
-    ``start_build``); the NumPy set if it cannot be had. A forked child
-    inherits the loaded set."""
+def load() -> Callable[..., float]:
+    """The C epoch, built once per process on the first call (or taken from
+    ``start_build``); ``NUMPY`` if it cannot be had. A forked child inherits
+    the loaded epoch."""
     global _build, _loaded
     build, _build, _loaded = _build or _start(COMPILER), None, True
     return _finish(build) or NUMPY

@@ -20,6 +20,7 @@ import numpy as np
 from . import kernels
 from .augmentation import Dataset, normalize_features
 from .geometry import wrap_angle
+from .world import json_floats
 
 
 @dataclass
@@ -108,7 +109,7 @@ def _loss_grad_projected(
     """Loss and gradients for projected rows ``z``."""
     grads = {key: np.empty_like(getattr(model, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
     args = (z, targets, model.w1, model.b1, model.w2, model.b2, list(grads.values()))
-    return kernels.head_gradient(*args, kernels.load().relu_backward), grads
+    return kernels.head_gradient(*args), grads
 
 
 def loss_and_gradient(
@@ -129,12 +130,12 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
 
     Per element, in this order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     p -= lr*(m/b1c) / (sqrt(v/b2c) + eps). The moments and parameters are
-    updated in place, bit-identical to evaluating the formulas out of place,
-    by the C kernel or its NumPy twin (``kernels.load``). A non-finite
-    gradient raises before anything is updated."""
+    updated in place, bit-identical to evaluating the formulas out of place
+    and to the Adam step of ``train``. A non-finite gradient raises before
+    anything is updated."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    kernels.adam_update(kernels.load().adam, p, g, state, lr)
+    kernels.adam_update(p, g, state, lr)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -167,12 +168,13 @@ def train(
 
     # w1, b1, w2 and b2 live in one flat vector, and so do their gradients,
     # so each step makes one finite check and one Adam call. Adam works
-    # element by element, so the layout changes no bits. The kernel set runs
-    # each epoch in one call; the shuffle and the schedule stay here.
+    # element by element, so the layout changes no bits. The epoch that
+    # kernels.load returns runs each epoch in one call; the shuffle and the
+    # schedule stay here.
     theta = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
     model.w1, model.b1, model.w2, _ = kernels.split(theta, hidden, model.w1.shape[1])
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
-    train_epoch = kernels.load().train_epoch
+    train_epoch = kernels.load()
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -207,29 +209,29 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
 
 def load_model(file: FilePath | str) -> RegressorModel:
     """Read what save_model wrote. A file that does not parse, misses a key,
-    or holds arrays whose dimensions disagree, a non-finite weight or
-    statistic or a seed that is not an integer raises one ValueError naming
-    the file."""
+    or holds a weight or statistic that is not a JSON number, arrays whose
+    dimensions disagree, a non-finite weight or statistic or a seed that is
+    not an integer raises one ValueError naming the file."""
     try:
         doc = json.loads(FilePath(file).read_text())
-        arrays = {key: np.array(doc[key], dtype=float) for key in ("projection", "w1", "b1", "w2")}
+        arrays = {key: json_floats(doc[key]) for key in ("projection", "w1", "b1", "w2", "b2")}
         for key in ("feature_mean", "feature_std"):
-            arrays[key] = None if doc[key] is None else np.array(doc[key], dtype=float)
-        b2, init_seed = float(doc["b2"]), int(doc["init_seed"])  # int()'s error names an infinite or NaN seed
+            arrays[key] = None if doc[key] is None else json_floats(doc[key])
+        init_seed = int(doc["init_seed"])  # its error names an infinite or NaN seed
         if type(doc["init_seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
             raise ValueError(f"init_seed {doc['init_seed']!r} is not an integer")
         projection, w1 = arrays["projection"], arrays["w1"]
         if projection.ndim != 2 or w1.ndim != 2:
             raise ValueError(f"projection {projection.shape} and w1 {w1.shape} must be matrices")
         (f, d), h = projection.shape, w1.shape[0]
-        expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "feature_mean": (d,), "feature_std": (d,)}
+        expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "b2": (), "feature_mean": (d,), "feature_std": (d,)}
         for key, shape in expected.items():
             if arrays[key] is not None and arrays[key].shape != shape:
                 raise ValueError(f"{key} has shape {arrays[key].shape}, expected {shape}")
-        if not (math.isfinite(b2) and all(np.isfinite(a).all() for a in arrays.values() if a is not None)):
+        if not all(np.isfinite(a).all() for a in arrays.values() if a is not None):
             raise ValueError("non-finite weight or statistic")
     except KeyError as exc:
         raise ValueError(f"{file}: missing key {exc}") from exc
     except (OverflowError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{file}: {exc}") from exc
-    return RegressorModel(b2=b2, init_seed=init_seed, **arrays)
+    return RegressorModel(b2=float(arrays.pop("b2")), init_seed=init_seed, **arrays)

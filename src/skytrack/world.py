@@ -148,17 +148,27 @@ def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
     FilePath(file).write_text(json.dumps(doc, sort_keys=True, indent=1))
 
 
+def json_floats(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array. A string,
+    a boolean or a null, which a saved float never is, raises TypeError."""
+    array = np.array(value, dtype=float)
+    for x in np.array(value, dtype=object).flat:
+        if type(x) not in (int, float):
+            raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
+    return array
+
+
 def load_world(file: FilePath | str) -> LandmarkWorld:
     """Read what save_world wrote. A file that does not hold at least one
     landmark, finite positions, unit-norm signatures of one width, finite
-    non-empty bounds and an integer seed raises one ValueError naming the
-    file."""
+    non-empty bounds and an integer seed, all as JSON numbers, raises one
+    ValueError naming the file."""
     try:
         doc = json.loads(FilePath(file).read_text())
         landmarks = doc["landmarks"]
-        positions = np.array([lm["position"] for lm in landmarks], dtype=float)
-        signatures = np.array([lm["signature"] for lm in landmarks], dtype=float)
-        xmin, ymin, xmax, ymax = (float(b) for b in doc["bounds"])
+        positions = json_floats([lm["position"] for lm in landmarks])
+        signatures = json_floats([lm["signature"] for lm in landmarks])
+        xmin, ymin, xmax, ymax = json_floats(doc["bounds"]).tolist()
         seed = int(doc["seed"])  # its error names an infinite or NaN seed
         if type(doc["seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
             raise ValueError(f"seed {doc['seed']!r} is not an integer")

@@ -8,7 +8,8 @@ enough for OpenBLAS to split across threads. They were recorded with
 numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell
 kernels) on x86-64; another numpy or BLAS build may legitimately produce
 other bytes. A change that alters a digest must say why in CHANGES.md.
-Both kernel sets of ``skytrack.kernels`` must give these digests.
+Both training epochs of ``skytrack.kernels``, C and NumPy, must give these
+digests.
 """
 
 import hashlib
@@ -64,7 +65,7 @@ def sha256(file: Path) -> str:
     indirect=["kernel_set"],
 )
 def test_golden_digests(tmp_path, scenario, kernel_set):
-    """The same digests from the C kernels and from their NumPy twins."""
+    """The same digests from the C epoch and from the NumPy epoch."""
     cfg = str(small_config(tmp_path, **(WIDE if scenario == "wide" else {})))
     for command in ("gen", "ablation", "pipeline"):
         assert cli.main([command, "--config", cfg]) == 0

@@ -385,10 +385,16 @@ class TestModelRoundTrip:
             (lambda doc: doc.update(init_seed=1.5), "init_seed 1.5 is not an integer"),
             (lambda doc: doc.update(init_seed=True), "init_seed True is not an integer"),
             (lambda doc: doc.update(init_seed="7"), "init_seed '7' is not an integer"),
+            # numbers as json.dumps never writes a float
+            (lambda doc: doc.update(b2="0.5"), r"'0.5' \(str\) is not a number"),
+            (lambda doc: doc.update(b2=True), r"True \(bool\) is not a number"),
+            (lambda doc: doc["w2"].__setitem__(slice(0, 2), ["0.25", "1e-3"]), r"'0.25' \(str\) is not a number"),
+            (lambda doc: doc["w1"][1].__setitem__(2, False), r"False \(bool\) is not a number"),
+            (lambda doc: doc.update(b2=[0.5]), r"b2 has shape \(1,\), expected \(\)"),
         ],
         ids=[
             "missing-b2", "null-b2", "inf-b2", "nan-w1", "inf-std", "inf-seed",
-            "fractional-seed", "bool-seed", "string-seed",
+            "fractional-seed", "bool-seed", "string-seed", "string-b2", "bool-b2", "string-w2", "bool-w1", "list-b2",
         ],
     )
     def test_load_rejects_bad_values(self, tmp_path, edit, expected):

@@ -267,12 +267,19 @@ class TestWorldRoundTrip:
             (lambda doc: doc.update(seed=1.5), "seed 1.5 is not an integer"),
             (lambda doc: doc.update(seed=True), "seed True is not an integer"),
             (lambda doc: doc.update(seed="7"), "seed '7' is not an integer"),
+            # numbers as json.dumps never writes a float
+            (lambda doc: doc["landmarks"][0].update(position=["1.5", "2"]), r"'1.5' \(str\) is not a number"),
+            (
+                lambda doc: doc["landmarks"][1].update(signature=list(map(str, doc["landmarks"][1]["signature"]))),
+                "is not a number",
+            ),
+            (lambda doc: doc["bounds"].__setitem__(3, True), r"True \(bool\) is not a number"),
         ],
         ids=[
             "no-landmarks", "non-unit-signature", "ragged-signatures", "scalar-signatures",
             "3d-positions", "inf-position", "empty-bounds", "inf-bound", "three-bounds",
             "no-bounds", "no-seed", "no-signature", "landmark-not-an-object", "infinite-seed", "seed-1e999",
-            "fractional-seed", "bool-seed", "string-seed",
+            "fractional-seed", "bool-seed", "string-seed", "string-position", "string-signature", "bool-bound",
         ],
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
