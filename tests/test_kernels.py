@@ -183,13 +183,18 @@ class TestWrappersRefuseBadArrays:
             ("z", np.zeros(18), "^expected a 2-d array"),
             ("z", [[0.0] * 3] * 6, "^expected a 2-d array"),
             ("y", np.zeros(5), "^expected a "),
+            ("y", np.zeros(7), "^expected a "),
             ("y", np.zeros(6, dtype=np.float32), "^expected a "),
+            ("y", np.zeros(12)[::2], "^expected a "),
             ("theta", np.zeros(12), "^expected a "),
             ("theta", np.zeros(11, dtype=np.int64), "^expected a "),
+            ("theta", np.zeros(11, dtype=np.float32), "^expected a "),
             ("m", np.zeros(10), "^expected a "),
             ("m", np.zeros(11, dtype=np.complex128), "^expected a "),
-            ("v", np.zeros((2, 11))[:, 0], "^expected a "),
+            ("m", np.zeros((11, 2))[:, 0], "^expected a "),
+            ("v", np.zeros((11, 2))[:, 0], "^expected a "),
             ("v", [0.0] * 11, "^expected a "),
+            ("v", np.zeros(10), "^expected a "),
             ("order", np.arange(6.0), "^expected C-contiguous int64"),
             ("order", np.arange(6).reshape(2, 3), "^expected C-contiguous int64"),
             ("order", np.arange(12)[::2], "^expected C-contiguous int64"),
@@ -197,9 +202,9 @@ class TestWrappersRefuseBadArrays:
             ("order", np.array([0, 1, 2, 3, 4, 6]), r"^row indices outside 0\.\.5"),
         ],
         ids=[
-            "z-strided", "z-fortran", "z-not-a-matrix", "z-list", "y-size", "y-float32", "theta-size",
-            "theta-int64", "m-size", "m-complex", "v-strided", "v-list", "order-float64", "order-2d",
-            "order-strided", "order-minus-1", "order-rows",
+            "z-strided", "z-fortran", "z-not-a-matrix", "z-list", "y-size", "y-long", "y-float32", "y-strided",
+            "theta-size", "theta-int64", "theta-float32", "m-size", "m-complex", "m-strided", "v-strided",
+            "v-list", "v-size", "order-float64", "order-2d", "order-strided", "order-minus-1", "order-rows",
         ],
     )
     def test_refuses(self, argument, bad, message):
