@@ -168,7 +168,9 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
         landmarks = doc["landmarks"]
         positions = json_floats([lm["position"] for lm in landmarks])
         signatures = json_floats([lm["signature"] for lm in landmarks])
-        xmin, ymin, xmax, ymax = json_floats(doc["bounds"]).tolist()
+        box = json_floats(doc["bounds"])
+        if box.shape != (4,):
+            raise ValueError(f"bounds have shape {box.shape}, expected (4,)")
         seed = int(doc["seed"])  # its error names an infinite or NaN seed
         if type(doc["seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
             raise ValueError(f"seed {doc['seed']!r} is not an integer")
@@ -176,11 +178,11 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
             raise ValueError("no landmarks")
         if positions.shape != (len(landmarks), 2) or signatures.ndim != 2 or signatures.shape[1] < 1:
             raise ValueError(f"positions {positions.shape} and signatures {signatures.shape} do not fit")
-        if not (np.isfinite(positions).all() and np.isfinite([xmin, ymin, xmax, ymax]).all()):
+        if not (np.isfinite(positions).all() and np.isfinite(box).all()):
             raise ValueError("non-finite position or bound")
         if not np.all(np.abs(np.linalg.norm(signatures, axis=1) - 1.0) <= 1e-9):
             raise ValueError("signatures are not unit-norm")
-        bounds = Rect(xmin, ymin, xmax, ymax)
+        bounds = Rect(*box.tolist())
     except KeyError as exc:
         raise ValueError(f"{file}: missing key {exc}") from exc
     except (OverflowError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError

@@ -94,12 +94,22 @@ def test_non_finite_gradient_mid_epoch_stops_both_sets_at_the_same_step(args, da
 
 @pytest.mark.parametrize("kernel_set", ["c", "numpy"], indirect=True)
 def test_non_finite_gradient_changes_nothing(kernel_set):
-    """A batch whose gradient is not finite raises and leaves the
-    parameters, moments and step count as the batch before left them."""
-    z, y, order, theta, state, *rest = epoch_args(0, 128, 8, 16, 64, 0, 1e-3)
-    y[order[64 + 5]] = np.inf  # in the second batch
-    first = run_epoch(kernel_set, z, y, order[:64], theta, state, *rest)
+    """A batch whose gradient is not finite in one element, the last (b2's),
+    raises and leaves the parameters, moments and step count as the batch
+    before left them."""
+    z, y, order, theta, state, *rest = epoch_args(0, 8, 8, 16, 2, 0, 1e-3)
+    bad = order[2:4]  # the second batch
+    # Two errors near 1e308 whose sum overflows. z = 0 keeps w1's gradient
+    # 0, and b1 and w2 inside +-0.5 keep b1's and w2's finite.
+    z[bad], y[bad] = 0.0, -1e308
+    for part in kernels.split(theta, 16, 8)[1:3]:
+        np.clip(part, -0.5, 0.5, out=part)
+    first = run_epoch(kernel_set, z, y, order[:2], theta, state, *rest)
     assert first[3] == 1
+    after = np.frombuffer(first[0]).copy()
+    grad = np.empty_like(after)
+    kernels.head_gradient(z[bad], y[bad], *kernels.split(after, 16, 8), kernels.split(grad, 16, 8))
+    assert np.flatnonzero(~np.isfinite(grad)).tolist() == [grad.size - 1]
     assert run_epoch(kernel_set, z, y, order, theta, state, *rest) == (*first[:4], "diverged: non-finite gradient")
 
 

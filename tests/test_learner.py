@@ -237,6 +237,20 @@ class TestAdamStep:
         with pytest.raises(RuntimeError, match="diverged"):
             adam_step(p, np.array([math.nan]), state, lr=1e-2)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        model = init_model(0, 3, projection_dim=8, hidden=16)
+        p = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
+        state = AdamState(np.zeros_like(p), np.zeros_like(p))
+        rng = np.random.default_rng(0)
+        adam_step(p, rng.normal(size=p.size), state, 1e-3)
+        before = [p.tobytes(), state.m.tobytes(), state.v.tobytes()]
+        g = rng.normal(size=p.size)
+        g[8 * 16 + 16 + 5] = np.inf  # in w2: the elements before it must not move either
+        with pytest.raises(RuntimeError, match="diverged"):
+            adam_step(p, g, state, 1e-3)
+        assert state.t == 1
+        assert [p.tobytes(), state.m.tobytes(), state.v.tobytes()] == before
+
     def test_matches_out_of_place_reference_bit_for_bit(self):
         def reference_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
             # The original out-of-place update, in Kingma & Ba's order.

@@ -256,7 +256,8 @@ class TestWorldRoundTrip:
             (lambda doc: doc["landmarks"][0].update(position=[math.inf, 0.0]), "non-finite"),
             (lambda doc: doc.update(bounds=[0.0, 0.0, -1.0, 100.0]), "empty bounds"),
             (lambda doc: doc.update(bounds=[0.0, 0.0, math.inf, 100.0]), "non-finite"),
-            (lambda doc: doc.update(bounds=[0.0, 0.0, 100.0]), "unpack"),
+            (lambda doc: doc.update(bounds=[0.0, 0.0, 100.0]), r"bounds have shape \(3,\), expected \(4,\)"),
+            (lambda doc: doc.update(bounds=[[0], [0], [100], [100]]), r"bounds have shape \(4, 1\), expected \(4,\)"),
             (lambda doc: doc.pop("bounds"), "missing key 'bounds'"),
             (lambda doc: doc.pop("seed"), "missing key 'seed'"),
             (lambda doc: doc["landmarks"][3].pop("signature"), "missing key 'signature'"),
@@ -277,7 +278,7 @@ class TestWorldRoundTrip:
         ],
         ids=[
             "no-landmarks", "non-unit-signature", "ragged-signatures", "scalar-signatures",
-            "3d-positions", "inf-position", "empty-bounds", "inf-bound", "three-bounds",
+            "3d-positions", "inf-position", "empty-bounds", "inf-bound", "three-bounds", "nested-bounds",
             "no-bounds", "no-seed", "no-signature", "landmark-not-an-object", "infinite-seed", "seed-1e999",
             "fractional-seed", "bool-seed", "string-seed", "string-position", "string-signature", "bool-bound",
         ],
