@@ -334,7 +334,6 @@ def run_path_pipeline(
 
 def cmd_pipeline(config: RunConfig) -> int:
     world, routes = _load_scenario(config)
-    kernels.start_build()  # compiles while the first dataset renders
     out_dir = FilePath(config.out_dir)
     write_resolved_config(config, out_dir)
     manifest = []
@@ -434,7 +433,7 @@ def run_ablation(
     tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + config.n_test_sweeps)
     test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, config, world, i) for i in tests])
 
-    kernels.load()  # built once, before the first fork; the forked workers inherit it
+    kernels.load()  # loaded once, before the first fork; the forked workers inherit it
     pending = sorted(set(levels), reverse=True)
     workers = ablation_workers(len(os.sched_getaffinity(0)), BLAS_THREADS, len(pending))
     running: dict[int, tuple[int, int]] = {}  # read fd -> (pid, k)
@@ -469,7 +468,6 @@ def run_ablation(
 
 def cmd_ablation(config: RunConfig) -> int:
     world, routes = _load_scenario(config)
-    kernels.start_build()  # compiles while the sweeps render; run_ablation waits for it
     out_dir = FilePath(config.out_dir)
     write_resolved_config(config, out_dir)
     route = routes[0]
@@ -518,8 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return 2
-    finally:
-        kernels.stop_build()  # no compiler outlives the command, whatever ended it
 
 
 if __name__ == "__main__":

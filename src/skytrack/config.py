@@ -5,7 +5,6 @@ so every one that exists is valid, a library caller's included."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -61,18 +60,18 @@ class RunConfig:
             if isinstance(value, float):
                 check(key, math.isfinite(value), "must be finite")
         for key in (
-            "n_paths", "n_landmarks", "signature_dim", "bins", "n_augmented", "batch_size",
+            "n_landmarks", "signature_dim", "bins", "n_augmented", "batch_size",
             "epochs", "lr_halving_period", "projection_dim", "hidden_units", "n_test_sweeps",
         ):
             check(key, getattr(self, key) >= 1, "must be >= 1")
-        # generate_route divides path_length by the segment count as a float.
-        check("n_waypoints", 2 <= self.n_waypoints <= sys.float_info.max, "must be >= 2 and fit in a float")
+        # Caps, so that gen cannot loop without end: route ids have two digits.
+        check("n_paths", 1 <= self.n_paths <= 100, "must be in 1..100")
+        check("n_waypoints", 2 <= self.n_waypoints <= 10000, "must be in 2..10000")
         for key in ("path_length", "lr0"):
             check(key, getattr(self, key) > 0, "must be > 0")
         for key in ("seed", "sac_budget", "world_margin", "pos_jitter", "yaw_jitter"):
             check(key, getattr(self, key) >= 0, "must be >= 0")
-        # generate_route's turn per interior waypoint, which must stay below
-        # pi; the turn count fits in a float, as checked above.
+        # generate_route's turn per interior waypoint, which must stay below pi.
         turns = self.n_waypoints - 2
         ok = turns < 1 or self.sac_budget / turns < math.pi
         check("sac_budget", ok, "must be < pi * (n_waypoints - 2)")

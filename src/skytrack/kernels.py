@@ -13,29 +13,29 @@ Both sets do the same IEEE double operations in the same order, and every
 one of them, divide and sqrt included, is correctly rounded, so with FMA
 contraction off (and no ``-ffast-math``) they give the same bits.
 
-``start_build`` starts the system C compiler in the background, in its own
-process group, writing into a private temporary directory; ``load`` waits
-for it, loads the library and removes the directory, and ``stop_build``
-kills a build that ``load`` never took. Nothing is cached on disk. If the
-compiler is missing, the build fails or numpy's OpenBLAS lacks a ``BLAS``
-symbol, ``load`` returns the NumPy set without a word.
+``load`` builds the C set once per user and compiler: the library is cached
+as ``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so``, keyed by the
+source, flags, optimization level, machine and the compiler's resolved path,
+size and mtime; ``rm -r ~/.cache/skytrack`` clears it, and a damaged file is
+rebuilt. A cache directory that another user owns, or that others can
+write, is never loaded from: the build goes to a private temporary
+directory instead. ``gen`` and the per-step API never start the compiler.
+If the compiler is missing, the build fails or passes ``BUILD_TIMEOUT``, or
+numpy's OpenBLAS lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
+import shutil
 import signal
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import subprocess
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 COMPILER = "cc"
@@ -44,6 +44,7 @@ COMPILER = "cc"
 FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 # numpy's CBLAS with 64-bit integers, as its wheels' scipy-openblas exports it.
 BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
+BUILD_TIMEOUT = 120  # seconds; a longer build is killed and NUMPY used
 
 
 def split(theta: np.ndarray, hidden: int, width: int) -> list[np.ndarray]:
@@ -191,89 +192,79 @@ def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Callable[..., float]:
     return train_epoch
 
 
-class _Build(NamedTuple):
-    process: subprocess.Popen | None  # None if the compiler did not start
-    directory: tempfile.TemporaryDirectory
+def _cache_dir() -> Path | None:
+    """``<XDG_CACHE_HOME or ~/.cache>/skytrack``, made if missing; None if it
+    cannot be made, or if another user owns it or can write to it."""
+    directory = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "skytrack")
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = directory.stat()
+    except OSError:
+        return None
+    trusted = st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(directory, os.W_OK | os.X_OK)
+    return directory if trusted else None
 
 
-def _start(compiler: str, opt: str = "-O2") -> _Build:
+def _run_compiler(command: list[str]) -> bool:
+    """Run ``command`` in its own session; True if it succeeds. If it passes
+    ``BUILD_TIMEOUT``, or an exception interrupts the wait, its whole process
+    group is killed, so the compiler's children die too."""
     import subprocess  # here, not at the top: `gen` imports this module and never builds
 
-    directory = tempfile.TemporaryDirectory(prefix="skytrack-kernels-")
-    lib_file = Path(directory.name) / "_kernels.so"
+    null, process = subprocess.DEVNULL, None
     try:
-        process = subprocess.Popen(
-            [compiler, opt, *FLAGS, "-o", str(lib_file), str(SOURCE), "-lm"],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            start_new_session=True,  # its own process group, so _reap reaches cc's children too
-        )
-    except OSError:
-        process = None
-    return _Build(process, directory)
-
-
-def _reap(build: _Build) -> None:
-    """Kill the build's process group if the compiler still runs, wait for
-    it, and remove the build directory."""
-    if build.process is not None and build.process.poll() is None:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(build.process.pid, signal.SIGKILL)
-        build.process.wait()
-    build.directory.cleanup()
-
-
-def _finish(build: _Build) -> Callable[..., float] | None:
-    """Wait for the build and load it; None if the compiler is missing, the
-    build fails or numpy's OpenBLAS lacks a ``BLAS`` symbol."""
-    import subprocess
-
-    try:
-        blas = _blas()
-        if build.process is None or build.process.wait(timeout=120) != 0:
-            return None
-        lib = ctypes.CDLL(str(Path(build.directory.name) / "_kernels.so"))
-    except (AttributeError, ImportError, OSError, subprocess.TimeoutExpired):
-        return None
+        process = subprocess.Popen(command, stdout=null, stderr=null, start_new_session=True)
+        return process.wait(timeout=BUILD_TIMEOUT) == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
     finally:
-        _reap(build)
-    return _bind(lib, *blas)
+        if process is not None and process.returncode is None:  # unreaped, so its group exists
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
 
 
 def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | None:
-    """Build ``_kernels.c`` with ``compiler`` at optimization level ``opt``
-    and load its epoch; None if the C set cannot be had (see ``_finish``)."""
-    return _finish(_start(compiler, opt))
+    """The C epoch of ``_kernels.c`` built by ``compiler`` at ``opt``, taken
+    from the cache if it holds it intact; None if it cannot be had (see the
+    module docstring)."""
+    import hashlib
+    import platform
 
-
-_build: _Build | None = None  # started by start_build, taken by load
-_loaded = False
-
-
-def start_build() -> None:
-    """Start building the C set in the background, so that the compiler
-    runs while the caller does other work; ``load`` waits for it. Once per
-    process: a no-op after ``load`` or while a build runs."""
-    global _build
-    if _build is None and not _loaded:
-        _build = _start(COMPILER)
-
-
-def stop_build() -> None:
-    """Kill and reap a build that ``load`` has not taken, and remove its
-    directory; every process that calls ``start_build`` calls this before it
-    exits."""
-    global _build
-    if _build is not None:
-        _reap(_build)
-        _build = None
+    try:
+        blas = _blas()
+        found = shutil.which(compiler)
+        if found is None:
+            return None
+        resolved = os.path.realpath(found)
+        st = os.stat(resolved)
+        source = SOURCE.read_bytes()
+    except (AttributeError, ImportError, OSError):
+        return None
+    stamp = repr((FLAGS, opt, platform.machine(), resolved, st.st_size, st.st_mtime_ns)).encode()
+    cache = _cache_dir()
+    with tempfile.TemporaryDirectory(prefix="skytrack-kernels-", dir=cache) as build_dir:
+        lib_file = Path(cache or build_dir, hashlib.sha256(stamp + b"\0" + source).hexdigest() + ".so")
+        try:
+            lib = lib_file.read_bytes()
+        except OSError:  # not built yet
+            lib = b""
+        # A build appends the library's sha256, which the loader ignores: a
+        # damaged library can crash the loading process, so it is rebuilt.
+        if hashlib.sha256(lib[:-32]).digest() != lib[-32:]:
+            built = Path(build_dir, "_kernels.so")
+            if not _run_compiler([found, opt, *FLAGS, "-o", str(built), str(SOURCE), "-lm"]):
+                return None
+            lib = built.read_bytes()
+            built.write_bytes(lib + hashlib.sha256(lib).digest())
+            os.replace(built, lib_file)  # whole, so no process loads a part
+        try:
+            return _bind(ctypes.CDLL(str(lib_file)), *blas)
+        except OSError:
+            return None
 
 
 @functools.cache
 def load() -> Callable[..., float]:
-    """The C epoch, built once per process on the first call (or taken from
-    ``start_build``); ``NUMPY`` if it cannot be had. A forked child inherits
-    the loaded epoch."""
-    global _build, _loaded
-    build, _build, _loaded = _build or _start(COMPILER), None, True
-    return _finish(build) or NUMPY
+    """The C epoch, from the cache or built on the first call in a process;
+    ``NUMPY`` if it cannot be had. A forked child inherits it."""
+    return compile_kernels(COMPILER) or NUMPY

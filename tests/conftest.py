@@ -6,7 +6,11 @@ process just as it does in the CLI. Test modules that import numpy first
 would otherwise leave OpenBLAS at one thread per CPU.
 """
 
+import atexit
 import glob
+import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -14,6 +18,13 @@ import skytrack  # noqa: F401  (before numpy; see above)
 import numpy as np
 from skytrack import kernels
 from skytrack.augmentation import Samples
+
+# The C epoch's build cache lives in a temporary directory of this test
+# run, so the suite neither reads nor writes the user's own cache. This runs
+# before any test module is collected, and test_kernels.py calls
+# kernels.load() then.
+os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(prefix="skytrack-test-cache-")
+atexit.register(shutil.rmtree, os.environ["XDG_CACHE_HOME"], ignore_errors=True)
 
 
 def children(pid: int | str = "self") -> list[int]:

@@ -617,6 +617,8 @@ class TestCommands:
             ("sac_budget", -3.0),
             ("sac_budget", 200.0),  # a turn of 200 / 7 rad per interior waypoint
             ("n_waypoints", "1" + "0" * 400),  # more segments than a float holds
+            ("n_paths", 101),  # route ids have two digits
+            ("n_waypoints", 10001),
         ],
     )
     def test_invalid_config_exits_1_before_any_work(self, tmp_path, capsys, key, value):
@@ -659,6 +661,14 @@ class TestCommands:
             assert proc.returncode == 1
             assert proc.stderr.startswith(f"config error: {bad}: 'utf-8' codec can't decode")
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key, value", [("n_paths", 10**12), ("n_waypoints", 10**15)])
+    def test_count_gen_cannot_finish_exits_1_at_once_and_writes_nothing(self, tmp_path, capsys, key, value):
+        start = time.monotonic()
+        assert cli.main(["gen", "--config", str(small_config(tmp_path, **{key: value}))]) == 1
+        assert time.monotonic() - start < 1
+        assert f"config error: {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -56,8 +56,8 @@ def run_configs(draw):
     return dict(
         seed=draw(st.integers(0, 2**64)),
         out_dir=draw(st.text()),
-        n_paths=draw(COUNT),
-        n_waypoints=draw(st.integers(2, 10**6)),
+        n_paths=draw(st.integers(1, 100)),
+        n_waypoints=draw(st.integers(2, 10000)),
         path_length=draw(POSITIVE),
         sac_budget=draw(st.floats(0, 3.0)),
         world_margin=draw(NON_NEGATIVE),

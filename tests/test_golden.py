@@ -5,13 +5,15 @@ The digests pin the bytes of the small end-to-end scenario from
 ``test_cli.small_config``, once at its own tiny widths and once at the
 default training widths (projection 128, hidden 512), whose GEMMs are large
 enough for OpenBLAS to split across threads. They were recorded with
-numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell
-kernels) on x86-64; another numpy or BLAS build may legitimately produce
-other bytes. A change that alters a digest must say why in CHANGES.md.
-Both training epochs of ``skytrack.kernels``, C and NumPy, must give these
-digests.
+numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH) running its
+SkylakeX kernels on x86-64; another numpy, BLAS build or kernel set may
+legitimately produce other bytes (forced with ``OPENBLAS_CORETYPE``, the
+Haswell and Sandybridge kernels change some of them). A change that alters
+a digest must say why in CHANGES.md. Both training epochs of
+``skytrack.kernels``, C and NumPy, must give these digests.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -58,6 +60,18 @@ def sha256(file: Path) -> str:
     return hashlib.sha256(file.read_bytes()).hexdigest()
 
 
+def openblas_core() -> str:
+    """The kernel set numpy's OpenBLAS chose for this CPU."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 @pytest.mark.parametrize(
     "scenario, kernel_set",
     [("small", "c"), ("wide", "c"), ("small", "numpy"), ("wide", "numpy")],
@@ -71,7 +85,7 @@ def test_golden_digests(tmp_path, scenario, kernel_set):
         assert cli.main([command, "--config", cfg]) == 0
     run = tmp_path / "run"
     digests = {name: sha256(run / name) for name in GOLDEN[scenario]}
-    assert digests == GOLDEN[scenario], f"numpy {np.__version__}"
+    assert digests == GOLDEN[scenario], f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
 
 
 def run_cli(env_overrides: dict[str, str], *args: str) -> subprocess.CompletedProcess:

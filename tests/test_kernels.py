@@ -1,11 +1,13 @@
 """One C training epoch against one NumPy epoch, bit for bit; the fallback
 when the compiler or a BLAS symbol is missing; the checks the C epoch makes
-before it passes a pointer; and when the compiler starts and that it never
-outlives a command."""
+before it passes a pointer; when the compiler starts; the build cache; and
+that a hung build is killed with its children."""
 
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +145,18 @@ def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(monkeypatch, f
 
 @needs_c
 def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, fresh_load):
-    monkeypatch.setattr(kernels, "SOURCE", tmp_path / "missing.c")
-    assert kernels.compile_kernels(kernels.COMPILER) is None
-    kernels.load.cache_clear()
-    assert kernels.load() is NUMPY
+    """A source that is missing, and then one that does not compile, give
+    NUMPY and leave nothing in the cache."""
+    bad = tmp_path / "bad.c"
+    monkeypatch.setattr(kernels, "SOURCE", bad)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for source in (None, "int train_epoch(;\n"):
+        if source is not None:
+            bad.write_text(source)
+        assert kernels.compile_kernels(kernels.COMPILER) is None
+        kernels.load.cache_clear()
+        assert kernels.load() is NUMPY
+    assert not list(tmp_path.glob("cache/skytrack/*"))
 
 
 @needs_c
@@ -247,14 +257,15 @@ def alive(pid: int) -> bool:
         return False
 
 
-def stand_in_compiler(tmp_path):
-    """A stand-in ``cc`` that appends "started" to a marker file and fails;
-    returns it, the marker, a PATH that finds it first, and an environment
-    with that PATH in which a child process imports ``skytrack`` from here."""
+def stand_in_compiler(tmp_path, then="exit 1"):
+    """A stand-in ``cc`` that appends "started" to a marker file and then
+    runs ``then`` (by default it fails); returns it, the marker, a PATH that
+    finds it first, and an environment with that PATH in which a child
+    process imports ``skytrack`` from here."""
     bin_dir, marker = tmp_path / "bin", tmp_path / "cc-started"
     bin_dir.mkdir()
     fake = bin_dir / kernels.COMPILER
-    fake.write_text(f"#!/bin/sh\necho started >> {marker}\nexit 1\n")
+    fake.write_text(f"#!/bin/sh\necho started >> {marker}\n{then}\n")
     fake.chmod(0o755)
     path = f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}"
     env = dict(os.environ, PATH=path)
@@ -283,46 +294,106 @@ def test_per_step_api_never_starts_the_compiler(tmp_path):
 
 def test_gen_never_starts_the_compiler_and_ablation_starts_it_once(tmp_path, monkeypatch, fresh_load):
     """A stand-in ``cc`` first on PATH records every start and fails, so a
-    build falls back to NumPy. ``gen`` must not start it. ``ablation`` must
-    start it once, in the parent, not once per forked level worker, and be
-    done with it before the first fork; ``pipeline`` starts it once too.
-    That it starts at all shows the stand-in is the compiler found. A
-    stand-in that keeps running, with a child of its own, must be killed
-    with its child when a command ends without waiting for the build: a
-    ``pipeline`` whose every route fails before training, and an
-    ``ablation`` that raises."""
-    fake, marker, path, env = stand_in_compiler(tmp_path)
+    build falls back to NumPy and caches nothing. ``gen`` must not start it.
+    ``ablation`` must start it once, in the parent, not once per forked level
+    worker, and be done with it before the first fork; ``pipeline`` starts it
+    once too. That it starts at all shows the stand-in is the compiler
+    found."""
+    _, marker, path, env = stand_in_compiler(tmp_path)
     cfg = str(small_config(tmp_path, ablation_levels="1,2,3"))
     for command, starts in (("gen", 0), ("ablation", 1), ("pipeline", 2)):
         subprocess.run([sys.executable, "-m", "skytrack.cli", command, "--config", cfg], env=env, check=True, timeout=300)
         assert marker.exists() == bool(starts)
         assert starts == 0 or marker.read_text().split() == ["started"] * starts
 
-    # In this process, as a fresh one: the build is taken before the first fork.
+    # In this process, as a fresh one: the epoch is loaded before the first fork.
     monkeypatch.setenv("PATH", path)
-    monkeypatch.setattr(kernels, "_loaded", False)
     fork = cli._fork
 
     def checked_fork(*args):
-        assert kernels._build is None and kernels.load.cache_info().currsize == 1
+        assert kernels.load.cache_info().currsize == 1
         return fork(*args)
 
     monkeypatch.setattr(cli, "_fork", checked_fork)
     assert cli.main(["ablation", "--config", cfg]) == 0
     assert marker.read_text().split() == ["started"] * 3
 
+
+def load_in_fresh_process(env) -> bool:
+    """Whether ``kernels.load`` gives the C epoch in a fresh process."""
+    probe = "from skytrack import kernels; print(kernels.load() is not kernels.NUMPY)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120, capture_output=True)
+    return out.stdout.split() == [b"True"]
+
+
+@pytest.fixture
+def counted_compiler(tmp_path):
+    """A stand-in ``cc`` that counts its starts in a marker file and runs the
+    real one; returns the marker, the cache directory and an environment in
+    which a fresh process finds the stand-in and caches there."""
+    _, marker, _, env = stand_in_compiler(tmp_path, f'exec {shutil.which(kernels.COMPILER)} "$@"')
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    return marker, tmp_path / "cache" / "skytrack", env
+
+
+@needs_c
+def test_second_process_loads_the_cache_without_the_compiler(counted_compiler):
+    marker, cache, env = counted_compiler
+    assert load_in_fresh_process(env)
+    assert marker.read_text().split() == ["started"]
+    assert load_in_fresh_process(env)
+    assert marker.read_text().split() == ["started"]
+    assert len(list(cache.iterdir())) == 1
+
+
+@needs_c
+def test_truncated_cache_file_is_rebuilt_and_loads(counted_compiler):
+    """Loading a truncated library can crash the process; the cache's
+    check finds it first, and the next process rebuilds it."""
+    marker, cache, env = counted_compiler
+    assert load_in_fresh_process(env)
+    (lib,) = cache.iterdir()
+    whole = lib.read_bytes()
+    lib.write_bytes(whole[: len(whole) // 4])
+    assert load_in_fresh_process(env)
+    assert marker.read_text().split() == ["started"] * 2
+    assert list(cache.iterdir()) == [lib] and lib.read_bytes() == whole
+
+
+@needs_c
+@pytest.mark.parametrize("unsafe", ["others-write", "group-write", "other-owner"])
+def test_cache_directory_that_others_control_is_never_used(tmp_path, monkeypatch, unsafe):
+    """The C epoch still loads, from a private build, and the cache
+    directory is left as it was: its emptied library, which a trusted cache
+    would rebuild, stays empty, and no file is added."""
+    if unsafe == "other-owner" and os.getuid() != 0:
+        pytest.skip("giving a directory to another user needs root")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    assert load_in_fresh_process(env)
+    cache = tmp_path / "skytrack"
+    (lib,) = cache.iterdir()
+    lib.write_bytes(b"")
+    if unsafe == "other-owner":
+        os.chown(cache, 65534, -1)
+    else:
+        cache.chmod(0o777 if unsafe == "others-write" else 0o770)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert kernels.compile_kernels(kernels.COMPILER) is not None
+    assert [(f.name, f.stat().st_size) for f in cache.iterdir()] == [(lib.name, 0)]
+
+
+@needs_c
+def test_hung_build_is_killed_with_its_child(tmp_path, monkeypatch, fresh_load):
+    """A stand-in ``cc`` that never ends, with a child of its own, is killed
+    with its child at ``BUILD_TIMEOUT``, and ``load`` gives ``NUMPY``."""
+    fake, _, path, _ = stand_in_compiler(tmp_path)
     pids = tmp_path / "cc-pids"
     fake.write_text(f"#!/bin/sh\necho $$ >> {pids}\nsleep 60 &\necho $! >> {pids}\nwait\n")
-    kernels.load.cache_clear()
-    monkeypatch.setattr(kernels, "_loaded", False)
-    run = tmp_path / "run"
-    (run / "path_00_dataset.npz").unlink()
-    (run / "path_00_dataset.npz").mkdir()  # every route fails before training
-    assert cli.main(["pipeline", "--config", cfg]) == 2
-    (run / "config.resolved.txt").unlink()
-    (run / "config.resolved.txt").mkdir()  # ablation raises before training
-    assert cli.main(["ablation", "--config", cfg]) == 2
-    # A kill may come before the stand-in has written its pid; what it wrote must be gone.
-    started = [int(pid) for pid in pids.read_text().split()] if pids.exists() else []
-    assert not any(alive(pid) for pid in started)
-    assert kernels._build is None
+    monkeypatch.setenv("PATH", path)
+    monkeypatch.setattr(kernels, "BUILD_TIMEOUT", 1)
+    start = time.monotonic()
+    assert kernels.load() is NUMPY
+    assert time.monotonic() - start < 30
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert len(started) == 2 and not any(alive(pid) for pid in started)

@@ -1,0 +1,35 @@
+"""The benchmark's traced mode runs against this ``skytrack``.
+
+``perfbench/tracer.py`` rebinds public names of the ``skytrack`` modules
+(``learner.save_model``, ``augmentation.render_observation`` and so on) and
+reads ``learner.train``'s ``projection_dim`` and ``hidden`` arguments by
+name, so a change under ``src/`` can break ``perfbench/run.py --trace 1``
+without any other test noticing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from skytrack import cli
+from test_cli import SRC, small_config
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ablation"])
+def test_traced_command_runs(tmp_path, command):
+    cfg = str(small_config(tmp_path))
+    assert cli.main(["gen", "--config", cfg]) == 0
+    summary = tmp_path / "summary.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    args = ["--run-id", "t", "--summary", str(summary), "--spans", str(tmp_path / "spans.csv"), command, "--config", cfg]
+    proc = subprocess.run([sys.executable, str(TRACER), *args], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(summary.read_text())["metrics"]
+    if command == "pipeline":  # the ablation trains in forked workers, which the tracer does not follow
+        assert metrics["learner.train_s"] > 0
