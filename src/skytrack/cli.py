@@ -45,16 +45,6 @@ def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
     (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def train_config(config: RunConfig) -> learner.TrainConfig:
-    return learner.TrainConfig(
-        lr0=config.lr0,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        lr_halving_period=config.lr_halving_period,
-        shuffle_seed=config.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # path synthesis
 
@@ -302,13 +292,7 @@ def _train_fly_score(
 ) -> tuple[learner.RegressorModel, simulator.TrajectoryLog, metrics.MetricsReport]:
     """Train a model on ``dataset``, fly it along ``route`` and score the
     flight, plus the held-out angle MSE when ``test_set`` is given."""
-    model, _ = learner.train(
-        dataset,
-        train_config(config),
-        seed=config.seed,
-        projection_dim=config.projection_dim,
-        hidden=config.hidden_units,
-    )
+    model, _ = learner.train(dataset, config, projection_dim=config.projection_dim, hidden=config.hidden_units)
     policy = simulator.ModelPolicy(model, gain=config.command_gain)
     log = simulator.rollout(policy, world, route, config)
     return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)

@@ -13,25 +13,30 @@ Both sets do the same IEEE double operations in the same order, and every
 one of them, divide and sqrt included, is correctly rounded, so with FMA
 contraction off (and no ``-ffast-math``) they give the same bits.
 
-``load`` builds the C set once per user and compiler: the library is cached
-as ``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so``, keyed by the
-source, flags, optimization level, machine and the compiler's resolved path,
-size and mtime; ``rm -r ~/.cache/skytrack`` clears it, and a damaged file is
-rebuilt. A cache directory that another user owns, or that others can
-write, is never loaded from: the build goes to a private temporary
-directory instead. ``gen`` and the per-step API never start the compiler.
-If the compiler is missing, the build fails or passes ``BUILD_TIMEOUT``, or
-numpy's OpenBLAS lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
+``load`` builds the C set once per user and compiler: the library is cached as
+``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so``, keyed by the source,
+flags, optimization level, machine and the compiler's resolved path, size and
+mtime; ``rm -r ~/.cache/skytrack`` clears it, and a damaged file is rebuilt.
+Only a miss builds, in a ``skytrack-kernels-*`` directory beside the cache
+file, after removing each such directory older than ``2 * BUILD_TIMEOUT`` (a
+build killed by SIGKILL leaves one). A cache directory that another user owns,
+or that others can write, is never loaded from: the build goes to a private
+temporary directory instead. ``gen`` and the per-step API never start the
+compiler. If the compiler is missing, the build fails or passes
+``BUILD_TIMEOUT``, or numpy's OpenBLAS lacks a ``BLAS`` symbol, ``load``
+silently returns NUMPY.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
 import shutil
 import signal
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -45,6 +50,7 @@ FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 # numpy's CBLAS with 64-bit integers, as its wheels' scipy-openblas exports it.
 BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
 BUILD_TIMEOUT = 120  # seconds; a longer build is killed and NUMPY used
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's, fixed
 
 
 def split(theta: np.ndarray, hidden: int, width: int) -> list[np.ndarray]:
@@ -62,12 +68,12 @@ def _relu_backward(a: np.ndarray, g: np.ndarray, w2: np.ndarray, gb1: np.ndarray
     np.sum(a, axis=0, out=gb1)
 
 
-def _adam(p, g, m, v, lr, beta1, beta2, eps, b1c, b2c) -> None:
-    m *= beta1
-    m += g * (1.0 - beta1)
-    v *= beta2
-    v += np.square(g) * (1.0 - beta2)
-    p -= (m / b1c) * lr / (np.sqrt(v / b2c) + eps)
+def _adam(p, g, m, v, lr, t) -> None:
+    m *= BETA1
+    m += g * (1.0 - BETA1)
+    v *= BETA2
+    v += np.square(g) * (1.0 - BETA2)
+    p -= (m / (1.0 - BETA1**t)) * lr / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
 def head_gradient(z, y, w1, b1, w2, b2, grads) -> float:
@@ -94,9 +100,7 @@ def adam_update(p: np.ndarray, g: np.ndarray, state, lr: float) -> None:
     if not np.isfinite(g).all():
         raise RuntimeError("diverged: non-finite gradient")
     state.t += 1
-    b1c = 1.0 - state.beta1**state.t
-    b2c = 1.0 - state.beta2**state.t
-    _adam(p, g, state.m, state.v, lr, state.beta1, state.beta2, state.eps, b1c, b2c)
+    _adam(p, g, state.m, state.v, lr, state.t)
 
 
 def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> float:
@@ -156,10 +160,13 @@ def _blas() -> list[int]:
     return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS]
 
 
-def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Callable[..., float]:
-    """The C ``train_epoch``, with the arguments and result of ``NUMPY``."""
+def _bind(lib_file: Path, dgemm: int, dgemv: int) -> Callable[..., float] | None:
+    """The C ``train_epoch`` of ``lib_file``, called as ``NUMPY`` is; None if the library does not load."""
     ptr, size, f64 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    epoch = lib.train_epoch
+    try:
+        epoch = ctypes.CDLL(str(lib_file)).train_epoch
+    except OSError:
+        return None
     epoch.restype, epoch.argtypes = size, [ptr] * 3 + [size] * 4 + [ptr] * 3 + [size] + [f64] * 4 + [ptr] * 3
 
     def train_epoch(z, y, order, theta, state, hidden, batch_size, lr):
@@ -180,7 +187,7 @@ def _bind(lib: ctypes.CDLL, dgemm: int, dgemv: int) -> Callable[..., float]:
         sse = ctypes.c_double(0.0)
         steps = epoch(
             *pointers[:2], order.ctypes.data, done, width, hidden, batch_size, *pointers[2:], state.t,
-            lr, state.beta1, state.beta2, state.eps, dgemm, dgemv, ctypes.byref(sse),
+            lr, BETA1, BETA2, EPS, dgemm, dgemv, ctypes.byref(sse),
         )
         if steps < 0:
             raise MemoryError("train_epoch: out of memory")
@@ -242,25 +249,29 @@ def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | N
         return None
     stamp = repr((FLAGS, opt, platform.machine(), resolved, st.st_size, st.st_mtime_ns)).encode()
     cache = _cache_dir()
+    name = hashlib.sha256(stamp + b"\0" + source).hexdigest() + ".so"
+    try:
+        lib = Path(cache, name).read_bytes() if cache else b""
+    except OSError:  # not built yet
+        lib = b""
+    # A build appends the library's sha256, which the loader ignores: a
+    # damaged library can crash the loading process, so it is rebuilt.
+    if hashlib.sha256(lib[:-32]).digest() == lib[-32:]:
+        return _bind(Path(cache, name), *blas)
+    # A live build is killed at BUILD_TIMEOUT, so no live build is this old.
+    for old in cache.glob("skytrack-kernels-*") if cache else ():
+        with contextlib.suppress(OSError):  # another process removed it first
+            if time.time() - old.stat().st_mtime > 2 * BUILD_TIMEOUT:
+                shutil.rmtree(old, ignore_errors=True)
     with tempfile.TemporaryDirectory(prefix="skytrack-kernels-", dir=cache) as build_dir:
-        lib_file = Path(cache or build_dir, hashlib.sha256(stamp + b"\0" + source).hexdigest() + ".so")
-        try:
-            lib = lib_file.read_bytes()
-        except OSError:  # not built yet
-            lib = b""
-        # A build appends the library's sha256, which the loader ignores: a
-        # damaged library can crash the loading process, so it is rebuilt.
-        if hashlib.sha256(lib[:-32]).digest() != lib[-32:]:
-            built = Path(build_dir, "_kernels.so")
-            if not _run_compiler([found, opt, *FLAGS, "-o", str(built), str(SOURCE), "-lm"]):
-                return None
-            lib = built.read_bytes()
-            built.write_bytes(lib + hashlib.sha256(lib).digest())
-            os.replace(built, lib_file)  # whole, so no process loads a part
-        try:
-            return _bind(ctypes.CDLL(str(lib_file)), *blas)
-        except OSError:
+        built = Path(build_dir, "_kernels.so")
+        if not _run_compiler([found, opt, *FLAGS, "-o", str(built), str(SOURCE), "-lm"]):
             return None
+        lib = built.read_bytes()
+        built.write_bytes(lib + hashlib.sha256(lib).digest())
+        lib_file = Path(cache or build_dir, name)
+        os.replace(built, lib_file)  # whole, so no process loads a part
+        return _bind(lib_file, *blas)
 
 
 @functools.cache

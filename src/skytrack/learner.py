@@ -1,6 +1,7 @@
 """Steering-angle regressor: frozen random projection into a trainable
 two-layer head (512 hidden units, rectifier, scalar output), trained with
-Adam on mean squared error.
+Adam on mean squared error by the recipe of the frozen ``RunConfig``, with
+Adam's beta1, beta2 and eps fixed as ``kernels.BETA1``, ``BETA2`` and ``EPS``.
 
 The projection models a fixed generic feature extractor: it is drawn once at
 init and never receives gradients. The loss compares the raw (unwrapped)
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import kernels
 from .augmentation import Dataset, normalize_features
+from .config import RunConfig
 from .geometry import wrap_angle
 from .world import json_floats
 
@@ -41,25 +43,11 @@ class RegressorModel:
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count; beta1, beta2 and eps are the fixed kernels.BETA1, BETA2 and EPS."""
+
     m: np.ndarray  # first moments, shaped like the parameters
     v: np.ndarray  # second moments
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr0: float = 1e-4
-    batch_size: int = 64
-    epochs: int = 100
-    lr_halving_period: int = 25
-    shuffle_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.lr0, self.batch_size, self.epochs, self.lr_halving_period) <= 0:
-            raise ValueError("lr0, batch_size, epochs, lr_halving_period must be positive")
 
 
 def _uniform_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -138,7 +126,7 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
     kernels.adam_update(p, g, state, lr)
 
 
-def lr_at(epoch: int, config: TrainConfig) -> float:
+def lr_at(epoch: int, config: RunConfig) -> float:
     """Step schedule: the base rate is halved every lr_halving_period epochs."""
     if not (0 <= epoch < config.epochs):
         raise ValueError("epoch out of range")
@@ -146,13 +134,10 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def train(
-    dataset: Dataset,
-    config: TrainConfig,
-    seed: int,
-    projection_dim: int = 128,
-    hidden: int = 512,
+    dataset: Dataset, config: RunConfig, projection_dim: int = 128, hidden: int = 512
 ) -> tuple[RegressorModel, list[float]]:
-    """Mini-batch training over the full recipe; returns the trained model
+    """Mini-batch training over the recipe of ``config``, whose ``seed``
+    seeds both the weight init and the shuffle; returns the trained model
     (with the dataset's normalization statistics embedded) and the per-epoch
     mean squared error history."""
     if not len(dataset.samples):
@@ -161,7 +146,7 @@ def train(
     y = dataset.samples.targets
     n = x.shape[0]
 
-    model = init_model(seed, x.shape[1], projection_dim, hidden)
+    model = init_model(config.seed, x.shape[1], projection_dim, hidden)
     model.feature_mean = dataset.feature_mean.copy()
     model.feature_std = dataset.feature_std.copy()
     z = x @ model.projection.T  # projection is frozen, so project once
@@ -175,7 +160,7 @@ def train(
     model.w1, model.b1, model.w2, _ = kernels.split(theta, hidden, model.w1.shape[1])
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     train_epoch = kernels.load()
-    rng = np.random.default_rng(config.shuffle_seed)
+    rng = np.random.default_rng(config.seed)
     history: list[float] = []
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)

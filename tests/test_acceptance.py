@@ -223,7 +223,7 @@ def test_criterion_6_optimizer(capsys):
         learner.adam_step(p, 2 * (p - 3.0), state, lr=1e-2)
     gap = abs(p[0] - 3.0)
 
-    cfg = learner.TrainConfig()
+    cfg = RunConfig()
     schedule_ok = (
         learner.lr_at(0, cfg) == 1e-4
         and learner.lr_at(25, cfg) == 5e-5

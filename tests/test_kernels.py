@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
 from skytrack import cli, kernels, learner
+from skytrack.config import RunConfig
 from test_cli import SRC, small_config
 
 C = kernels.load()
@@ -121,8 +123,8 @@ def train_bytes() -> bytes:
         rng.normal(size=(150, 12)), rng.normal(size=150), np.full(150, "p"),
         np.zeros(150, dtype=np.int64), np.arange(150, dtype=np.int64),
     )
-    config = learner.TrainConfig(lr0=1e-3, batch_size=64, epochs=3, lr_halving_period=2)
-    model, history = learner.train(aug.dataset_from_samples(samples), config, seed=1, projection_dim=16, hidden=24)
+    config = RunConfig(seed=1, lr0=1e-3, batch_size=64, epochs=3, lr_halving_period=2)
+    model, history = learner.train(aug.dataset_from_samples(samples), config, projection_dim=16, hidden=24)
     return b"".join(a.tobytes() for a in (model.w1, model.b1, model.w2, np.array([model.b2, *history])))
 
 
@@ -358,6 +360,45 @@ def test_truncated_cache_file_is_rebuilt_and_loads(counted_compiler):
     assert load_in_fresh_process(env)
     assert marker.read_text().split() == ["started"] * 2
     assert list(cache.iterdir()) == [lib] and lib.read_bytes() == whole
+
+
+@needs_c
+def test_a_miss_removes_only_stale_build_directories(tmp_path, monkeypatch):
+    """A build directory older than ``2 * BUILD_TIMEOUT``, which a build
+    killed by SIGKILL left, is removed on a cache miss; a fresh one and one
+    between one and two timeouts old, as a live build's might be, are
+    kept."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "skytrack"
+    ages = {"stale": 2 * kernels.BUILD_TIMEOUT + 60, "recent": kernels.BUILD_TIMEOUT + 60, "fresh": 0}
+    for label, age in ages.items():
+        leftover = cache / f"skytrack-kernels-{label}"
+        leftover.mkdir(parents=True)
+        (leftover / "_kernels.so").write_bytes(b"partial")
+        os.utime(leftover, (time.time() - age,) * 2)
+    cache.chmod(0o700)
+    assert kernels.compile_kernels(kernels.COMPILER) is not None
+    dirs = sorted(p.name for p in cache.iterdir() if p.is_dir())
+    assert dirs == ["skytrack-kernels-fresh", "skytrack-kernels-recent"]
+    assert [p.suffix for p in cache.iterdir() if p.is_file()] == [".so"]
+
+
+@needs_c
+def test_a_cache_hit_makes_no_build_directory(tmp_path, monkeypatch):
+    """Only a miss makes a build directory: of two builds of one library,
+    the first makes one and the second, a hit, makes none."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    made = []
+    real = tempfile.TemporaryDirectory
+
+    def counted(*args, **kwargs):
+        made.append(kwargs.get("dir"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", counted)
+    for _ in range(2):
+        assert kernels.compile_kernels(kernels.COMPILER) is not None
+    assert made == [tmp_path / "skytrack"]
 
 
 @needs_c

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import make_samples
 from skytrack import augmentation as aug
+from skytrack import kernels
+from skytrack.config import RunConfig
 from skytrack.learner import (
     AdamState,
     RegressorModel,
-    TrainConfig,
     _loss_grad_projected,
     adam_step,
     init_model,
@@ -281,7 +282,7 @@ class TestAdamStep:
 
 class TestLearningRateSchedule:
     def test_reference_schedule_points(self):
-        cfg = TrainConfig()
+        cfg = RunConfig()
         assert lr_at(0, cfg) == 1e-4
         assert lr_at(25, cfg) == 5e-5
         assert lr_at(50, cfg) == 2.5e-5
@@ -289,7 +290,7 @@ class TestLearningRateSchedule:
         assert lr_at(99, cfg) == 1.25e-5
 
     def test_non_increasing_piecewise_constant(self):
-        cfg = TrainConfig()
+        cfg = RunConfig()
         rates = [lr_at(e, cfg) for e in range(cfg.epochs)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
         for start in range(0, 100, 25):
@@ -297,19 +298,19 @@ class TestLearningRateSchedule:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            lr_at(100, TrainConfig())
+            lr_at(100, RunConfig())
 
 
 class TestTrain:
     def test_constant_target_learned(self):
         ds = synthetic_dataset(n=2000, target_fn=lambda x: 0.3)
-        _, history = train(ds, TrainConfig(), seed=0, projection_dim=8, hidden=512)
+        _, history = train(ds, RunConfig(seed=0), projection_dim=8, hidden=512)
         assert history[-1] < 1e-3
 
     def test_deterministic(self):
         ds = synthetic_dataset()
-        a, _ = train(ds, TrainConfig(), seed=4, projection_dim=8, hidden=16)
-        b, _ = train(ds, TrainConfig(), seed=4, projection_dim=8, hidden=16)
+        a, _ = train(ds, RunConfig(seed=4), projection_dim=8, hidden=16)
+        b, _ = train(ds, RunConfig(seed=4), projection_dim=8, hidden=16)
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w2, b.w2)
         assert a.b2 == b.b2
@@ -318,40 +319,62 @@ class TestTrain:
         rng = np.random.default_rng(2)
         coef = rng.normal(size=8) * 0.2
         ds = synthetic_dataset(n=2000, target_fn=lambda x: float(coef @ x))
-        _, history = train(ds, TrainConfig(), seed=1, projection_dim=8, hidden=256)
+        _, history = train(ds, RunConfig(seed=1), projection_dim=8, hidden=256)
         assert history[-1] < 1e-3
 
     def test_loss_trend(self):
         ds = synthetic_dataset(target_fn=lambda x: float(x[0] - x[1]))
-        _, history = train(ds, TrainConfig(), seed=0, projection_dim=8, hidden=32)
+        _, history = train(ds, RunConfig(seed=0), projection_dim=8, hidden=32)
         assert len(history) == 100
         assert history[-1] < history[0]
 
     def test_frozen_projection_untouched(self):
         ds = synthetic_dataset()
-        model, _ = train(ds, TrainConfig(epochs=3), seed=6, projection_dim=8, hidden=16)
+        model, _ = train(ds, RunConfig(seed=6, epochs=3), projection_dim=8, hidden=16)
         fresh = init_model(6, ds.dim, projection_dim=8, hidden=16)
         assert model.projection.tobytes() == fresh.projection.tobytes()
 
     def test_normalization_stats_embedded(self):
         ds = synthetic_dataset()
-        model, _ = train(ds, TrainConfig(epochs=2), seed=0, projection_dim=8, hidden=16)
+        model, _ = train(ds, RunConfig(seed=0, epochs=2), projection_dim=8, hidden=16)
         np.testing.assert_array_equal(model.feature_mean, ds.feature_mean)
         np.testing.assert_array_equal(model.feature_std, ds.feature_std)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            train(
-                aug.Dataset(make_samples(np.zeros((0, 4)), []), np.zeros(4), np.ones(4)),
-                TrainConfig(),
-                seed=0,
-            )
+            train(aug.Dataset(make_samples(np.zeros((0, 4)), []), np.zeros(4), np.ones(4)), RunConfig())
+
+    @pytest.mark.parametrize("kernel_set", ["c", "numpy"], indirect=True)
+    def test_one_seed_drives_the_init_and_the_shuffle(self, kernel_set):
+        """``config.seed`` seeds the weight init and the batch shuffle alike:
+        ``train`` equals, byte for byte, a reference built by hand from
+        ``init_model(seed, ...)`` and NumPy epochs over the orders of one
+        ``default_rng(seed)`` at the ``lr_at`` rates."""
+        seed, hidden, width = 7, 16, 8
+        ds = synthetic_dataset(n=150, target_fn=lambda x: float(x[0] - x[1]))
+        config = RunConfig(seed=seed, epochs=2, lr0=1e-3, lr_halving_period=1)
+        model, history = train(ds, config, projection_dim=width, hidden=hidden)
+
+        ref = init_model(seed, ds.dim, projection_dim=width, hidden=hidden)
+        x = aug.normalize_features(ds.feature_mean, ds.feature_std, ds.samples.features)
+        z, n = x @ ref.projection.T, len(x)
+        theta = np.concatenate([ref.w1.ravel(), ref.b1, ref.w2, [ref.b2]])
+        state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
+        rng = np.random.default_rng(seed)
+        sse = []
+        for epoch in range(config.epochs):
+            order, lr = rng.permutation(n), lr_at(epoch, config)
+            sse.append(kernels.NUMPY(z, ds.samples.targets, order, theta, state, hidden, config.batch_size, lr))
+        assert model.projection.tobytes() == ref.projection.tobytes()
+        params = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
+        assert params.tobytes() == theta.tobytes()
+        assert history == [s / n for s in sse]
 
 
 class TestModelRoundTrip:
     def test_save_load_bit_faithful(self, tmp_path):
         ds = synthetic_dataset()
-        model, _ = train(ds, TrainConfig(epochs=2), seed=8, projection_dim=8, hidden=16)
+        model, _ = train(ds, RunConfig(seed=8, epochs=2), projection_dim=8, hidden=16)
         file = tmp_path / "model.json"
         save_model(model, file)
         loaded = load_model(file)
@@ -376,7 +399,7 @@ class TestModelRoundTrip:
         ],
     )
     def test_load_rejects_disagreeing_dimensions(self, tmp_path, key, shape, expected):
-        model, _ = train(synthetic_dataset(), TrainConfig(epochs=1), seed=8, projection_dim=8, hidden=16)
+        model, _ = train(synthetic_dataset(), RunConfig(seed=8, epochs=1), projection_dim=8, hidden=16)
         file = tmp_path / "model.json"
         save_model(model, file)
         doc = json.loads(file.read_text())
