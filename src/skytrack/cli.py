@@ -24,13 +24,12 @@ import signal
 import sys
 import zipfile
 import zlib
-from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path as FilePath
 
 import numpy as np
 
-from . import BLAS_THREADS, kernels, learner, metrics, simulator
+from . import kernels, learner, metrics, simulator
 from . import augmentation as aug
 from .config import ConfigError, RunConfig, load_config
 from .geometry import Path, Point2, path_length, sum_angle_change, wrap_angle
@@ -48,29 +47,19 @@ def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
 # ---------------------------------------------------------------------------
 # path synthesis
 
-def generate_route(
-    seed: int,
-    path_id: str,
-    n_waypoints: int,
-    total_length: float,
-    sac_budget: float,
-) -> Path:
-    """Seeded random walk with a turn budget.
+def generate_route(config: RunConfig, path_id: str) -> Path:
+    """Seeded random walk with a turn budget, all read from ``config``.
 
     Interior turns all have magnitude sac_budget / (n_waypoints - 2) with
     random signs, so the realized sum of angle change equals the budget
-    exactly (each turn stays below pi).
+    exactly (``RunConfig`` keeps each turn below pi).
     """
-    if n_waypoints < 2:
-        raise ConfigError("n_waypoints must be >= 2")
     rng = np.random.default_rng(
-        np.random.SeedSequence([seed, zlib.crc32(path_id.encode("utf-8"))])
+        np.random.SeedSequence([config.seed, zlib.crc32(path_id.encode("utf-8"))])
     )
-    n_segments = n_waypoints - 1
-    turn = 0.0 if n_waypoints < 3 else sac_budget / (n_waypoints - 2)
-    if turn >= math.pi:
-        raise ConfigError("sac_budget too large for the waypoint count")
-    seg = total_length / n_segments
+    n_segments = config.n_waypoints - 1
+    turn = 0.0 if config.n_waypoints < 3 else config.sac_budget / (config.n_waypoints - 2)
+    seg = config.path_length / n_segments
     heading = float(rng.uniform(-math.pi, math.pi))
     x, y = 0.0, 0.0
     points = [Point2(x, y)]
@@ -256,10 +245,7 @@ def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath |
 def cmd_gen(config: RunConfig) -> int:
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    routes = [
-        generate_route(config.seed, f"path_{i:02d}", config.n_waypoints, config.path_length, config.sac_budget)
-        for i in range(config.n_paths)
-    ]
+    routes = [generate_route(config, f"path_{i:02d}") for i in range(config.n_paths)]
     bounds = routes_bounding_box(routes, config.world_margin)
     world = generate_world(config.seed, config.n_landmarks, config.signature_dim, bounds)
     save_world(world, out_dir / "world.json")
@@ -396,14 +382,9 @@ def _fork(job, *args) -> tuple[int, int]:
     return pid, read_fd
 
 
-def run_ablation(
-    config: RunConfig,
-    world: LandmarkWorld,
-    route: Path,
-    levels: Sequence[int],
-) -> list[dict[str, object]]:
-    """Train one model per augmentation level and score each on held-out
-    jittered sweeps (disjoint RNG streams) and in closed loop.
+def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[dict[str, object]]:
+    """Train one model per level of ``config.ablation_levels`` and score each
+    on held-out jittered sweeps (disjoint RNG streams) and in closed loop.
 
     Level k trains on sweeps 0..k-1, the same dataset ``aug.build_dataset``
     gives for ``n_augmented = k``. A sweep does not depend on k, so the path
@@ -413,13 +394,14 @@ def run_ablation(
     sends back only its row: the largest k first, at most
     ``ablation_workers`` children at a time. The first failing level kills
     and reaps the other children and raises."""
+    levels = config.ablation_levels
     walk, samples = aug.training_samples(route, config, world, max(levels))
     tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + config.n_test_sweeps)
     test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, config, world, i) for i in tests])
 
     kernels.load()  # loaded once, before the first fork; the forked workers inherit it
     pending = sorted(set(levels), reverse=True)
-    workers = ablation_workers(len(os.sched_getaffinity(0)), BLAS_THREADS, len(pending))
+    workers = ablation_workers(len(os.sched_getaffinity(0)), kernels.blas_threads(), len(pending))
     running: dict[int, tuple[int, int]] = {}  # read fd -> (pid, k)
     rows: dict[int, dict[str, object]] = {}
     try:
@@ -455,7 +437,7 @@ def cmd_ablation(config: RunConfig) -> int:
     out_dir = FilePath(config.out_dir)
     write_resolved_config(config, out_dir)
     route = routes[0]
-    rows = run_ablation(config, world, route, config.ablation_levels)
+    rows = run_ablation(config, world, route)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["k", "angle_mse", "mctd", "termination"])
         writer.writeheader()
@@ -482,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
-        if args.out_dir:
+        if args.out_dir is not None:
             config = replace(config, out_dir=args.out_dir)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -494,9 +476,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             return cmd_pipeline(config)
         return cmd_ablation(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return 2

@@ -80,14 +80,14 @@ class RunConfig:
         check("step", 0 < self.step <= self.capture_radius, "must be in (0, capture_radius]")
         levels = self.ablation_levels
         check("ablation_levels", bool(levels) and min(levels) >= 1, "must list one or more levels, each >= 1")
-        # config.resolved.txt must read back as written: it is UTF-8 text
-        # (which cannot hold a lone surrogate, as os.fsdecode makes of a byte
-        # that is not UTF-8), '#' starts a comment, a line break ends the line
-        # and the value is stripped.
+        # Empty text would be the current directory. config.resolved.txt must
+        # read back as written: it is UTF-8 text (which cannot hold a lone
+        # surrogate, as os.fsdecode makes of a byte that is not UTF-8), '#'
+        # starts a comment, a line break ends the line and the value is stripped.
         out_dir = self.out_dir
-        ok = out_dir.encode("utf-8", "replace").decode("utf-8") == out_dir
+        ok = out_dir != "" and out_dir.encode("utf-8", "replace").decode("utf-8") == out_dir
         ok = ok and "#" not in out_dir and len(out_dir.splitlines()) <= 1 and out_dir == out_dir.strip()
-        check("out_dir", ok, "must be UTF-8 text with no '#' or line break, nor start or end with whitespace")
+        check("out_dir", ok, "must be non-empty UTF-8 text with no '#' or line break, nor start or end with whitespace")
 
 
 def parse_config(text: str) -> RunConfig:

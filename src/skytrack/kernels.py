@@ -25,6 +25,9 @@ temporary directory instead. ``gen`` and the per-step API never start the
 compiler. If the compiler is missing, the build fails or passes
 ``BUILD_TIMEOUT``, or numpy's OpenBLAS lacks a ``BLAS`` symbol, ``load``
 silently returns NUMPY.
+
+``blas_threads`` asks that same OpenBLAS how many threads it runs; the
+ablation sizes its worker pool by the answer.
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ COMPILER = "cc"
 # -fno-math-errno drops only the errno write of sqrt on a negative argument,
 # which lets the compiler use the SIMD square root; the result is unchanged.
 FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
-# numpy's CBLAS with 64-bit integers, as its wheels' scipy-openblas exports it.
+# numpy's CBLAS with 64-bit integers, and its thread count, as its wheels'
+# scipy-openblas exports them.
 BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
+NUM_THREADS = "scipy_openblas_get_num_threads64_"
 BUILD_TIMEOUT = 120  # seconds; a longer build is killed and NUMPY used
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's, fixed
 
@@ -58,22 +63,6 @@ def split(theta: np.ndarray, hidden: int, width: int) -> list[np.ndarray]:
     vector, in that order."""
     w1, b1, w2, b2 = np.split(theta, np.cumsum([hidden * width, hidden, hidden]))
     return [w1.reshape(hidden, width), b1, w2, b2]
-
-
-def _relu_backward(a: np.ndarray, g: np.ndarray, w2: np.ndarray, gb1: np.ndarray) -> None:
-    # The mask multiplies (not assigns), so a masked -0.0 stays -0.0.
-    mask = a > 0.0
-    np.outer(g, w2, out=a)
-    np.multiply(a, mask, out=a)
-    np.sum(a, axis=0, out=gb1)
-
-
-def _adam(p, g, m, v, lr, t) -> None:
-    m *= BETA1
-    m += g * (1.0 - BETA1)
-    v *= BETA2
-    v += np.square(g) * (1.0 - BETA2)
-    p -= (m / (1.0 - BETA1**t)) * lr / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
 def head_gradient(z, y, w1, b1, w2, b2, grads) -> float:
@@ -89,7 +78,11 @@ def head_gradient(z, y, w1, b1, w2, b2, grads) -> float:
     gw1, gb1, gw2, gb2 = grads
     np.matmul(h.T, g, out=gw2)
     gb2[0] = g.sum()
-    _relu_backward(a, g, w2, gb1)  # a holds da from here on
+    # a becomes da; the mask multiplies (not assigns), so a masked -0.0 stays -0.0.
+    mask = a > 0.0
+    np.outer(g, w2, out=a)
+    np.multiply(a, mask, out=a)
+    np.sum(a, axis=0, out=gb1)
     np.matmul(a.T, z, out=gw1)
     return loss
 
@@ -100,7 +93,12 @@ def adam_update(p: np.ndarray, g: np.ndarray, state, lr: float) -> None:
     if not np.isfinite(g).all():
         raise RuntimeError("diverged: non-finite gradient")
     state.t += 1
-    _adam(p, g, state.m, state.v, lr, state.t)
+    m, v, t = state.m, state.v, state.t
+    m *= BETA1
+    m += g * (1.0 - BETA1)
+    v *= BETA2
+    v += np.square(g) * (1.0 - BETA2)
+    p -= (m / (1.0 - BETA1**t)) * lr / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
 def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> float:
@@ -150,14 +148,31 @@ def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
     return [start for start, _ in spans]
 
 
-def _blas() -> list[int]:
-    """The addresses of the ``BLAS`` routines in the OpenBLAS that numpy
-    calls: a symbol lookup on numpy's core extension searches the libraries
-    that extension links. Raises AttributeError if one is missing."""
+def _numpy_core() -> ctypes.CDLL:
+    """numpy's core extension, whose symbol lookups search the libraries it
+    links, numpy's OpenBLAS among them. Raises ImportError without it."""
     from numpy._core import _multiarray_umath
 
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    return ctypes.CDLL(_multiarray_umath.__file__)
+
+
+def _blas() -> list[int]:
+    """The addresses of the ``BLAS`` routines in the OpenBLAS that numpy
+    calls. Raises AttributeError if one is missing."""
+    lib = _numpy_core()
     return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS]
+
+
+def blas_threads() -> int:
+    """The threads that numpy's OpenBLAS runs, asked of it; 1, the count
+    that ``skytrack`` pins by default, if numpy has no ``numpy._core`` or
+    its BLAS no ``NUM_THREADS`` symbol."""
+    try:
+        get = getattr(_numpy_core(), NUM_THREADS)
+    except (AttributeError, ImportError):
+        return 1
+    get.restype, get.argtypes = ctypes.c_int, []
+    return get()
 
 
 def _bind(lib_file: Path, dgemm: int, dgemv: int) -> Callable[..., float] | None:

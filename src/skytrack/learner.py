@@ -91,15 +91,6 @@ def predict_raw(model: RegressorModel, x: np.ndarray) -> np.ndarray:
     return h @ model.w2 + model.b2
 
 
-def _loss_grad_projected(
-    model: RegressorModel, z: np.ndarray, targets: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients for projected rows ``z``."""
-    grads = {key: np.empty_like(getattr(model, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
-    args = (z, targets, model.w1, model.b1, model.w2, model.b2, list(grads.values()))
-    return kernels.head_gradient(*args), grads
-
-
 def loss_and_gradient(
     model: RegressorModel, features: np.ndarray, targets: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -110,7 +101,9 @@ def loss_and_gradient(
     if features.shape[1] != model.input_dim:
         raise ValueError(f"dimension mismatch: got {features.shape[1]}, expected {model.input_dim}")
     z = features @ model.projection.T
-    return _loss_grad_projected(model, z, targets)
+    grads = {key: np.empty_like(getattr(model, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
+    args = (z, targets, model.w1, model.b1, model.w2, model.b2, list(grads.values()))
+    return kernels.head_gradient(*args), grads
 
 
 def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:

@@ -26,7 +26,6 @@ Criteria, in order:
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,15 +63,15 @@ def ablation_study():
     per_seed = {}
     lengths = {}
     for seed in SEEDS:
-        config = replace(RunConfig(), seed=seed)
-        route = cli.generate_route(seed, "path_00", config.n_waypoints, config.path_length, config.sac_budget)
+        config = RunConfig(seed=seed, ablation_levels=tuple(ABLATION_LEVELS))
+        route = cli.generate_route(config, "path_00")
         world = generate_world(
             seed,
             config.n_landmarks,
             config.signature_dim,
             cli.routes_bounding_box([route], config.world_margin),
         )
-        per_seed[seed] = cli.run_ablation(config, world, route, ABLATION_LEVELS)
+        per_seed[seed] = cli.run_ablation(config, world, route)
         lengths[seed] = path_length(route)
     return per_seed, lengths, time.monotonic() - start
 
@@ -119,7 +118,8 @@ def test_criterion_3_oracle_tracking(capsys):
     cfg = RunConfig(n_augmented=1, capture_radius=0.4, seed=0)
     worst_mctd, worst_mwmd = 0.0, 0.0
     for i in range(20):
-        route = cli.generate_route(100 + i, f"oracle_{i:02d}", 21, 40.0, 2.0)
+        route_config = RunConfig(seed=100 + i, n_waypoints=21, path_length=40.0, sac_budget=2.0)
+        route = cli.generate_route(route_config, f"oracle_{i:02d}")
         world = generate_world(i, 40, 4, cli.routes_bounding_box([route], 5.0))
         log = rollout(OraclePolicy(), world, route, cfg)
         rep = evaluate(route, log)

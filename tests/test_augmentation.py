@@ -140,7 +140,7 @@ class TestSweepJittered:
     def test_labels_equal_target_yaw_delta_bit_for_bit(self):
         # The default scenario's route: a vectorized np.arctan2 gives other
         # last bits than math.atan2 on 45-70 of its 739 rows per sweep.
-        route = generate_route(0, "path_00", 61, 150.0, 5.0)
+        route = generate_route(RunConfig(seed=0, n_waypoints=61, path_length=150.0, sac_budget=5.0), "path_00")
         cfg = config(capture_radius=2.0)
         walk = aug.walk_path(route, cfg)
         assert len(walk) == 739

@@ -123,32 +123,32 @@ class TestParseConfig:
 
 class TestGenerateRoute:
     def test_deterministic(self):
-        a = cli.generate_route(0, "p", 10, 50.0, 2.0)
-        b = cli.generate_route(0, "p", 10, 50.0, 2.0)
+        a = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
+        b = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
         assert a.waypoints == b.waypoints
 
     def test_id_sensitivity(self):
-        a = cli.generate_route(0, "p", 10, 50.0, 2.0)
-        b = cli.generate_route(0, "q", 10, 50.0, 2.0)
+        a = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
+        b = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "q")
         assert a.waypoints != b.waypoints
 
     def test_exact_length_and_sac(self):
-        route = cli.generate_route(4, "p", 61, 150.0, 5.0)
+        route = cli.generate_route(RunConfig(seed=4, n_waypoints=61, path_length=150.0, sac_budget=5.0), "p")
         assert path_length(route) == pytest.approx(150.0)
         assert sum_angle_change(route) == pytest.approx(5.0)
 
     def test_zero_budget_is_straight(self):
-        route = cli.generate_route(1, "p", 8, 20.0, 0.0)
+        route = cli.generate_route(RunConfig(seed=1, n_waypoints=8, path_length=20.0, sac_budget=0.0), "p")
         assert sum_angle_change(route) == pytest.approx(0.0)
 
     def test_budget_too_large(self):
         with pytest.raises(ConfigError):
-            cli.generate_route(0, "p", 3, 10.0, 4.0)
+            RunConfig(n_waypoints=3, path_length=10.0, sac_budget=4.0)
 
 
 class TestPathRoundTrip:
     def test_save_load_exact(self, tmp_path):
-        route = cli.generate_route(7, "p", 12, 40.0, 1.5)
+        route = cli.generate_route(RunConfig(seed=7, n_waypoints=12, path_length=40.0, sac_budget=1.5), "p")
         file = tmp_path / "p.csv"
         cli.save_path(route, file)
         loaded = cli.load_path(file, "p")
@@ -334,7 +334,7 @@ class TestDatasetRoundTrip:
 
 class TestSvgEmission:
     def test_overlay_marker_count(self, tmp_path):
-        route = cli.generate_route(0, "p", 10, 30.0, 1.0)
+        route = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=30.0, sac_budget=1.0), "p")
         world = generate_world(0, 20, 4, cli.routes_bounding_box([route], 5.0))
         from skytrack.simulator import OraclePolicy, rollout
 
@@ -464,6 +464,7 @@ class TestCommands:
         # read it back.
         levels = [2, 1, 3]
         config = load_config(small_config(tmp_path, ablation_levels="2,1,3"))
+        assert config.ablation_levels == tuple(levels)
         assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
         world, routes = cli._load_scenario(config)
         trained_dir = tmp_path / "trained"
@@ -488,7 +489,7 @@ class TestCommands:
         monkeypatch.setattr(learner, "train", train)
         monkeypatch.setattr(aug, "sweep_optimal", sweep_optimal)
         monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
-        rows = cli.run_ablation(config, world, routes[0], levels)
+        rows = cli.run_ablation(config, world, routes[0])
         assert [r["k"] for r in rows] == levels
         assert sweeps_rendered == [0, 1, 2]
         monkeypatch.undo()
@@ -525,7 +526,7 @@ class TestCommands:
         monkeypatch.setattr(cli, "ablation_workers", lambda cpus, blas_threads, n_levels: 2)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="ablation level k=2: no convergence at k=2"):
-            cli.run_ablation(config, world, routes[0], [1, 2, 3])
+            cli.run_ablation(config, world, routes[0])
         assert children() == []
         assert cli.main(["ablation", "--config", str(cfg)]) == 2
         assert "pipeline failure: ablation level k=2: no convergence at k=2" in capsys.readouterr().err
@@ -540,7 +541,7 @@ class TestCommands:
         world, routes = cli._load_scenario(config)
         monkeypatch.setattr(learner, "train", lambda *args, **kwargs: os._exit(3))
         with pytest.raises(RuntimeError, match="ablation level k=1: worker exited with status 3"):
-            cli.run_ablation(config, world, routes[0], [1])
+            cli.run_ablation(replace(config, ablation_levels=(1,)), world, routes[0])
         assert children() == []
 
     def test_ablation_workers_exit_when_the_parent_is_killed(self, tmp_path):
@@ -634,19 +635,29 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "out_dir",
-        ["o#1", "o\n1", "o\r1", "o\x0b1", "o\x1c1", "o\x851", "o\u20281", " o", "o ", "o\t", "o\udcff"],
+        ["", "o#1", "o\n1", "o\r1", "o\x0b1", "o\x1c1", "o\x851", "o\u20281", " o", "o ", "o\t", "o\udcff"],
         ids=[
-            "hash", "lf", "cr", "vt", "fs", "nel", "line-separator", "leading-space", "trailing-space", "trailing-tab",
+            "empty", "hash", "lf", "cr", "vt", "fs", "nel", "line-separator",
+            "leading-space", "trailing-space", "trailing-tab",
             "not-utf8",  # the lone surrogate that os.fsdecode makes of the byte 0xff
         ],
     )
     def test_out_dir_the_resolved_config_cannot_carry_exits_1(self, tmp_path, monkeypatch, capsys, out_dir):
-        # '#' starts a comment, a line break ends the line, and the value is stripped.
+        # Empty text is the current directory, '#' starts a comment, a line
+        # break ends the line, and the value is stripped.
         cfg = small_config(tmp_path)
         monkeypatch.chdir(tmp_path)
         for command in ("gen", "pipeline", "ablation"):
             assert cli.main([command, "--config", str(cfg), "--out-dir", out_dir]) == 1
             assert "config error: out_dir = " in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["config.txt"]
+
+    def test_empty_out_dir_in_the_config_exits_1(self, tmp_path, monkeypatch, capsys):
+        cfg = small_config(tmp_path, out_dir="")
+        monkeypatch.chdir(tmp_path)
+        for command in ("gen", "pipeline", "ablation"):
+            assert cli.main([command, "--config", str(cfg)]) == 1
+            assert "config error: out_dir = '' is out of range" in capsys.readouterr().err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["config.txt"]
 
     def test_config_that_is_not_utf8_exits_1_without_traceback(self, tmp_path):

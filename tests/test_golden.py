@@ -39,6 +39,8 @@ GOLDEN = {
         "path_00_dataset.npz": "f3f74e39a02acea8197c5bd6f04b3048858f64da6237d136393eca397c0e3abc",
         "path_00_overlay.svg": "9a429ca5514d16bb1f1e1941d601d3cf748bf98ad89421038d59d97d07500eb3",
         "ablation.svg": "00a0aba2d00ea3d1cb4e1dd66ce811c7f6166320858fd72eb42c3a05da075597",
+        "world.json": "e82858eca9b24c1ceed50f9d92e4451c0692bbceb8a7ae512b3fd3d795cb7fc8",
+        "path_00.csv": "f0788686287a34c8ff5b228847a77633924a22c7ceb9d8f4e51b9fa26be8ddc3",
     },
     "wide": {
         "path_00_model.json": "71552417dc1328d92be2c48cba51d42b43801f8e3a88b2d40e9e40567e10ec1e",
@@ -50,10 +52,13 @@ GOLDEN = {
         "path_00_dataset.npz": "f3f74e39a02acea8197c5bd6f04b3048858f64da6237d136393eca397c0e3abc",
         "path_00_overlay.svg": "a64e43cd158cab00cabc1b58e0806bfa72a074126d550bf69c88269303564c8d",
         "ablation.svg": "63e2b637b0148658866c693502933fe044b56c95e02153dad022cd9d51b6e555",
+        "world.json": "e82858eca9b24c1ceed50f9d92e4451c0692bbceb8a7ae512b3fd3d795cb7fc8",
+        "path_00.csv": "f0788686287a34c8ff5b228847a77633924a22c7ceb9d8f4e51b9fa26be8ddc3",
     },
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CPUS = len(os.sched_getaffinity(0))  # OpenBLAS runs no more threads than these
 
 
 def sha256(file: Path) -> str:
@@ -89,7 +94,7 @@ def test_golden_digests(tmp_path, scenario, kernel_set):
 
 
 def run_cli(env_overrides: dict[str, str], *args: str) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in (*THREAD_VARS, "GOTO_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env.update(env_overrides)
     return subprocess.run(
@@ -139,15 +144,28 @@ def test_import_pins_one_blas_thread_unless_set():
     "env, imports, expected",
     [
         ({}, "skytrack", "1"),
-        ({"OPENBLAS_NUM_THREADS": "2"}, "skytrack", "2"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "skytrack", str(min(2, CPUS))),
         # Any one variable set keeps skytrack's default away.
-        ({"OMP_NUM_THREADS": "2"}, "skytrack", "2"),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, "skytrack", "2"),
+        ({"OMP_NUM_THREADS": "2"}, "skytrack", str(min(2, CPUS))),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, "skytrack", str(min(2, CPUS))),
         # numpy imported first has read the variables before skytrack's default.
-        ({"OMP_NUM_THREADS": "2"}, "numpy, skytrack", "2"),
-        ({}, "numpy, skytrack", str(len(os.sched_getaffinity(0)))),
+        ({"OMP_NUM_THREADS": "2"}, "numpy, skytrack", str(min(2, CPUS))),
+        ({}, "numpy, skytrack", str(CPUS)),
+        ({"GOTO_NUM_THREADS": "1"}, "numpy, skytrack", "1"),
+        ({"OPENBLAS_NUM_THREADS": "8"}, "skytrack", str(min(8, CPUS))),
     ],
 )
 def test_blas_threads_is_what_openblas_read(env, imports, expected):
-    probe = f"import {imports}; print(skytrack.BLAS_THREADS)"
+    probe = f"import {imports}; from skytrack import kernels; print(kernels.blas_threads())"
     assert run_cli(env, "-c", probe).stdout.split() == [expected]
+
+
+@pytest.mark.parametrize(
+    "break_lookup",
+    ['kernels.NUM_THREADS = "skytrack_no_such_symbol"', 'sys.modules["numpy._core"] = None'],
+    ids=["no-symbol", "no-numpy-core"],
+)
+def test_thread_count_is_one_when_openblas_cannot_be_asked(break_lookup):
+    # OpenBLAS itself runs min(2, CPUS) threads here; only the fallback answers 1.
+    probe = f"import sys; from skytrack import kernels; {break_lookup}; print(kernels.blas_threads())"
+    assert run_cli({"OPENBLAS_NUM_THREADS": "2"}, "-c", probe).stdout.split() == ["1"]
