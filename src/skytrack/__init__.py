@@ -12,31 +12,6 @@ import os
 # BLAS threads only burn CPU on training's small GEMMs: default to one, unless
 # the user chose a count through any of these variables. numpy's OpenBLAS
 # reads them once, when numpy loads, so this must run before numpy does.
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if os.environ.keys().isdisjoint(_THREAD_VARS):
     os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
-
-from .geometry import (
-    Path,
-    Point2,
-    Pose,
-    path_length,
-    sum_angle_change,
-    target_yaw_delta,
-    wrap_angle,
-)
-from .world import LandmarkWorld, Rect, generate_world, render_observation
-
-__all__ = [
-    "Path",
-    "Point2",
-    "Pose",
-    "path_length",
-    "sum_angle_change",
-    "target_yaw_delta",
-    "wrap_angle",
-    "LandmarkWorld",
-    "Rect",
-    "generate_world",
-    "render_observation",
-]

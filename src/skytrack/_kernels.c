@@ -66,7 +66,7 @@ static void relu_backward(double *restrict a, const double *restrict g, const do
     }
 }
 
-/* One element at a time, in kernels._adam's order:
+/* One element at a time, in kernels.adam_update's order:
    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
    p -= lr*(m/b1c) / (sqrt(v/b2c) + eps).
    The divider sets the loop's speed. Once beta1**t is below half an ulp of

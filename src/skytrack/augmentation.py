@@ -127,7 +127,7 @@ def _render_sweep(
     ]
     n = len(walk)
     return Samples(
-        features=render_observation(world, poses, config.bins, math.radians(config.fov_deg)),
+        features=render_observation(world, poses, config),
         targets=np.array(targets, dtype=float),
         path_id=np.full(n, walk.path.id),
         sweep_index=np.full(n, sweep_index, dtype=np.int64),

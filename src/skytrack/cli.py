@@ -247,7 +247,7 @@ def cmd_gen(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     routes = [generate_route(config, f"path_{i:02d}") for i in range(config.n_paths)]
     bounds = routes_bounding_box(routes, config.world_margin)
-    world = generate_world(config.seed, config.n_landmarks, config.signature_dim, bounds)
+    world = generate_world(config, bounds)
     save_world(world, out_dir / "world.json")
     for route in routes:
         save_path(route, out_dir / f"{route.id}.csv")
@@ -279,7 +279,7 @@ def _train_fly_score(
     """Train a model on ``dataset``, fly it along ``route`` and score the
     flight, plus the held-out angle MSE when ``test_set`` is given."""
     model, _ = learner.train(dataset, config, projection_dim=config.projection_dim, hidden=config.hidden_units)
-    policy = simulator.ModelPolicy(model, gain=config.command_gain)
+    policy = simulator.ModelPolicy(model, config)
     log = simulator.rollout(policy, world, route, config)
     return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)
 

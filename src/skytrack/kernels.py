@@ -14,17 +14,18 @@ one of them, divide and sqrt included, is correctly rounded, so with FMA
 contraction off (and no ``-ffast-math``) they give the same bits.
 
 ``load`` builds the C set once per user and compiler: the library is cached as
-``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so``, keyed by the source,
+``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so`` (only an absolute
+``XDG_CACHE_HOME`` is used, as the XDG spec asks), keyed by the source,
 flags, optimization level, machine and the compiler's resolved path, size and
 mtime; ``rm -r ~/.cache/skytrack`` clears it, and a damaged file is rebuilt.
 Only a miss builds, in a ``skytrack-kernels-*`` directory beside the cache
 file, after removing each such directory older than ``2 * BUILD_TIMEOUT`` (a
 build killed by SIGKILL leaves one). A cache directory that another user owns,
-or that others can write, is never loaded from: the build goes to a private
-temporary directory instead. ``gen`` and the per-step API never start the
-compiler. If the compiler is missing, the build fails or passes
-``BUILD_TIMEOUT``, or numpy's OpenBLAS lacks a ``BLAS`` symbol, ``load``
-silently returns NUMPY.
+that others can write, or that is relative (``~`` without an absolute home)
+is never used: the build goes to a private temporary directory instead.
+``gen`` and the per-step API never start the compiler. If the compiler is
+missing, the build fails or passes ``BUILD_TIMEOUT``, or numpy's OpenBLAS
+lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
 
 ``blas_threads`` asks that same OpenBLAS how many threads it runs; the
 ablation sizes its worker pool by the answer.
@@ -216,8 +217,12 @@ def _bind(lib_file: Path, dgemm: int, dgemv: int) -> Callable[..., float] | None
 
 def _cache_dir() -> Path | None:
     """``<XDG_CACHE_HOME or ~/.cache>/skytrack``, made if missing; None if it
-    cannot be made, or if another user owns it or can write to it."""
-    directory = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "skytrack")
+    cannot be made, if another user owns it or can write to it, or if it is
+    not absolute. A relative XDG_CACHE_HOME is ignored, as the XDG spec says."""
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    directory = Path(xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache"), "skytrack")
+    if not directory.is_absolute():  # a relative HOME, or none to expand ~ to
+        return None
     try:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = directory.stat()

@@ -32,9 +32,9 @@ class RegressorModel:
     b1: np.ndarray  # (H,)
     w2: np.ndarray  # (H,)
     b2: float
-    feature_mean: np.ndarray | None = None
-    feature_std: np.ndarray | None = None
-    init_seed: int = 0
+    feature_mean: np.ndarray  # (D,) raw-feature statistics that predict normalizes by
+    feature_std: np.ndarray  # (D,)
+    init_seed: int
 
     @property
     def input_dim(self) -> int:
@@ -55,8 +55,9 @@ def _uniform_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nda
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def init_model(seed: int, input_dim: int, projection_dim: int = 128, hidden: int = 512) -> RegressorModel:
-    """Seeded scaled-uniform init (+/- sqrt(6 / (fan_in + fan_out))); zero biases."""
+def init_model(seed: int, input_dim: int, projection_dim: int, hidden: int) -> RegressorModel:
+    """Seeded scaled-uniform init (+/- sqrt(6 / (fan_in + fan_out))); zero biases;
+    identity normalization statistics (mean 0, std 1), which ``train`` overwrites."""
     if min(input_dim, projection_dim, hidden) < 1:
         raise ValueError("all dimensions must be >= 1")
     rng = np.random.default_rng(seed)
@@ -69,15 +70,15 @@ def init_model(seed: int, input_dim: int, projection_dim: int = 128, hidden: int
         b1=np.zeros(hidden),
         w2=w2,
         b2=0.0,
+        feature_mean=np.zeros(input_dim),
+        feature_std=np.ones(input_dim),
         init_seed=seed,
     )
 
 
 def predict(model: RegressorModel, raw_features: np.ndarray) -> float:
     """Predicted yaw delta, wrapped to (-pi, pi], from one unnormalized
-    observation, using the stats captured from the training dataset."""
-    if model.feature_mean is None or model.feature_std is None:
-        raise ValueError("model carries no normalization statistics")
+    observation, normalized by the model's statistics."""
     x = normalize_features(model.feature_mean, model.feature_std, raw_features)
     return wrap_angle(float(predict_raw(model, x.reshape(1, -1))[0]))
 
@@ -127,7 +128,7 @@ def lr_at(epoch: int, config: RunConfig) -> float:
 
 
 def train(
-    dataset: Dataset, config: RunConfig, projection_dim: int = 128, hidden: int = 512
+    dataset: Dataset, config: RunConfig, projection_dim: int, hidden: int
 ) -> tuple[RegressorModel, list[float]]:
     """Mini-batch training over the recipe of ``config``, whose ``seed``
     seeds both the weight init and the shuffle; returns the trained model
@@ -179,22 +180,21 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
         "b1": model.b1.tolist(),
         "w2": model.w2.tolist(),
         "b2": model.b2,
-        "feature_mean": None if model.feature_mean is None else model.feature_mean.tolist(),
-        "feature_std": None if model.feature_std is None else model.feature_std.tolist(),
+        "feature_mean": model.feature_mean.tolist(),
+        "feature_std": model.feature_std.tolist(),
     }
     FilePath(file).write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_model(file: FilePath | str) -> RegressorModel:
-    """Read what save_model wrote. A file that does not parse, misses a key,
-    or holds a weight or statistic that is not a JSON number, arrays whose
-    dimensions disagree, a non-finite weight or statistic or a seed that is
-    not an integer raises one ValueError naming the file."""
+    """Read what save_model wrote. A file that does not parse, misses a key, or
+    holds a weight or statistic that is not a JSON number (null too: a model always
+    has statistics), arrays whose dimensions disagree, a non-finite weight or statistic
+    or a seed that is not an integer raises one ValueError naming the file."""
     try:
         doc = json.loads(FilePath(file).read_text())
-        arrays = {key: json_floats(doc[key]) for key in ("projection", "w1", "b1", "w2", "b2")}
-        for key in ("feature_mean", "feature_std"):
-            arrays[key] = None if doc[key] is None else json_floats(doc[key])
+        keys = ("projection", "w1", "b1", "w2", "b2", "feature_mean", "feature_std")
+        arrays = {key: json_floats(doc[key]) for key in keys}
         init_seed = int(doc["init_seed"])  # its error names an infinite or NaN seed
         if type(doc["init_seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
             raise ValueError(f"init_seed {doc['init_seed']!r} is not an integer")
@@ -204,9 +204,9 @@ def load_model(file: FilePath | str) -> RegressorModel:
         (f, d), h = projection.shape, w1.shape[0]
         expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "b2": (), "feature_mean": (d,), "feature_std": (d,)}
         for key, shape in expected.items():
-            if arrays[key] is not None and arrays[key].shape != shape:
+            if arrays[key].shape != shape:
                 raise ValueError(f"{key} has shape {arrays[key].shape}, expected {shape}")
-        if not all(np.isfinite(a).all() for a in arrays.values() if a is not None):
+        if not all(np.isfinite(a).all() for a in arrays.values()):
             raise ValueError("non-finite weight or statistic")
     except KeyError as exc:
         raise ValueError(f"{file}: missing key {exc}") from exc

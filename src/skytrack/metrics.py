@@ -53,8 +53,6 @@ def angle_mse(model: RegressorModel, test_set: Samples) -> float:
     """Mean squared error of the raw (unwrapped) predictions on labeled samples."""
     if not len(test_set):
         raise ValueError("empty test set")
-    if model.feature_mean is None or model.feature_std is None:
-        raise ValueError("model carries no normalization statistics")
     sse = 0.0
     # One product per row: OpenBLAS routes a one-row product to another
     # kernel than a batch, and a batched forward changes the last bits.

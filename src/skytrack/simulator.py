@@ -51,17 +51,15 @@ class OraclePolicy:
 class ModelPolicy:
     """Wraps a trained regressor; sees only the observation, never the state.
 
-    The commanded rotation is the predicted yaw delta scaled by a damping
-    gain. Applying the full prediction every tick feeds the regressor's
-    noise straight into the heading and destabilizes the loop; a gain below
-    one low-passes the correction while leaving the steady-state unchanged.
+    The commanded rotation is the predicted yaw delta scaled by the damping
+    gain ``config.command_gain``. The full prediction every tick feeds the
+    regressor's noise straight into the heading and destabilizes the loop; a
+    gain below one low-passes the correction, leaving the steady-state unchanged.
     """
 
-    def __init__(self, model, gain: float = 0.2):
-        if not (0.0 < gain <= 1.0):
-            raise ValueError("gain must lie in (0, 1]")
+    def __init__(self, model, config: RunConfig):
         self.model = model
-        self.gain = gain
+        self.gain = config.command_gain
 
     def command(self, observation: np.ndarray, privileged: PrivilegedState) -> float:
         return self.gain * learner.predict(self.model, observation)
@@ -87,7 +85,7 @@ def rollout(
     command, or leaving the world bounds by more than a 10% margin.
     """
     wps = path.waypoints
-    step, fov = config.step, math.radians(config.fov_deg)
+    step = config.step
     if max_steps is None:
         max_steps = default_max_steps(path, step)
     guard = world.bounds.inflated(0.1 * world.bounds.width, 0.1 * world.bounds.height)
@@ -101,7 +99,7 @@ def rollout(
     poses[0], targets[0] = (x, y, yaw), target
     n, termination = 1, MAX_STEPS if target < len(wps) else COMPLETED
     while termination == MAX_STEPS and n <= max_steps:
-        obs = render_observation(world, poses[n - 1 : n], config.bins, fov)[0]
+        obs = render_observation(world, poses[n - 1 : n], config)[0]
         delta = policy.command(obs, PrivilegedState(Pose(Point2(x, y), yaw), wps[target]))
         if not math.isfinite(delta):
             termination = DIVERGED

@@ -16,6 +16,8 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
+from .config import RunConfig
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -70,34 +72,28 @@ class LandmarkWorld:
         return int(self.signatures.shape[1])
 
 
-def generate_world(
-    seed: int, n_landmarks: int, signature_dim: int, bounds: Rect
-) -> LandmarkWorld:
-    """Seeded world synthesis: uniform landmark positions, unit-sphere signatures."""
-    if n_landmarks < 1:
-        raise ValueError("n_landmarks must be >= 1")
-    if signature_dim < 1:
-        raise ValueError("signature_dim must be >= 1")
-    rng = np.random.default_rng(seed)
+def generate_world(config: RunConfig, bounds: Rect) -> LandmarkWorld:
+    """Seeded world synthesis from ``config.seed``: ``config.n_landmarks`` uniform
+    positions in ``bounds``, unit-sphere signatures of ``config.signature_dim``."""
+    rng = np.random.default_rng(config.seed)
     positions = np.column_stack(
         [
-            rng.uniform(bounds.xmin, bounds.xmax, size=n_landmarks),
-            rng.uniform(bounds.ymin, bounds.ymax, size=n_landmarks),
+            rng.uniform(bounds.xmin, bounds.xmax, size=config.n_landmarks),
+            rng.uniform(bounds.ymin, bounds.ymax, size=config.n_landmarks),
         ]
     )
     # Non-negative orthant of the unit sphere: channels read as intensities.
-    signatures = np.abs(rng.normal(size=(n_landmarks, signature_dim)))
+    signatures = np.abs(rng.normal(size=(config.n_landmarks, config.signature_dim)))
     signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
-    return LandmarkWorld(positions, signatures, bounds, seed)
+    return LandmarkWorld(positions, signatures, bounds, config.seed)
 
 
-def render_observation(
-    world: LandmarkWorld, poses: np.ndarray, bins: int, fov: float
-) -> np.ndarray:
+def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfig) -> np.ndarray:
     """Render the bearing-binned signature vectors seen from a batch of poses.
 
     ``poses`` is (P, 3): x, y and yaw per row. Returns (P, bins * S): one
-    feature vector per pose, B bearing bins x S signature channels.
+    feature vector per pose, B = ``config.bins`` bearing bins x S signature
+    channels, over a field of view (fov) of ``config.fov_deg`` degrees.
 
     A landmark at relative bearing beta contributes signature / (1 + range),
     split linearly between the two bins whose centers bracket beta, when
@@ -108,11 +104,7 @@ def render_observation(
     do not depend on the other rows: every step is elementwise, and a bin
     sums its landmarks in landmark order.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    if not (0.0 < fov <= 2.0 * math.pi):
-        raise ValueError("fov must lie in (0, 2*pi]")
-    s = world.signature_dim
+    bins, fov, s = config.bins, math.radians(config.fov_deg), world.signature_dim
     half = fov / 2.0
     bin_width = fov / bins
     dx = world.positions[:, 0] - poses[:, 0:1]  # (P, N)

@@ -65,12 +65,7 @@ def ablation_study():
     for seed in SEEDS:
         config = RunConfig(seed=seed, ablation_levels=tuple(ABLATION_LEVELS))
         route = cli.generate_route(config, "path_00")
-        world = generate_world(
-            seed,
-            config.n_landmarks,
-            config.signature_dim,
-            cli.routes_bounding_box([route], config.world_margin),
-        )
+        world = generate_world(config, cli.routes_bounding_box([route], config.world_margin))
         per_seed[seed] = cli.run_ablation(config, world, route)
         lengths[seed] = path_length(route)
     return per_seed, lengths, time.monotonic() - start
@@ -120,7 +115,7 @@ def test_criterion_3_oracle_tracking(capsys):
     for i in range(20):
         route_config = RunConfig(seed=100 + i, n_waypoints=21, path_length=40.0, sac_budget=2.0)
         route = cli.generate_route(route_config, f"oracle_{i:02d}")
-        world = generate_world(i, 40, 4, cli.routes_bounding_box([route], 5.0))
+        world = generate_world(RunConfig(seed=i, n_landmarks=40, signature_dim=4), cli.routes_bounding_box([route], 5.0))
         log = rollout(OraclePolicy(), world, route, cfg)
         rep = evaluate(route, log)
         assert rep.termination == COMPLETED
@@ -300,7 +295,7 @@ def test_criterion_8_property_suite(capsys):
 
     # step/heading invariants of the closed-loop walk
     route = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L")
-    world = generate_world(0, 40, 4, cli.routes_bounding_box([route], 5.0))
+    world = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), cli.routes_bounding_box([route], 5.0))
     log = rollout(OraclePolicy(), world, route, cfg)
     assert log.termination == COMPLETED
     for (ax, ay, _), (bx, by, b_yaw) in zip(log.poses.tolist(), log.poses[1:].tolist()):

@@ -13,7 +13,7 @@ from skytrack.config import RunConfig
 from skytrack.geometry import Path, Point2, Pose, advance_target, bearing, target_yaw_delta, wrap_angle
 from skytrack.world import Rect, generate_world
 
-WORLD = generate_world(0, 40, 4, Rect(-20, -20, 40, 40))
+WORLD = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))
 
 
 def straight_path(length=2.0):

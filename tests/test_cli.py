@@ -194,7 +194,7 @@ class TestPathRoundTrip:
 
 class TestDatasetRoundTrip:
     def test_npz_and_sidecar(self, tmp_path):
-        world = generate_world(0, 30, 4, Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(6, 0)), "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0)
         ds = aug.build_dataset(route, cfg, world)
@@ -297,7 +297,7 @@ class TestDatasetRoundTrip:
         ],
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
-        world = generate_world(0, 30, 4, Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(6, 0)), "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
@@ -310,7 +310,7 @@ class TestDatasetRoundTrip:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
-        world = generate_world(0, 10, 2, Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=10, signature_dim=2), Rect(-20, -20, 40, 40))
         route = Path((Point2(0, 0), Point2(2, 0)), "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
@@ -335,7 +335,7 @@ class TestDatasetRoundTrip:
 class TestSvgEmission:
     def test_overlay_marker_count(self, tmp_path):
         route = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=30.0, sac_budget=1.0), "p")
-        world = generate_world(0, 20, 4, cli.routes_bounding_box([route], 5.0))
+        world = generate_world(RunConfig(seed=0, n_landmarks=20, signature_dim=4), cli.routes_bounding_box([route], 5.0))
         from skytrack.simulator import OraclePolicy, rollout
 
         cfg = RunConfig(n_augmented=1, capture_radius=0.4, seed=0)

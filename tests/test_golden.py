@@ -153,6 +153,7 @@ def test_import_pins_one_blas_thread_unless_set():
         ({}, "numpy, skytrack", str(CPUS)),
         ({"GOTO_NUM_THREADS": "1"}, "numpy, skytrack", "1"),
         ({"OPENBLAS_NUM_THREADS": "8"}, "skytrack", str(min(8, CPUS))),
+        ({"GOTO_NUM_THREADS": "2"}, "skytrack", str(min(2, CPUS))),
     ],
 )
 def test_blas_threads_is_what_openblas_read(env, imports, expected):

@@ -402,6 +402,24 @@ def test_a_cache_hit_makes_no_build_directory(tmp_path, monkeypatch):
 
 
 @needs_c
+@pytest.mark.parametrize("home", ["absolute", "relative"])
+def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch, home):
+    """A relative XDG_CACHE_HOME is ignored, as the XDG spec says: the
+    library is cached under ``~/.cache``, or, when that is relative too,
+    built in a private temporary directory. Nothing lands under the
+    current directory."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("HOME", str(tmp_path / "home") if home == "absolute" else "home")
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    assert kernels.compile_kernels(kernels.COMPILER) is not None
+    assert list(cwd.iterdir()) == []
+    cached = list((tmp_path / "home" / ".cache" / "skytrack").glob("*.so"))
+    assert len(cached) == (1 if home == "absolute" else 0)
+
+
+@needs_c
 @pytest.mark.parametrize("unsafe", ["others-write", "group-write", "other-owner"])
 def test_cache_directory_that_others_control_is_never_used(tmp_path, monkeypatch, unsafe):
     """The C epoch still loads, from a private build, and the cache

@@ -12,6 +12,7 @@ from conftest import make_samples
 from skytrack import augmentation as aug
 from skytrack import kernels
 from skytrack.config import RunConfig
+from skytrack.geometry import wrap_angle
 from skytrack.learner import (
     AdamState,
     RegressorModel,
@@ -107,16 +108,17 @@ class TestForward:
         m.w1[:] = 0.0
         m.w2[:] = 0.0
         m.b2 = 3 * math.pi / 2
-        m.feature_mean, m.feature_std = np.zeros(6), np.ones(6)
         assert predict(m, np.zeros(6)) == pytest.approx(-math.pi / 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             predict_raw(tiny_model(), np.zeros((1, 3)))
 
-    def test_predict_requires_stats(self):
-        with pytest.raises(ValueError):
-            predict(tiny_model(), np.zeros(6))
+    def test_untrained_model_predicts_through_identity_statistics(self):
+        m = tiny_model()
+        assert m.feature_mean.tolist() == [0.0] * 6 and m.feature_std.tolist() == [1.0] * 6
+        x = np.random.default_rng(4).normal(size=6)
+        assert predict(m, x) == wrap_angle(float(predict_raw(m, x.reshape(1, -1))[0]))
 
 
 class TestLossAndGradient:
@@ -341,8 +343,9 @@ class TestTrain:
         np.testing.assert_array_equal(model.feature_std, ds.feature_std)
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
-            train(aug.Dataset(make_samples(np.zeros((0, 4)), []), np.zeros(4), np.ones(4)), RunConfig())
+        empty = aug.Dataset(make_samples(np.zeros((1, 4)), [0.0])[:0], np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="empty dataset"):
+            train(empty, RunConfig(), projection_dim=8, hidden=16)
 
     @pytest.mark.parametrize("kernel_set", ["c", "numpy"], indirect=True)
     def test_one_seed_drives_the_init_and_the_shuffle(self, kernel_set):
@@ -428,10 +431,14 @@ class TestModelRoundTrip:
             (lambda doc: doc["w2"].__setitem__(slice(0, 2), ["0.25", "1e-3"]), r"'0.25' \(str\) is not a number"),
             (lambda doc: doc["w1"][1].__setitem__(2, False), r"False \(bool\) is not a number"),
             (lambda doc: doc.update(b2=[0.5]), r"b2 has shape \(1,\), expected \(\)"),
+            # a model always carries its statistics
+            (lambda doc: doc.update(feature_mean=None), "NoneType"),
+            (lambda doc: doc.update(feature_std=None), "NoneType"),
         ],
         ids=[
             "missing-b2", "null-b2", "inf-b2", "nan-w1", "inf-std", "inf-seed",
             "fractional-seed", "bool-seed", "string-seed", "string-b2", "bool-b2", "string-w2", "bool-w1", "list-b2",
+            "null-mean", "null-std",
         ],
     )
     def test_load_rejects_bad_values(self, tmp_path, edit, expected):

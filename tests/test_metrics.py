@@ -138,8 +138,6 @@ class TestAngleMse:
         m.w1[:] = 0.0
         m.w2[:] = 0.0
         m.b2 = b2
-        m.feature_mean = np.zeros(4)
-        m.feature_std = np.ones(4)
         return m
 
     def test_exact_predictions(self):
@@ -160,7 +158,7 @@ class TestAngleMse:
 
 
 class TestEvaluate:
-    WORLD = generate_world(2, 40, 4, Rect(-20, -20, 40, 40))
+    WORLD = generate_world(RunConfig(seed=2, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))
 
     def test_oracle_straight_path(self):
         p = Path((Point2(0, 0), Point2(8, 0)), "straight")

@@ -22,7 +22,7 @@ from skytrack.simulator import (
 )
 from skytrack.world import Rect, generate_world
 
-WORLD = generate_world(1, 60, 4, Rect(-30, -30, 60, 60))
+WORLD = generate_world(RunConfig(seed=1, n_landmarks=60, signature_dim=4), Rect(-30, -30, 60, 60))
 
 
 class ConstantPolicy:
@@ -147,27 +147,19 @@ class TestModelPolicy:
             def command(self, observation, privileged):
                 return self.gain * 0.5
 
-        policy = StubPolicy(FixedModel(), gain=0.2)
+        policy = StubPolicy(FixedModel(), RunConfig(command_gain=0.2))
         obs = None
         assert policy.command(obs, None) == pytest.approx(0.1)
-
-    def test_gain_validation(self):
-        with pytest.raises(ValueError):
-            ModelPolicy(object(), gain=0.0)
-        with pytest.raises(ValueError):
-            ModelPolicy(object(), gain=1.5)
 
     def test_sees_only_observation(self):
         # the privileged argument must not influence the command
         from skytrack.learner import init_model
 
         model = init_model(0, WORLD.signature_dim * 32, 8, 16)
-        model.feature_mean = np.zeros(model.input_dim)
-        model.feature_std = np.ones(model.input_dim)
-        policy = ModelPolicy(model)
+        policy = ModelPolicy(model, RunConfig())
         from skytrack.world import render_observation
 
-        obs = render_observation(WORLD, np.array([[5.0, 5.0, 0.0]]), 32, math.pi / 2)[0]
+        obs = render_observation(WORLD, np.array([[5.0, 5.0, 0.0]]), RunConfig(bins=32, fov_deg=90.0))[0]
         a = policy.command(obs, PrivilegedState(Pose(Point2(0, 0), 0.0), Point2(1, 1)))
         b = policy.command(obs, PrivilegedState(Pose(Point2(9, 9), 2.0), Point2(-5, 3)))
         assert a == b
@@ -184,7 +176,7 @@ class TestTermination:
         # the goal lies far outside the world's 10% guard margin, so straight
         # flight exits the bounds before reaching it
         p = Path((Point2(0, 0), Point2(6, 0)), "straight")
-        tiny = generate_world(1, 5, 2, Rect(-1, -1, 1, 1))
+        tiny = generate_world(RunConfig(seed=1, n_landmarks=5, signature_dim=2), Rect(-1, -1, 1, 1))
         log = rollout(ConstantPolicy(0.0), tiny, p, cfg())
         assert log.termination == DIVERGED
         assert log.poses[-1, 0] > 1.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from skytrack.config import RunConfig
 from skytrack.geometry import Point2, Pose
 from skytrack.world import (
     LandmarkWorld,
@@ -22,8 +23,9 @@ BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
 
 def render(world, pose, bins, fov):
-    """The feature vector rendered at one pose: a batch of one."""
-    return render_observation(world, np.array([[pose.position.x, pose.position.y, pose.yaw]]), bins, fov)[0]
+    """The feature vector rendered at one pose, ``fov`` in radians: a batch of one."""
+    config = RunConfig(bins=bins, fov_deg=math.degrees(fov))
+    return render_observation(world, np.array([[pose.position.x, pose.position.y, pose.yaw]]), config)[0]
 
 
 def single_landmark_world(x, y, signature):
@@ -50,38 +52,32 @@ class TestRect:
 
 class TestGenerateWorld:
     def test_deterministic(self):
-        a = generate_world(7, 10, 4, BOUNDS)
-        b = generate_world(7, 10, 4, BOUNDS)
+        a = generate_world(RunConfig(seed=7, n_landmarks=10, signature_dim=4), BOUNDS)
+        b = generate_world(RunConfig(seed=7, n_landmarks=10, signature_dim=4), BOUNDS)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.signatures, b.signatures)
 
     def test_seed_sensitivity(self):
-        a = generate_world(7, 10, 4, BOUNDS)
-        b = generate_world(8, 10, 4, BOUNDS)
+        a = generate_world(RunConfig(seed=7, n_landmarks=10, signature_dim=4), BOUNDS)
+        b = generate_world(RunConfig(seed=8, n_landmarks=10, signature_dim=4), BOUNDS)
         assert not np.array_equal(a.positions, b.positions)
 
     def test_single_landmark(self):
-        w = generate_world(3, 1, 4, BOUNDS)
+        w = generate_world(RunConfig(seed=3, n_landmarks=1, signature_dim=4), BOUNDS)
         assert w.positions.shape == (1, 2)
 
     def test_landmarks_inside_bounds(self):
-        w = generate_world(1, 200, 8, BOUNDS)
+        w = generate_world(RunConfig(seed=1, n_landmarks=200, signature_dim=8), BOUNDS)
         assert np.all(w.positions[:, 0] >= BOUNDS.xmin)
         assert np.all(w.positions[:, 0] <= BOUNDS.xmax)
         assert np.all(w.positions[:, 1] >= BOUNDS.ymin)
         assert np.all(w.positions[:, 1] <= BOUNDS.ymax)
 
     def test_signatures_unit_norm_nonnegative(self):
-        w = generate_world(1, 50, 8, BOUNDS)
+        w = generate_world(RunConfig(seed=1, n_landmarks=50, signature_dim=8), BOUNDS)
         norms = np.linalg.norm(w.signatures, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert np.all(w.signatures >= 0)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            generate_world(0, 0, 4, BOUNDS)
-        with pytest.raises(ValueError):
-            generate_world(0, 4, 0, BOUNDS)
 
 
 def render_reference(world, x, y, yaw, bins, fov):
@@ -104,7 +100,7 @@ def render_reference(world, x, y, yaw, bins, fov):
     return grid.reshape(-1)
 
 
-BATCH_WORLD = generate_world(4, 25, 3, Rect(-10.0, -10.0, 10.0, 10.0))
+BATCH_WORLD = generate_world(RunConfig(seed=4, n_landmarks=25, signature_dim=3), Rect(-10.0, -10.0, 10.0, 10.0))
 
 
 @st.composite
@@ -125,13 +121,14 @@ class TestRenderObservation:
     @given(
         poses=pose_batches(),
         bins=st.sampled_from([1, 2, 7, 32]),
-        fov=st.sampled_from([2 * math.pi, math.pi / 2]) | st.floats(1e-3, 2 * math.pi),
+        fov_deg=st.sampled_from([360.0, 90.0]) | st.floats(math.degrees(1e-3), 360.0),
     )
-    @example(poses=np.array([[*BATCH_WORLD.positions[3], 0.5], [0.0, 0.0, -math.pi]]), bins=1, fov=2 * math.pi)
-    def test_batch_equals_each_pose_alone(self, poses, bins, fov):
-        batch = render_observation(BATCH_WORLD, poses, bins, fov)
-        alone = [render_observation(BATCH_WORLD, np.array([row]), bins, fov) for row in poses.tolist()]
-        reference = [render_reference(BATCH_WORLD, *row, bins, fov) for row in poses.tolist()]
+    @example(poses=np.array([[*BATCH_WORLD.positions[3], 0.5], [0.0, 0.0, -math.pi]]), bins=1, fov_deg=360.0)
+    def test_batch_equals_each_pose_alone(self, poses, bins, fov_deg):
+        config = RunConfig(bins=bins, fov_deg=fov_deg)
+        batch = render_observation(BATCH_WORLD, poses, config)
+        alone = [render_observation(BATCH_WORLD, np.array([row]), config) for row in poses.tolist()]
+        reference = [render_reference(BATCH_WORLD, *row, bins, math.radians(fov_deg)) for row in poses.tolist()]
         assert batch.shape == (len(poses), bins * BATCH_WORLD.signature_dim)
         assert batch.tobytes() == np.concatenate(alone).tobytes() == np.concatenate(reference).tobytes()
 
@@ -183,14 +180,14 @@ class TestRenderObservation:
         assert grid.sum() == pytest.approx(0.5)
 
     def test_features_continuous_in_yaw(self):
-        world = generate_world(2, 40, 4, BOUNDS)
+        world = generate_world(RunConfig(seed=2, n_landmarks=40, signature_dim=4), BOUNDS)
         pose = Pose(Point2(50, 50), 0.3)
         a = render(world, pose, 32, math.pi / 2)
         b = render(world, Pose(pose.position, 0.3 + 1e-4), 32, math.pi / 2)
         assert np.linalg.norm(a - b) < 0.05
 
     def test_dimension_is_bins_times_channels(self):
-        world = generate_world(2, 17, 6, BOUNDS)
+        world = generate_world(RunConfig(seed=2, n_landmarks=17, signature_dim=6), BOUNDS)
         features = render(world, Pose(Point2(50, 50), 0.0), 13, math.pi / 2)
         assert features.shape == (13 * 6,)
         assert np.all(features >= 0)
@@ -226,17 +223,10 @@ class TestRenderObservation:
             assert total > prev
             prev = total
 
-    def test_invalid_arguments(self):
-        world = single_landmark_world(1, 0, [1.0])
-        with pytest.raises(ValueError):
-            render(world, Pose(Point2(0, 0), 0.0), 0, math.pi / 2)
-        with pytest.raises(ValueError):
-            render(world, Pose(Point2(0, 0), 0.0), 8, 0.0)
-
 
 class TestWorldRoundTrip:
     def test_save_load_exact(self, tmp_path):
-        world = generate_world(13, 12, 5, BOUNDS)
+        world = generate_world(RunConfig(seed=13, n_landmarks=12, signature_dim=5), BOUNDS)
         file = tmp_path / "world.json"
         save_world(world, file)
         loaded = load_world(file)
@@ -285,7 +275,7 @@ class TestWorldRoundTrip:
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
         file = tmp_path / "world.json"
-        save_world(generate_world(13, 12, 5, BOUNDS), file)
+        save_world(generate_world(RunConfig(seed=13, n_landmarks=12, signature_dim=5), BOUNDS), file)
         doc = json.loads(file.read_text())
         text = corrupt(doc)
         file.write_text(text if isinstance(text, str) else json.dumps(doc))
@@ -297,7 +287,7 @@ class TestWorldRoundTrip:
     @given(data=st.data())
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
         file = tmp_path / "world.json"
-        save_world(generate_world(3, 4, 3, BOUNDS), file)
+        save_world(generate_world(RunConfig(seed=3, n_landmarks=4, signature_dim=3), BOUNDS), file)
         raw = bytearray(file.read_bytes())
         if data.draw(st.booleans(), label="truncate"):
             raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
