@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import RunConfig
-from .geometry import Path, Point2, advance_target, bearing, default_max_steps, wrap_angle
+from .geometry import Path, advance_target, bearing, default_max_steps, target_yaw_delta, wrap_angle
 from .world import LandmarkWorld, render_observation
 
 # Held-out evaluation sweeps draw from indices >= this base, so their RNG
@@ -94,10 +94,10 @@ def walk_path(path: Path, config: RunConfig) -> Walk:
     """Step along the exact bearing to the current target waypoint until the
     last one is captured. Jitter moves only the poses a sweep renders and
     labels, never the walk, so every sweep of a path shares this one."""
-    wps = path.waypoints
+    wps = path.waypoints.tolist()
     target = advance_target(wps[0], wps, 0, config.capture_radius)
-    pos = wps[0]
-    yaw = bearing(pos, wps[target]) if target < len(wps) else 0.0
+    x, y = wps[0]
+    yaw = bearing(wps[0], wps[target]) if target < len(wps) else 0.0
     max_steps = default_max_steps(path, config.step)
     poses: list[tuple[float, float, float]] = []
     targets: list[int] = []
@@ -106,11 +106,11 @@ def walk_path(path: Path, config: RunConfig) -> Walk:
             raise RuntimeError(
                 f"path {path.id!r}: waypoint {target} unreachable within {max_steps} steps"
             )
-        poses.append((pos.x, pos.y, yaw))
+        poses.append((x, y, yaw))
         targets.append(target)
-        yaw = bearing(pos, wps[target])
-        pos = Point2(pos.x + config.step * math.cos(yaw), pos.y + config.step * math.sin(yaw))
-        target = advance_target(pos, wps, target, config.capture_radius)
+        yaw = bearing((x, y), wps[target])
+        x, y = x + config.step * math.cos(yaw), y + config.step * math.sin(yaw)
+        target = advance_target((x, y), wps, target, config.capture_radius)
     return Walk(path, np.array(poses, dtype=float).reshape(-1, 3), np.array(targets, dtype=np.int64))
 
 
@@ -118,13 +118,9 @@ def _render_sweep(
     walk: Walk, config: RunConfig, world: LandmarkWorld, sweep_index: int, poses: np.ndarray
 ) -> Samples:
     """Render and label ``poses``, one per step of ``walk``."""
-    wps = walk.path.waypoints
-    # Scalar math.atan2 per row: np.arctan2 differs from it in the last bit
-    # on some rows, and the labels keep the bits of geometry.target_yaw_delta.
-    targets = [
-        wrap_angle(wrap_angle(math.atan2(wps[t].y - y, wps[t].x - x)) - yaw)
-        for (x, y, yaw), t in zip(poses.tolist(), walk.target.tolist())
-    ]
+    wps = walk.path.waypoints.tolist()
+    # One scalar label per row: np.arctan2 differs from math.atan2 in the last bit on some rows.
+    targets = [target_yaw_delta(pose, wps[t]) for pose, t in zip(poses.tolist(), walk.target.tolist())]
     n = len(walk)
     return Samples(
         features=render_observation(world, poses, config),

@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels, learner, metrics, simulator
 from . import augmentation as aug
 from .config import ConfigError, RunConfig, load_config
-from .geometry import Path, Point2, path_length, sum_angle_change, wrap_angle
+from .geometry import Path, path_length, sum_angle_change, wrap_angle
 from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
 
 def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
@@ -62,20 +62,20 @@ def generate_route(config: RunConfig, path_id: str) -> Path:
     seg = config.path_length / n_segments
     heading = float(rng.uniform(-math.pi, math.pi))
     x, y = 0.0, 0.0
-    points = [Point2(x, y)]
+    points = [(x, y)]
     for i in range(n_segments):
         if i > 0:
             heading = wrap_angle(heading + turn * (1.0 if rng.random() < 0.5 else -1.0))
         x += seg * math.cos(heading)
         y += seg * math.sin(heading)
-        points.append(Point2(x, y))
-    return Path(tuple(points), path_id)
+        points.append((x, y))
+    return Path(points, path_id)
 
 
 def routes_bounding_box(paths: list[Path], margin: float) -> Rect:
-    xs = [p.x for route in paths for p in route.waypoints]
-    ys = [p.y for route in paths for p in route.waypoints]
-    return Rect(min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+    w = np.concatenate([route.waypoints for route in paths])
+    (xmin, ymin), (xmax, ymax) = w.min(axis=0).tolist(), w.max(axis=0).tolist()
+    return Rect(xmin - margin, ymin - margin, xmax + margin, ymax + margin)
 
 
 # ---------------------------------------------------------------------------
@@ -85,28 +85,28 @@ def save_path(route: Path, file: FilePath | str) -> None:
     with open(file, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
-        for p in route.waypoints:
-            writer.writerow([repr(p.x), repr(p.y)])
+        for x, y in route.waypoints.tolist():
+            writer.writerow([repr(x), repr(y)])
 
 
-def load_path(file: FilePath | str, path_id: str | None = None) -> Path:
-    """Read what save_path wrote. A file that does not hold at least two
-    finite waypoints, no two equal in a row, raises one ValueError naming it."""
+def load_path(file: FilePath | str) -> Path:
+    """Read what save_path wrote, as the path named by the file's stem. A
+    file that does not hold at least two finite waypoints, no two equal in
+    a row, raises one ValueError naming it."""
     file = FilePath(file)
-    points: list[Point2] = []
+    points: list[tuple[float, float]] = []
     try:
         with open(file, newline="") as fh:
             rows = list(csv.reader(fh))
         if rows[:1] != [["x", "y"]]:
             raise ValueError("expected header 'x,y'")
         for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != 2:
-                raise ValueError(f"malformed row at line {lineno}")
             try:
-                points.append(Point2(float(row[0]), float(row[1])))
-            except ValueError as exc:
+                x, y = map(float, row)
+            except ValueError as exc:  # a count other than 2 too
                 raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
-        return Path(tuple(points), path_id if path_id is not None else file.stem)
+            points.append((x, y))
+        return Path(points, file.stem)
     except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{file}: {exc}") from exc
 
@@ -203,18 +203,16 @@ def _fmt(v: float) -> str:
 
 def emit_overlay_svg(route: Path, trajectory: simulator.TrajectoryLog, file: FilePath | str) -> None:
     """Reference waypoints as circle markers over the flown polyline."""
-    traj = trajectory.poses[:, :2].tolist()
-    xs = [p.x for p in route.waypoints] + [x for x, _ in traj]
-    ys = [p.y for p in route.waypoints] + [y for _, y in traj]
-    tf = _svg_transform(xs, ys)
+    wps, traj = route.waypoints.tolist(), trajectory.poses[:, :2].tolist()
+    tf = _svg_transform(*zip(*wps, *traj))
     pts = " ".join("{},{}".format(*map(_fmt, tf(x, y))) for x, y in traj)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE:.0f}" height="{_SVG_SIZE:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.5"/>',
     ]
-    for p in route.waypoints:
-        cx, cy = tf(p.x, p.y)
+    for x, y in wps:
+        cx, cy = tf(x, y)
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>')
     parts.append(f'<text x="{_SVG_PAD:.0f}" y="20" font-size="14">{route.id} ({trajectory.termination})</text>')
     parts.append("</svg>")

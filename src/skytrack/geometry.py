@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -22,70 +24,56 @@ def wrap_angle(raw: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A position in world coordinates (meters)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("non-finite point")
+def distance(a, b) -> float:
+    """Euclidean distance between the (x, y) points ``a`` and ``b``."""
+    return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def distance(a: Point2, b: Point2) -> float:
-    return math.hypot(b.x - a.x, b.y - a.y)
-
-
-def bearing(origin: Point2, target: Point2) -> float:
-    """Direction from origin to target, wrapped. Raises on coincident points."""
-    if origin.x == target.x and origin.y == target.y:
+def bearing(origin, target) -> float:
+    """Direction from the point ``origin`` to ``target``, wrapped; each is
+    read as its first two entries, x and y. Raises on coincident points."""
+    if origin[0] == target[0] and origin[1] == target[1]:
         raise ValueError("degenerate bearing")
-    return wrap_angle(math.atan2(target.y - origin.y, target.x - origin.x))
+    return wrap_angle(math.atan2(target[1] - origin[1], target[0] - origin[0]))
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position plus heading yaw. Yaw is wrapped on construction."""
-
-    position: Point2
-    yaw: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
-    """An ordered waypoint sequence. At least two waypoints, no zero-length segments."""
+    """An ordered waypoint sequence, held as a read-only (W, 2) float64 array
+    of finite rows. At least two waypoints, no zero-length segments."""
 
-    waypoints: tuple[Point2, ...]
+    waypoints: np.ndarray
     id: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if len(self.waypoints) < 2:
+        w = np.array(self.waypoints, dtype=float)
+        if len(w) < 2:
             raise ValueError("path requires length >= 2")
-        for i in range(len(self.waypoints) - 1):
-            a, b = self.waypoints[i], self.waypoints[i + 1]
-            if a.x == b.x and a.y == b.y:
-                raise ValueError(f"zero-length segment at waypoint {i}")
+        if w.ndim != 2 or w.shape[1] != 2:
+            raise ValueError(f"waypoints must be (W, 2), not {w.shape}")
+        bad = np.flatnonzero(~np.isfinite(w).all(axis=1))
+        if len(bad):
+            raise ValueError(f"non-finite waypoint {bad[0]}")
+        same = np.flatnonzero((w[1:] == w[:-1]).all(axis=1))
+        if len(same):
+            raise ValueError(f"zero-length segment at waypoint {same[0]}")
+        w.setflags(write=False)
+        object.__setattr__(self, "waypoints", w)
 
 
-def target_yaw_delta(pose: Pose, next_waypoint: Point2) -> float:
+def target_yaw_delta(pose, next_waypoint) -> float:
     """Wrapped rotation that points the heading exactly at the next waypoint.
 
-    This is the regression label: adding the result to pose.yaw yields the
-    bearing from pose.position to next_waypoint.
+    This is the regression label: adding the result to the yaw of ``pose``,
+    (x, y, yaw), yields the bearing from its position to ``next_waypoint``.
     """
-    return wrap_angle(bearing(pose.position, next_waypoint) - pose.yaw)
+    return wrap_angle(bearing(pose, next_waypoint) - pose[2])
 
 
 def path_length(path: Path) -> float:
     """Total length: sum of Euclidean distances between successive waypoints."""
-    wps = path.waypoints
-    return sum(distance(wps[i], wps[i + 1]) for i in range(len(wps) - 1))
+    wps = path.waypoints.tolist()
+    return sum(distance(a, b) for a, b in zip(wps, wps[1:]))
 
 
 def sum_angle_change(path: Path) -> float:
@@ -94,31 +82,25 @@ def sum_angle_change(path: Path) -> float:
     Paths with fewer than three waypoints have no heading change and score 0.
     Absolute values are used so turns in opposite directions do not cancel.
     """
-    wps = path.waypoints
-    if len(wps) < 3:
-        return 0.0
-    headings = [bearing(wps[i], wps[i + 1]) for i in range(len(wps) - 1)]
-    return sum(
-        abs(wrap_angle(headings[i + 1] - headings[i]))
-        for i in range(len(headings) - 1)
-    )
+    wps = path.waypoints.tolist()
+    headings = [bearing(a, b) for a, b in zip(wps, wps[1:])]
+    return sum((abs(wrap_angle(b - a)) for a, b in zip(headings, headings[1:])), 0.0)
 
 
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    """Distance from p to the segment [a, b], clamped to the endpoints."""
-    ax, ay = b.x - a.x, b.y - a.y
+def point_segment_distance(p, a, b) -> float:
+    """Distance from the (x, y) point p to the segment [a, b], clamped to the endpoints."""
+    ax, ay = b[0] - a[0], b[1] - a[1]
     seg_sq = ax * ax + ay * ay
     if seg_sq == 0.0:
         return distance(p, a)
-    t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / seg_sq
+    t = ((p[0] - a[0]) * ax + (p[1] - a[1]) * ay) / seg_sq
     t = min(1.0, max(0.0, t))
-    return math.hypot(p.x - (a.x + t * ax), p.y - (a.y + t * ay))
+    return math.hypot(p[0] - (a[0] + t * ax), p[1] - (a[1] + t * ay))
 
 
-def advance_target(
-    position: Point2, waypoints: tuple[Point2, ...], current_index: int, capture_radius: float
-) -> int:
-    """Advance the target index past every consecutively captured waypoint.
+def advance_target(position, waypoints, current_index: int, capture_radius: float) -> int:
+    """Advance the target index past every consecutively captured waypoint
+    of the (x, y) rows ``waypoints``.
 
     Capture is inclusive at the radius. The index never decrements and may
     reach len(waypoints), meaning the final waypoint has been captured.

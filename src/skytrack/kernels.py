@@ -28,7 +28,8 @@ missing, the build fails or passes ``BUILD_TIMEOUT``, or numpy's OpenBLAS
 lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
 
 ``blas_threads`` asks that same OpenBLAS how many threads it runs; the
-ablation sizes its worker pool by the answer.
+ablation sizes its worker pool by the answer. ``one_blas_thread`` runs a
+block at one of them.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ COMPILER = "cc"
 # -fno-math-errno drops only the errno write of sqrt on a negative argument,
 # which lets the compiler use the SIMD square root; the result is unchanged.
 FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
-# numpy's CBLAS with 64-bit integers, and its thread count, as its wheels'
-# scipy-openblas exports them.
+# numpy's CBLAS with 64-bit integers, and its thread count's getter and
+# setter, as its wheels' scipy-openblas exports them.
 BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
 NUM_THREADS = "scipy_openblas_get_num_threads64_"
+SET_NUM_THREADS = "scipy_openblas_set_num_threads64_"
 BUILD_TIMEOUT = 120  # seconds; a longer build is killed and NUMPY used
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's, fixed
 
@@ -164,16 +166,38 @@ def _blas() -> list[int]:
     return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS]
 
 
+def _openblas(name: str, restype, *argtypes):
+    """The function ``name`` of numpy's OpenBLAS; None if numpy has no
+    ``numpy._core`` or its BLAS no such symbol."""
+    try:
+        function = getattr(_numpy_core(), name)
+    except (AttributeError, ImportError):
+        return None
+    function.restype, function.argtypes = restype, list(argtypes)
+    return function
+
+
 def blas_threads() -> int:
     """The threads that numpy's OpenBLAS runs, asked of it; 1, the count
-    that ``skytrack`` pins by default, if numpy has no ``numpy._core`` or
-    its BLAS no ``NUM_THREADS`` symbol."""
+    that ``skytrack`` pins by default, if it has no ``NUM_THREADS``."""
+    get = _openblas(NUM_THREADS, ctypes.c_int)
+    return get() if get else 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, the function) with numpy's OpenBLAS
+    at one thread, then restore its count; without ``SET_NUM_THREADS``,
+    at the count it has. Some kernel sets (Haswell's, Prescott's) split a
+    GEMM across threads in another summation order, so its bits depend on
+    the thread count: a dataset's projection, or a batch of 26 rows."""
+    set_threads = _openblas(SET_NUM_THREADS, None, ctypes.c_int) or (lambda threads: None)
+    threads = blas_threads()
+    set_threads(1)
     try:
-        get = getattr(_numpy_core(), NUM_THREADS)
-    except (AttributeError, ImportError):
-        return 1
-    get.restype, get.argtypes = ctypes.c_int, []
-    return get()
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _bind(lib_file: Path, dgemm: int, dgemv: int) -> Callable[..., float] | None:

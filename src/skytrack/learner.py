@@ -127,13 +127,15 @@ def lr_at(epoch: int, config: RunConfig) -> float:
     return config.lr0 / 2 ** (epoch // config.lr_halving_period)
 
 
+@kernels.one_blas_thread()
 def train(
     dataset: Dataset, config: RunConfig, projection_dim: int, hidden: int
 ) -> tuple[RegressorModel, list[float]]:
     """Mini-batch training over the recipe of ``config``, whose ``seed``
     seeds both the weight init and the shuffle; returns the trained model
     (with the dataset's normalization statistics embedded) and the per-epoch
-    mean squared error history."""
+    mean squared error history. It runs at one BLAS thread, so its bits do
+    not depend on the thread count (see ``kernels.one_blas_thread``)."""
     if not len(dataset.samples):
         raise ValueError("empty dataset")
     x = normalize_features(dataset.feature_mean, dataset.feature_std, dataset.samples.features)

@@ -18,7 +18,7 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from .augmentation import Samples, normalize_features
-from .geometry import Path, Point2, point_segment_distance, sum_angle_change
+from .geometry import Path, point_segment_distance, sum_angle_change
 from .learner import RegressorModel, predict_raw
 from .simulator import TrajectoryLog
 
@@ -28,7 +28,7 @@ def mean_waypoint_min_distance(path: Path, positions: np.ndarray) -> float:
     point; positions is (T, 2)."""
     if not len(positions):
         raise ValueError("empty trajectory")
-    w = np.array([[p.x, p.y] for p in path.waypoints])
+    w = path.waypoints
     d = np.linalg.norm(w[:, None, :] - positions[None, :, :], axis=2)
     return float(d.min(axis=1).mean())
 
@@ -38,14 +38,14 @@ def mean_cross_track_distance(path: Path, positions: np.ndarray) -> float:
     (T, 2) positions' two closest waypoints."""
     if not len(positions):
         raise ValueError("empty trajectory")
-    wps = path.waypoints
-    w = np.array([[p.x, p.y] for p in wps])
+    w = path.waypoints
     d = np.hypot(w[None, :, 0] - positions[:, 0:1], w[None, :, 1] - positions[:, 1:2])
     nearest = np.argsort(d, axis=1, kind="stable")[:, :2].tolist()
+    wps = w.tolist()
     total = 0.0
     # Scalar distances summed in order: math.hypot and np.hypot may differ in the last bit.
-    for (x, y), (i, j) in zip(positions.tolist(), nearest):
-        total += point_segment_distance(Point2(x, y), wps[i], wps[j])
+    for p, (i, j) in zip(positions.tolist(), nearest):
+        total += point_segment_distance(p, wps[i], wps[j])
     return total / len(positions)
 
 

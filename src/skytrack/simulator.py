@@ -11,22 +11,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import NamedTuple
 
 import numpy as np
 
 from . import learner
 from .config import RunConfig
-from .geometry import (
-    Path,
-    Point2,
-    Pose,
-    advance_target,
-    bearing,
-    default_max_steps,
-    target_yaw_delta,
-    wrap_angle,
-)
+from .geometry import Path, advance_target, bearing, default_max_steps, target_yaw_delta, wrap_angle
 from .world import LandmarkWorld, render_observation
 
 COMPLETED = "completed"
@@ -34,22 +24,17 @@ MAX_STEPS = "max_steps"
 DIVERGED = "diverged"
 
 
-class PrivilegedState(NamedTuple):
-    """Ground-truth state handed only to privileged policies."""
-
-    pose: Pose
-    target_waypoint: Point2
-
-
 class OraclePolicy:
-    """Privileged policy: always commands the exact rotation toward the target."""
+    """Privileged policy: always commands the exact rotation from ``pose``,
+    (x, y, yaw), toward the target waypoint (x, y)."""
 
-    def command(self, observation: np.ndarray, privileged: PrivilegedState) -> float:
-        return target_yaw_delta(privileged.pose, privileged.target_waypoint)
+    def command(self, observation: np.ndarray, pose, target) -> float:
+        return target_yaw_delta(pose, target)
 
 
 class ModelPolicy:
-    """Wraps a trained regressor; sees only the observation, never the state.
+    """Wraps a trained regressor; sees only the observation, never the pose
+    or the target.
 
     The commanded rotation is the predicted yaw delta scaled by the damping
     gain ``config.command_gain``. The full prediction every tick feeds the
@@ -61,7 +46,7 @@ class ModelPolicy:
         self.model = model
         self.gain = config.command_gain
 
-    def command(self, observation: np.ndarray, privileged: PrivilegedState) -> float:
+    def command(self, observation: np.ndarray, pose, target) -> float:
         return self.gain * learner.predict(self.model, observation)
 
 
@@ -84,14 +69,14 @@ def rollout(
     Terminates on final-waypoint capture, step budget exhaustion, a non-finite
     command, or leaving the world bounds by more than a 10% margin.
     """
-    wps = path.waypoints
+    wps = path.waypoints.tolist()
     step = config.step
     if max_steps is None:
         max_steps = default_max_steps(path, step)
     guard = world.bounds.inflated(0.1 * world.bounds.width, 0.1 * world.bounds.height)
 
     target = advance_target(wps[0], wps, 0, config.capture_radius)
-    x, y = wps[0].x, wps[0].y
+    x, y = wps[0]
     yaw = bearing(wps[0], wps[target]) if target < len(wps) else 0.0
     poses = np.empty((max_steps + 1, 3))
     commands = np.empty(max_steps)
@@ -100,13 +85,13 @@ def rollout(
     n, termination = 1, MAX_STEPS if target < len(wps) else COMPLETED
     while termination == MAX_STEPS and n <= max_steps:
         obs = render_observation(world, poses[n - 1 : n], config)[0]
-        delta = policy.command(obs, PrivilegedState(Pose(Point2(x, y), yaw), wps[target]))
+        delta = policy.command(obs, (x, y, yaw), wps[target])
         if not math.isfinite(delta):
             termination = DIVERGED
             break
         yaw = wrap_angle(yaw + delta)
         x, y = x + step * math.cos(yaw), y + step * math.sin(yaw)
-        target = advance_target(Point2(x, y), wps, target, config.capture_radius)
+        target = advance_target((x, y), wps, target, config.capture_radius)
         poses[n], commands[n - 1], targets[n] = (x, y, yaw), delta, target
         n += 1
         if target >= len(wps):

@@ -35,7 +35,6 @@ from skytrack import cli, learner
 from skytrack.config import RunConfig
 from skytrack.geometry import (
     Path,
-    Point2,
     path_length,
     point_segment_distance,
     sum_angle_change,
@@ -134,7 +133,7 @@ def test_criterion_3_oracle_tracking(capsys):
 
 def _brute_mwmd(waypoints, positions):
     return sum(
-        min(math.hypot(x - w.x, y - w.y) for x, y in positions.tolist()) for w in waypoints
+        min(math.hypot(x - wx, y - wy) for x, y in positions.tolist()) for wx, wy in waypoints
     ) / len(waypoints)
 
 
@@ -142,10 +141,10 @@ def _brute_mctd(waypoints, positions):
     total = 0.0
     for x, y in positions.tolist():
         dists = sorted(
-            (math.hypot(x - w.x, y - w.y), i) for i, w in enumerate(waypoints)
+            (math.hypot(x - wx, y - wy), i) for i, (wx, wy) in enumerate(waypoints)
         )
         (_, i), (_, j) = dists[0], dists[1]
-        total += point_segment_distance(Point2(x, y), waypoints[i], waypoints[j])
+        total += point_segment_distance((x, y), waypoints[i], waypoints[j])
     return total / len(positions)
 
 
@@ -158,10 +157,10 @@ def test_criterion_4_metric_brute_force(capsys):
         x, y = rng.uniform(-50, 50, size=2)
         pts = []
         for _ in range(n_w):
-            pts.append(Point2(float(x), float(y)))
+            pts.append((float(x), float(y)))
             x += rng.uniform(0.1, 3.0)
             y += rng.uniform(-2.0, 2.0)
-        route = Path(tuple(pts), "rand")
+        route = Path(pts, "rand")
         traj = rng.uniform(-60, 60, size=(n_t, 2))
         worst = max(
             worst,
@@ -271,14 +270,11 @@ def test_criterion_8_property_suite(capsys):
 
     # rigid invariance of path length and total turn
     for _ in range(50):
-        pts = [Point2(float(a), float(b)) for a, b in rng.uniform(-10, 10, size=(8, 2))]
-        route = Path(tuple(pts), "p")
+        pts = rng.uniform(-10, 10, size=(8, 2)).tolist()
+        route = Path(pts, "p")
         phi, tx, ty = rng.uniform(-math.pi, math.pi), *rng.uniform(-5, 5, size=2)
         c, s = math.cos(phi), math.sin(phi)
-        moved = Path(
-            tuple(Point2(c * p.x - s * p.y + tx, s * p.x + c * p.y + ty) for p in pts),
-            "q",
-        )
+        moved = Path([(c * x - s * y + tx, s * x + c * y + ty) for x, y in pts], "q")
         assert path_length(moved) == pytest.approx(path_length(route), rel=1e-9)
         assert sum_angle_change(moved) == pytest.approx(sum_angle_change(route), abs=1e-9)
 
@@ -294,7 +290,7 @@ def test_criterion_8_property_suite(capsys):
             assert abs(dx) <= 1.0 and abs(dy) <= 1.0 and abs(dyaw) <= 0.1
 
     # step/heading invariants of the closed-loop walk
-    route = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L")
+    route = Path([(0, 0), (5, 0), (5, 5)], "L")
     world = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), cli.routes_bounding_box([route], 5.0))
     log = rollout(OraclePolicy(), world, route, cfg)
     assert log.termination == COMPLETED

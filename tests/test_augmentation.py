@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from skytrack import augmentation as aug
 from skytrack.cli import generate_route
 from skytrack.config import RunConfig
-from skytrack.geometry import Path, Point2, Pose, advance_target, bearing, target_yaw_delta, wrap_angle
+from skytrack.geometry import Path, advance_target, bearing, target_yaw_delta, wrap_angle
 from skytrack.world import Rect, generate_world
 
 WORLD = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))
 
 
 def straight_path(length=2.0):
-    return Path((Point2(0, 0), Point2(length, 0)), "straight")
+    return Path([(0, 0), (length, 0)], "straight")
 
 
 def config(**overrides):
@@ -50,7 +50,7 @@ class TestSweepOptimal:
             assert d == pytest.approx(0.2, abs=1e-9)
 
     def test_l_shaped_corner_label_jump(self):
-        corner = Path((Point2(0, 0), Point2(3, 0), Point2(3, 3)), "L")
+        corner = Path([(0, 0), (3, 0), (3, 3)], "L")
         _, samples = aug.sweep_optimal(corner, config(), WORLD)
         labels = samples.targets.tolist()
         # straight legs carry ~0 labels; the capture hand-off produces one
@@ -110,28 +110,28 @@ class TestSweepJittered:
         # reconstruct each perturbed pose from per-step dx, dy, dyaw draws and
         # confirm its label points the corrected heading exactly at the target
         # waypoint: the sweep's one-call draw must keep this draw order
-        route = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L5")
+        route = Path([(0, 0), (5, 0), (5, 5)], "L5")
         cfg = config()
         samples = aug.sweep_jittered(aug.walk_path(route, cfg), cfg, WORLD, 7)
         assert samples.sweep_index.tolist() == [7] * len(samples)
         assert samples.step_index.tolist() == list(range(len(samples)))
         rng = aug.sweep_rng(cfg.seed, route.id, 7)
-        wps = route.waypoints
+        wps = route.waypoints.tolist()
         target = advance_target(wps[0], wps, 0, cfg.capture_radius)
         pose_pos, pose_yaw = wps[0], bearing(wps[0], wps[target])
         for label in samples.targets.tolist():
             dx = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dy = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dyaw = rng.uniform(-cfg.yaw_jitter, cfg.yaw_jitter)
-            perturbed = Point2(pose_pos.x + dx, pose_pos.y + dy)
+            perturbed = (pose_pos[0] + dx, pose_pos[1] + dy)
             corrected = wrap_angle(pose_yaw + dyaw + label)
             assert corrected == pytest.approx(
                 bearing(perturbed, wps[target]), abs=1e-9
             )
             heading = bearing(pose_pos, wps[target])
-            pose_pos = Point2(
-                pose_pos.x + cfg.step * math.cos(heading),
-                pose_pos.y + cfg.step * math.sin(heading),
+            pose_pos = (
+                pose_pos[0] + cfg.step * math.cos(heading),
+                pose_pos[1] + cfg.step * math.sin(heading),
             )
             pose_yaw = heading
             target = advance_target(pose_pos, wps, target, cfg.capture_radius)
@@ -151,8 +151,8 @@ class TestSweepJittered:
             dx = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dy = rng.uniform(-cfg.pos_jitter, cfg.pos_jitter)
             dyaw = rng.uniform(-cfg.yaw_jitter, cfg.yaw_jitter)
-            pose = Pose(Point2(x + dx, y + dy), yaw + dyaw)
-            expected.append(target_yaw_delta(pose, route.waypoints[t]))
+            pose = (x + dx, y + dy, wrap_angle(yaw + dyaw))
+            expected.append(target_yaw_delta(pose, route.waypoints[t].tolist()))
         assert samples.targets.tobytes() == np.array(expected).tobytes()
 
     @given(st.integers(min_value=1, max_value=50))

@@ -25,7 +25,7 @@ from conftest import children
 from skytrack import augmentation as aug
 from skytrack import cli, learner
 from skytrack.config import ConfigError, RunConfig, load_config, parse_config
-from skytrack.geometry import Path, Point2, path_length, sum_angle_change
+from skytrack.geometry import Path, path_length, sum_angle_change
 from skytrack.world import generate_world, Rect
 
 SRC = str(FilePath(skytrack.__file__).resolve().parent.parent)
@@ -125,12 +125,12 @@ class TestGenerateRoute:
     def test_deterministic(self):
         a = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
         b = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
-        assert a.waypoints == b.waypoints
+        assert np.array_equal(a.waypoints, b.waypoints)
 
     def test_id_sensitivity(self):
         a = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
         b = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "q")
-        assert a.waypoints != b.waypoints
+        assert not np.array_equal(a.waypoints, b.waypoints)
 
     def test_exact_length_and_sac(self):
         route = cli.generate_route(RunConfig(seed=4, n_waypoints=61, path_length=150.0, sac_budget=5.0), "p")
@@ -151,8 +151,10 @@ class TestPathRoundTrip:
         route = cli.generate_route(RunConfig(seed=7, n_waypoints=12, path_length=40.0, sac_budget=1.5), "p")
         file = tmp_path / "p.csv"
         cli.save_path(route, file)
-        loaded = cli.load_path(file, "p")
-        assert loaded.waypoints == route.waypoints
+        loaded = cli.load_path(file)
+        assert loaded.id == "p"  # the file's stem
+        # Bit for bit: array_equal would let -0.0 == 0.0 through.
+        assert loaded.waypoints.dtype == np.float64 and loaded.waypoints.tobytes() == route.waypoints.tobytes()
 
     def test_single_waypoint_rejected(self, tmp_path):
         file = tmp_path / "one.csv"
@@ -165,6 +167,14 @@ class TestPathRoundTrip:
         file.write_text("x,y\n1.0,2.0\noops\n")
         with pytest.raises(ValueError, match="line 3"):
             cli.load_path(file)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_waypoint_names_the_file(self, tmp_path, value):
+        file = tmp_path / "p.csv"
+        file.write_text(f"x,y\n1.0,2.0\n3.0,{value}\n5.0,6.0\n")
+        with pytest.raises(ValueError, match="non-finite") as info:
+            cli.load_path(file)
+        assert str(info.value).startswith(f"{file}: ")
 
     def test_wrong_header(self, tmp_path):
         file = tmp_path / "hdr.csv"
@@ -195,7 +205,7 @@ class TestPathRoundTrip:
 class TestDatasetRoundTrip:
     def test_npz_and_sidecar(self, tmp_path):
         world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
-        route = Path((Point2(0, 0), Point2(6, 0)), "p")
+        route = Path([(0, 0), (6, 0)], "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0)
         ds = aug.build_dataset(route, cfg, world)
         data_file = tmp_path / "d"  # no suffix: the file must keep the given name
@@ -298,7 +308,7 @@ class TestDatasetRoundTrip:
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
         world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
-        route = Path((Point2(0, 0), Point2(6, 0)), "p")
+        route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
         cli.save_dataset(ds, data_file, sidecar)
@@ -311,7 +321,7 @@ class TestDatasetRoundTrip:
     @given(data=st.data())
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
         world = generate_world(RunConfig(seed=0, n_landmarks=10, signature_dim=2), Rect(-20, -20, 40, 40))
-        route = Path((Point2(0, 0), Point2(2, 0)), "p")
+        route = Path([(0, 0), (2, 0)], "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
         cli.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar)

@@ -1,5 +1,6 @@
 """Golden digests of the deterministic artifacts, and their invariance to
-the BLAS thread count.
+the BLAS thread count, under the host's OpenBLAS kernel set and under forced
+Haswell kernels.
 
 The digests pin the bytes of the small end-to-end scenario from
 ``test_cli.small_config``, once at its own tiny widths and once at the
@@ -13,9 +14,9 @@ a digest must say why in CHANGES.md. Both training epochs of
 ``skytrack.kernels``, C and NumPy, must give these digests.
 """
 
-import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,24 +58,38 @@ GOLDEN = {
     },
 }
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The variables that skytrack/__init__.py pins, in its order.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CPUS = len(os.sched_getaffinity(0))  # OpenBLAS runs no more threads than these
+
+CORE_PROBE = """
+import ctypes
+from numpy._core import _multiarray_umath
+try:
+    corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+except AttributeError:
+    print("unknown")
+else:
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+"""
 
 
 def sha256(file: Path) -> str:
     return hashlib.sha256(file.read_bytes()).hexdigest()
 
 
-def openblas_core() -> str:
-    """The kernel set numpy's OpenBLAS chose for this CPU."""
-    from numpy._core import _multiarray_umath
+def openblas_core(env_overrides: dict[str, str] | None = None) -> str:
+    """The kernel set numpy's OpenBLAS chooses for this CPU, or is forced to
+    by ``OPENBLAS_CORETYPE`` in ``env_overrides``."""
+    return run_cli(env_overrides or {}, "-c", CORE_PROBE).stdout.strip()
 
+
+def has_avx2() -> bool:
     try:
-        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
-    except AttributeError:
-        return "unknown"
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
+        return re.search(r"^flags\s*:.*\bavx2\b", Path("/proc/cpuinfo").read_text(), re.MULTILINE) is not None
+    except OSError:
+        return False
 
 
 @pytest.mark.parametrize(
@@ -94,7 +109,7 @@ def test_golden_digests(tmp_path, scenario, kernel_set):
 
 
 def run_cli(env_overrides: dict[str, str], *args: str) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k not in (*THREAD_VARS, "GOTO_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env.update(env_overrides)
     return subprocess.run(
@@ -102,7 +117,15 @@ def run_cli(env_overrides: dict[str, str], *args: str) -> subprocess.CompletedPr
     )
 
 
-def test_bytes_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["default", "Haswell"])
+def test_bytes_independent_of_blas_threads(tmp_path, coretype):
+    """Under the host's own kernel set, and under the Haswell kernels, whose
+    threaded GEMM sums in another order than their one-thread GEMM."""
+    forced = {"OPENBLAS_CORETYPE": coretype} if coretype else {}
+    if coretype and not has_avx2():
+        pytest.skip(f"the CPU lacks AVX2, which the {coretype} kernels need")
+    if coretype and (core := openblas_core(forced)) != coretype:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} reads back as {core}")
     cfg = str(small_config(tmp_path, **WIDE))
     outputs = []
     for threads in ("1", "2"):
@@ -110,7 +133,7 @@ def test_bytes_independent_of_blas_threads(tmp_path):
         # The ablation's worker count follows the BLAS thread count; its rows must not.
         for command in ("gen", "pipeline", "ablation"):
             run_cli(
-                {"OPENBLAS_NUM_THREADS": threads},
+                {**forced, "OPENBLAS_NUM_THREADS": threads},
                 "-m", "skytrack.cli", command, "--config", cfg, "--out-dir", str(run),
             )
         outputs.append([(run / n).read_bytes() for n in ("path_00_model.json", "path_00_metrics.json", "ablation.csv")])
@@ -130,14 +153,16 @@ print(*(os.environ.get(v, "-") for v in sys.argv[1:]), tasks)
 
 def test_import_pins_one_blas_thread_unless_set():
     out = run_cli({}, "-c", PROBE, *THREAD_VARS).stdout.split()
-    assert out[:3] == ["1", "1", "1"]
-    assert out[3] in ("1", "-1")  # one thread: nothing was started
+    assert out[:4] == ["1", "1", "1", "1"]
+    assert out[4] in ("1", "-1")  # one thread: nothing was started
     out = run_cli({"OPENBLAS_NUM_THREADS": "2"}, "-c", PROBE, *THREAD_VARS).stdout.split()
-    assert out[:3] == ["2", "-", "-"]
+    assert out[:4] == ["2", "-", "-", "-"]
     # Any one of the variables is the user's choice; the default stays away.
     out = run_cli({"OMP_NUM_THREADS": "2"}, "-c", PROBE, *THREAD_VARS).stdout.split()
-    assert out[:3] == ["-", "2", "-"]
-    assert out[3] in ("2", "-1")  # OpenBLAS started its second thread
+    assert out[:4] == ["-", "-", "2", "-"]
+    assert out[4] in ("2", "-1")  # OpenBLAS started its second thread
+    out = run_cli({"GOTO_NUM_THREADS": "2"}, "-c", PROBE, *THREAD_VARS).stdout.split()
+    assert out[:4] == ["-", "2", "-", "-"]
 
 
 @pytest.mark.parametrize(
@@ -170,3 +195,22 @@ def test_thread_count_is_one_when_openblas_cannot_be_asked(break_lookup):
     # OpenBLAS itself runs min(2, CPUS) threads here; only the fallback answers 1.
     probe = f"import sys; from skytrack import kernels; {break_lookup}; print(kernels.blas_threads())"
     assert run_cli({"OPENBLAS_NUM_THREADS": "2"}, "-c", probe).stdout.split() == ["1"]
+
+
+ONE_THREAD_PROBE = """
+import sys
+from skytrack import kernels
+kernels.SET_NUM_THREADS = sys.argv[1] or kernels.SET_NUM_THREADS
+try:
+    with kernels.one_blas_thread():
+        inside = kernels.blas_threads()
+        raise KeyError  # the count comes back on the way out of a failure too
+except KeyError:
+    print(inside, kernels.blas_threads())
+"""
+
+
+@pytest.mark.parametrize("symbol, inside", [("", "1"), ("skytrack_no_such_symbol", str(min(2, CPUS)))], ids=["set", "no-symbol"])
+def test_one_blas_thread_restores_the_count(symbol, inside):
+    out = run_cli({"OPENBLAS_NUM_THREADS": "2"}, "-c", ONE_THREAD_PROBE, symbol).stdout.split()
+    assert out == [inside, str(min(2, CPUS))]

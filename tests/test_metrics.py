@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_samples
 from skytrack.config import RunConfig
-from skytrack.geometry import Path, Point2, point_segment_distance
+from skytrack.geometry import Path, point_segment_distance
 from skytrack.learner import init_model
 from skytrack.metrics import (
     MetricsReport,
@@ -24,18 +24,19 @@ from skytrack.world import Rect, generate_world
 
 def brute_force_mwmd(waypoints, positions):
     total = 0.0
-    for w in waypoints:
-        total += min(math.hypot(x - w.x, y - w.y) for x, y in positions.tolist())
+    for wx, wy in waypoints.tolist():
+        total += min(math.hypot(x - wx, y - wy) for x, y in positions.tolist())
     return total / len(waypoints)
 
 
 def brute_force_mctd(waypoints, positions):
+    wps = waypoints.tolist()
     total = 0.0
     for x, y in positions.tolist():
-        dists = [(math.hypot(x - w.x, y - w.y), i) for i, w in enumerate(waypoints)]
+        dists = [(math.hypot(x - wx, y - wy), i) for i, (wx, wy) in enumerate(wps)]
         dists.sort()  # stable: ties resolve to the lower index
         (_, i), (_, j) = dists[0], dists[1]
-        total += point_segment_distance(Point2(x, y), waypoints[i], waypoints[j])
+        total += point_segment_distance((x, y), wps[i], wps[j])
     return total / len(positions)
 
 
@@ -45,40 +46,40 @@ def random_instance(rng, max_n=200):
     pts = []
     x, y = rng.uniform(-50, 50, size=2)
     for _ in range(n_w):
-        pts.append(Point2(float(x), float(y)))
+        pts.append((float(x), float(y)))
         x += rng.uniform(0.1, 3.0)
         y += rng.uniform(-2.0, 2.0)
-    return Path(tuple(pts), "rand"), rng.uniform(-60, 60, size=(n_t, 2))
+    return Path(pts, "rand"), rng.uniform(-60, 60, size=(n_t, 2))
 
 
 class TestMeanWaypointMinDistance:
     def test_exact_visits(self):
-        p = Path((Point2(0, 0), Point2(2, 0)), "p")
+        p = Path([(0, 0), (2, 0)], "p")
         traj = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert mean_waypoint_min_distance(p, traj) == 0.0
 
     def test_uniform_unit_offset(self):
-        p = Path((Point2(0, 0), Point2(2, 0)), "p")
+        p = Path([(0, 0), (2, 0)], "p")
         traj = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
         assert mean_waypoint_min_distance(p, traj) == pytest.approx(1.0)
 
     def test_empty_trajectory(self):
         with pytest.raises(ValueError):
-            mean_waypoint_min_distance(Path((Point2(0, 0), Point2(1, 0)), "p"), np.empty((0, 2)))
+            mean_waypoint_min_distance(Path([(0, 0), (1, 0)], "p"), np.empty((0, 2)))
 
 
 class TestMeanCrossTrackDistance:
     def test_on_segment_zero(self):
-        p = Path((Point2(0, 0), Point2(2, 0), Point2(5, 0)), "p")
+        p = Path([(0, 0), (2, 0), (5, 0)], "p")
         traj = np.array([[0.5, 0.0], [1.5, 0.0]])
         assert mean_cross_track_distance(p, traj) == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_example(self):
-        p = Path((Point2(0, 0), Point2(2, 0), Point2(5, 0)), "p")
+        p = Path([(0, 0), (2, 0), (5, 0)], "p")
         assert mean_cross_track_distance(p, np.array([[1.0, 0.5]])) == pytest.approx(0.5)
 
     def test_perpendicular_offset(self):
-        p = Path((Point2(0, 0), Point2(10, 0)), "p")
+        p = Path([(0, 0), (10, 0)], "p")
         traj = np.column_stack([np.linspace(1, 9, 17), np.full(17, 0.7)])
         assert mean_cross_track_distance(p, traj) == pytest.approx(0.7)
 
@@ -87,7 +88,7 @@ class TestMeanCrossTrackDistance:
         p, traj = random_instance(rng, max_n=40)
         mctd = mean_cross_track_distance(p, traj)
         bound = max(
-            min(math.hypot(x - w.x, y - w.y) for w in p.waypoints) for x, y in traj.tolist()
+            min(math.hypot(x - wx, y - wy) for wx, wy in p.waypoints.tolist()) for x, y in traj.tolist()
         )
         assert mctd <= bound + 1e-12
 
@@ -113,7 +114,7 @@ class TestBruteForceEquivalence:
         def move(x, y, k=1.0):
             return k * (c * x - s * y) + tx, k * (s * x + c * y) + ty
 
-        p_rigid = Path(tuple(Point2(*move(w.x, w.y)) for w in p.waypoints), "r")
+        p_rigid = Path([move(x, y) for x, y in p.waypoints.tolist()], "r")
         traj_rigid = np.array([move(x, y) for x, y in traj.tolist()])
         assert mean_waypoint_min_distance(p_rigid, traj_rigid) == pytest.approx(
             mean_waypoint_min_distance(p, traj), rel=1e-9
@@ -122,7 +123,7 @@ class TestBruteForceEquivalence:
             mean_cross_track_distance(p, traj), rel=1e-9
         )
 
-        p_scaled = Path(tuple(Point2(*move(w.x, w.y, scale)) for w in p.waypoints), "s")
+        p_scaled = Path([move(x, y, scale) for x, y in p.waypoints.tolist()], "s")
         traj_scaled = np.array([move(x, y, scale) for x, y in traj.tolist()])
         assert mean_waypoint_min_distance(p_scaled, traj_scaled) == pytest.approx(
             scale * mean_waypoint_min_distance(p_rigid, traj_rigid), rel=1e-9
@@ -161,7 +162,7 @@ class TestEvaluate:
     WORLD = generate_world(RunConfig(seed=2, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))
 
     def test_oracle_straight_path(self):
-        p = Path((Point2(0, 0), Point2(8, 0)), "straight")
+        p = Path([(0, 0), (8, 0)], "straight")
         cfg = RunConfig(capture_radius=0.4, seed=0)
         log = rollout(OraclePolicy(), self.WORLD, p, cfg)
         report = evaluate(p, log)

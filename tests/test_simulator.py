@@ -8,14 +8,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from skytrack.config import RunConfig
-from skytrack.geometry import Path, Point2, Pose, advance_target, default_max_steps, wrap_angle
+from skytrack.geometry import Path, advance_target, default_max_steps, wrap_angle
 from skytrack.simulator import (
     COMPLETED,
     DIVERGED,
     MAX_STEPS,
     ModelPolicy,
     OraclePolicy,
-    PrivilegedState,
     load_trajectory,
     rollout,
     save_trajectory,
@@ -31,7 +30,7 @@ class ConstantPolicy:
     def __init__(self, delta: float):
         self.delta = delta
 
-    def command(self, observation, privileged: PrivilegedState) -> float:
+    def command(self, observation, pose, target) -> float:
         return self.delta
 
 
@@ -41,7 +40,7 @@ class RandomPolicy:
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
 
-    def command(self, observation, privileged: PrivilegedState) -> float:
+    def command(self, observation, pose, target) -> float:
         return float(self.rng.uniform(-math.pi, math.pi))
 
 
@@ -52,59 +51,59 @@ def cfg(**overrides):
 
 
 class TestAdvanceTarget:
-    WPS = (Point2(0, 0), Point2(5, 0), Point2(10, 0))
+    WPS = [(0, 0), (5, 0), (10, 0)]
 
     def test_far_away_unchanged(self):
-        assert advance_target(Point2(2.5, 3.0), self.WPS, 1, 0.4) == 1
+        assert advance_target((2.5, 3.0), self.WPS, 1, 0.4) == 1
 
     def test_exactly_on_waypoint(self):
-        assert advance_target(Point2(5, 0), self.WPS, 1, 0.4) == 2
+        assert advance_target((5, 0), self.WPS, 1, 0.4) == 2
 
     def test_boundary_inclusive(self):
         # 5.5 - 5.0 is exactly representable, so this sits on the boundary
-        assert advance_target(Point2(5.5, 0), self.WPS, 1, 0.5) == 2
+        assert advance_target((5.5, 0), self.WPS, 1, 0.5) == 2
 
     def test_cluster_skips_consecutive_captures(self):
-        tight = (Point2(0, 0), Point2(0.1, 0), Point2(0.2, 0))
-        assert advance_target(Point2(0.05, 0), tight, 0, 0.4) == 3
+        tight = [(0, 0), (0.1, 0), (0.2, 0)]
+        assert advance_target((0.05, 0), tight, 0, 0.4) == 3
 
     def test_never_decrements(self):
-        assert advance_target(Point2(0, 0), self.WPS, 1, 0.4) == 1
+        assert advance_target((0, 0), self.WPS, 1, 0.4) == 1
 
 
 class TestDefaultMaxSteps:
     def test_budget_formula(self):
-        p = Path((Point2(0, 0), Point2(10, 0)), "p")
+        p = Path([(0, 0), (10, 0)], "p")
         assert default_max_steps(p, 0.2) == math.ceil(3 * 10.0 / 0.2)
 
 
 class TestOracleRollout:
     def test_straight_path_completes(self):
-        p = Path((Point2(0, 0), Point2(6, 0)), "straight")
+        p = Path([(0, 0), (6, 0)], "straight")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert log.termination == COMPLETED
         assert all(abs(y) < 1e-9 for y in log.poses[:, 1].tolist())
 
     def test_multi_waypoint_completes(self):
-        p = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5), Point2(0, 5)), "U")
+        p = Path([(0, 0), (5, 0), (5, 5), (0, 5)], "U")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert log.termination == COMPLETED
         assert log.targets[-1] == len(p.waypoints)
 
     def test_step_length_invariant(self):
-        p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
+        p = Path([(0, 0), (4, 0), (4, 4)], "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         for (ax, ay, _), (bx, by, _) in zip(log.poses.tolist(), log.poses[1:].tolist()):
             assert math.hypot(bx - ax, by - ay) == pytest.approx(0.2, abs=1e-9)
 
     def test_heading_motion_invariant(self):
-        p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
+        p = Path([(0, 0), (4, 0), (4, 4)], "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         for (ax, ay, _), (bx, by, b_yaw) in zip(log.poses.tolist(), log.poses[1:].tolist()):
             assert wrap_angle(math.atan2(by - ay, bx - ax) - b_yaw) == pytest.approx(0.0, abs=1e-9)
 
     def test_yaw_command_consistency(self):
-        p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
+        p = Path([(0, 0), (4, 0), (4, 4)], "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert len(log.commands) == len(log.poses) - 1
         yaws = log.poses[:, 2].tolist()
@@ -112,26 +111,26 @@ class TestOracleRollout:
             assert b_yaw == pytest.approx(wrap_angle(a_yaw + delta), abs=1e-12)
 
     def test_monotone_target_progress(self):
-        p = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L")
+        p = Path([(0, 0), (5, 0), (5, 5)], "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert all(b >= a for a, b in zip(log.targets.tolist(), log.targets[1:].tolist()))
 
 
 class TestConstantPolicy:
     def test_zero_on_aligned_straight_path(self):
-        p = Path((Point2(0, 0), Point2(6, 0)), "straight")
+        p = Path([(0, 0), (6, 0)], "straight")
         log = rollout(ConstantPolicy(0.0), WORLD, p, cfg())
         assert log.termination == COMPLETED
         ys = {round(y, 12) for y in log.poses[:, 1].tolist()}
         assert ys == {0.0}
 
     def test_zero_on_l_path_never_turns(self):
-        p = Path((Point2(0, 0), Point2(5, 0), Point2(5, 5)), "L")
+        p = Path([(0, 0), (5, 0), (5, 5)], "L")
         log = rollout(ConstantPolicy(0.0), WORLD, p, cfg())
         assert log.termination in (MAX_STEPS, DIVERGED)
 
     def test_non_finite_command_diverges(self):
-        p = Path((Point2(0, 0), Point2(6, 0)), "straight")
+        p = Path([(0, 0), (6, 0)], "straight")
         log = rollout(ConstantPolicy(math.nan), WORLD, p, cfg())
         assert log.termination == DIVERGED
         assert len(log.poses) == 1
@@ -144,15 +143,15 @@ class TestModelPolicy:
             feature_std = np.ones(WORLD.signature_dim * 32)
 
         class StubPolicy(ModelPolicy):
-            def command(self, observation, privileged):
+            def command(self, observation, pose, target):
                 return self.gain * 0.5
 
         policy = StubPolicy(FixedModel(), RunConfig(command_gain=0.2))
         obs = None
-        assert policy.command(obs, None) == pytest.approx(0.1)
+        assert policy.command(obs, None, None) == pytest.approx(0.1)
 
     def test_sees_only_observation(self):
-        # the privileged argument must not influence the command
+        # the pose and target arguments must not influence the command
         from skytrack.learner import init_model
 
         model = init_model(0, WORLD.signature_dim * 32, 8, 16)
@@ -160,14 +159,14 @@ class TestModelPolicy:
         from skytrack.world import render_observation
 
         obs = render_observation(WORLD, np.array([[5.0, 5.0, 0.0]]), RunConfig(bins=32, fov_deg=90.0))[0]
-        a = policy.command(obs, PrivilegedState(Pose(Point2(0, 0), 0.0), Point2(1, 1)))
-        b = policy.command(obs, PrivilegedState(Pose(Point2(9, 9), 2.0), Point2(-5, 3)))
+        a = policy.command(obs, (0, 0, 0.0), (1, 1))
+        b = policy.command(obs, (9, 9, 2.0), (-5, 3))
         assert a == b
 
 
 class TestTermination:
     def test_max_steps(self):
-        p = Path((Point2(0, 0), Point2(6, 0)), "straight")
+        p = Path([(0, 0), (6, 0)], "straight")
         log = rollout(ConstantPolicy(0.3), WORLD, p, cfg(), max_steps=5)
         assert log.termination in (MAX_STEPS, DIVERGED)
         assert len(log.poses) <= 6
@@ -175,14 +174,14 @@ class TestTermination:
     def test_out_of_bounds_diverges(self):
         # the goal lies far outside the world's 10% guard margin, so straight
         # flight exits the bounds before reaching it
-        p = Path((Point2(0, 0), Point2(6, 0)), "straight")
+        p = Path([(0, 0), (6, 0)], "straight")
         tiny = generate_world(RunConfig(seed=1, n_landmarks=5, signature_dim=2), Rect(-1, -1, 1, 1))
         log = rollout(ConstantPolicy(0.0), tiny, p, cfg())
         assert log.termination == DIVERGED
         assert log.poses[-1, 0] > 1.0
 
     def test_start_on_final_waypoint(self):
-        p = Path((Point2(0, 0), Point2(0.3, 0)), "tiny")
+        p = Path([(0, 0), (0.3, 0)], "tiny")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         assert log.termination == COMPLETED
         assert log.commands.shape == (0,)
@@ -209,7 +208,7 @@ class TestGuardBoundary:
         x = {"xmin": g.xmin + inset, "xmax": g.xmax - inset}.get(side, g.xmin + along * g.width)
         y = {"ymin": g.ymin + inset, "ymax": g.ymax - inset}.get(side, g.ymin + along * g.height)
         assume((x, y) != goal)
-        log = rollout(policy, WORLD, Path((Point2(x, y), Point2(*goal)), "edge"), cfg(), max_steps=max_steps)
+        log = rollout(policy, WORLD, Path(((x, y), goal), "edge"), cfg(), max_steps=max_steps)
         n = len(log.poses)
         assert 1 <= n <= max_steps + 1
         assert log.poses.shape == (n, 3) and log.commands.shape == (n - 1,) and log.targets.shape == (n,)
@@ -229,7 +228,7 @@ class TestGuardBoundary:
 
 class TestTrajectoryRoundTrip:
     def test_csv_round_trip(self, tmp_path):
-        p = Path((Point2(0, 0), Point2(4, 0), Point2(4, 4)), "L")
+        p = Path([(0, 0), (4, 0), (4, 4)], "L")
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         file = tmp_path / "traj.csv"
         save_trajectory(log, file)
@@ -280,7 +279,7 @@ class TestTrajectoryRoundTrip:
     @given(data=st.data())
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
         file = tmp_path / "traj.csv"
-        log = rollout(OraclePolicy(), WORLD, Path((Point2(0, 0), Point2(2, 0)), "p"), cfg())
+        log = rollout(OraclePolicy(), WORLD, Path([(0, 0), (2, 0)], "p"), cfg())
         save_trajectory(log, file)
         raw = bytearray(file.read_bytes())
         if data.draw(st.booleans(), label="truncate"):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skytrack.config import RunConfig
-from skytrack.geometry import Point2, Pose
+from skytrack.geometry import wrap_angle
 from skytrack.world import (
     LandmarkWorld,
     Rect,
@@ -23,9 +23,9 @@ BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
 
 def render(world, pose, bins, fov):
-    """The feature vector rendered at one pose, ``fov`` in radians: a batch of one."""
+    """The feature vector rendered at one pose (x, y, yaw), ``fov`` in radians: a batch of one."""
     config = RunConfig(bins=bins, fov_deg=math.degrees(fov))
-    return render_observation(world, np.array([[pose.position.x, pose.position.y, pose.yaw]]), config)[0]
+    return render_observation(world, np.array([pose]), config)[0]
 
 
 def single_landmark_world(x, y, signature):
@@ -136,7 +136,7 @@ class TestRenderObservation:
         sig = np.zeros(4)
         sig[0] = 1.0
         world = single_landmark_world(1.0, 0.0, sig)
-        features = render(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
+        features = render(world, (0, 0, 0.0), bins=9, fov=math.pi / 2)
         grid = features.reshape(9, 4)
         # intensity 1/(1+1) lands entirely in the middle bin
         assert grid[4, 0] == pytest.approx(0.5)
@@ -145,14 +145,14 @@ class TestRenderObservation:
 
     def test_landmark_behind_invisible(self):
         world = single_landmark_world(-1.0, 0.0, [1, 0, 0, 0])
-        features = render(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
+        features = render(world, (0, 0, 0.0), bins=9, fov=math.pi / 2)
         assert np.all(features == 0.0)
 
     def test_fov_boundary_exclusive_outside(self):
         eps = 1e-6
         beta = math.pi / 4 + eps
         world = single_landmark_world(math.cos(beta), math.sin(beta), [1, 0, 0, 0])
-        features = render(world, Pose(Point2(0, 0), 0.0), bins=9, fov=math.pi / 2)
+        features = render(world, (0, 0, 0.0), bins=9, fov=math.pi / 2)
         assert np.all(features == 0.0)
 
     def test_rotation_by_one_bin_shifts_pattern(self):
@@ -161,8 +161,8 @@ class TestRenderObservation:
         # place the landmark on the center of bin 6 so mass is not split
         beta = (6 + 0.5) * bin_width - fov / 2
         world = single_landmark_world(math.cos(beta), math.sin(beta), [1, 0])
-        base = render(world, Pose(Point2(0, 0), 0.0), bins, fov)
-        rotated = render(world, Pose(Point2(0, 0), bin_width), bins, fov)
+        base = render(world, (0, 0, 0.0), bins, fov)
+        rotated = render(world, (0, 0, bin_width), bins, fov)
         base_grid = base.reshape(bins, 2)
         rot_grid = rotated.reshape(bins, 2)
         assert base_grid[6, 0] == pytest.approx(0.5)
@@ -174,21 +174,20 @@ class TestRenderObservation:
         # bearing exactly on the edge between bins 4 and 5: mass splits evenly
         beta = bin_width / 2
         world = single_landmark_world(math.cos(beta), math.sin(beta), [1.0])
-        grid = render(world, Pose(Point2(0, 0), 0.0), bins, fov)
+        grid = render(world, (0, 0, 0.0), bins, fov)
         assert grid[4] == pytest.approx(0.25)
         assert grid[5] == pytest.approx(0.25)
         assert grid.sum() == pytest.approx(0.5)
 
     def test_features_continuous_in_yaw(self):
         world = generate_world(RunConfig(seed=2, n_landmarks=40, signature_dim=4), BOUNDS)
-        pose = Pose(Point2(50, 50), 0.3)
-        a = render(world, pose, 32, math.pi / 2)
-        b = render(world, Pose(pose.position, 0.3 + 1e-4), 32, math.pi / 2)
+        a = render(world, (50, 50, 0.3), 32, math.pi / 2)
+        b = render(world, (50, 50, 0.3 + 1e-4), 32, math.pi / 2)
         assert np.linalg.norm(a - b) < 0.05
 
     def test_dimension_is_bins_times_channels(self):
         world = generate_world(RunConfig(seed=2, n_landmarks=17, signature_dim=6), BOUNDS)
-        features = render(world, Pose(Point2(50, 50), 0.0), 13, math.pi / 2)
+        features = render(world, (50, 50, 0.0), 13, math.pi / 2)
         assert features.shape == (13 * 6,)
         assert np.all(features >= 0)
         assert np.all(np.isfinite(features))
@@ -199,18 +198,14 @@ class TestRenderObservation:
         signatures = np.abs(rng.normal(size=(20, 3)))
         signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
         world = LandmarkWorld(positions, signatures, Rect(-50, -50, 50, 50), 0)
-        pose = Pose(Point2(1.0, -2.0), 0.7)
-        base = render(world, pose, 16, math.pi / 2)
+        x, y, yaw = 1.0, -2.0, 0.7
+        base = render(world, (x, y, yaw), 16, math.pi / 2)
 
         phi, tx, ty = 1.1, 4.0, -3.0
         c, s = math.cos(phi), math.sin(phi)
         moved = positions @ np.array([[c, s], [-s, c]]) + [tx, ty]
         world2 = LandmarkWorld(moved, signatures, Rect(-80, -80, 80, 80), 0)
-        pose2 = Pose(
-            Point2(c * pose.position.x - s * pose.position.y + tx,
-                   s * pose.position.x + c * pose.position.y + ty),
-            pose.yaw + phi,
-        )
+        pose2 = (c * x - s * y + tx, s * x + c * y + ty, wrap_angle(yaw + phi))
         transformed = render(world2, pose2, 16, math.pi / 2)
         np.testing.assert_allclose(transformed, base, atol=1e-9)
 
@@ -218,7 +213,7 @@ class TestRenderObservation:
         world = single_landmark_world(10.0, 0.0, [1, 0])
         prev = -1.0
         for x in (0.0, 2.0, 4.0, 6.0):
-            features = render(world, Pose(Point2(x, 0), 0.0), 9, math.pi / 2)
+            features = render(world, (x, 0, 0.0), 9, math.pi / 2)
             total = features.sum()
             assert total > prev
             prev = total
