@@ -55,10 +55,6 @@ class Samples:
         arrays = (getattr(self, f.name) for f in fields(self))
         return Samples(*(np.empty((n, *a.shape[1:]), a.dtype) for a in arrays))
 
-    @staticmethod
-    def concatenate(parts: list["Samples"]) -> "Samples":
-        return Samples(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Samples)))
-
 
 @dataclass
 class Dataset:
@@ -153,20 +149,32 @@ def sweep_jittered(
     return _render_sweep(walk, config, world, sweep_index, poses)
 
 
+def fill_sweeps(
+    walk: Walk, config: RunConfig, world: LandmarkWorld, samples: Samples, n_train: int, slots: range
+) -> None:
+    """Render into ``samples``, len(walk) rows per slot, the sweep of each
+    slot in ``slots``: slot i < ``n_train`` holds jittered training sweep i,
+    and the slots after those hold the held-out test sweeps TEST_SWEEP_BASE,
+    TEST_SWEEP_BASE + 1, ... Slot 0, sweep 0, comes with the walk
+    (``sweep_optimal``)."""
+    n = len(walk)
+    for slot in slots:
+        index = slot if slot < n_train else TEST_SWEEP_BASE + slot - n_train
+        samples[slot * n : (slot + 1) * n] = sweep_jittered(walk, config, world, index)
+
+
 def training_samples(
     path: Path, config: RunConfig, world: LandmarkWorld, n_sweeps: int
 ) -> tuple[Walk, Samples]:
     """Sweep 0 (unperturbed) then jittered sweeps 1..n_sweeps-1, each as long
     as the walk, so the first k * len(walk) rows are the first k sweeps."""
     walk, first = sweep_optimal(path, config, world)
-    n = len(walk)
     # Filled sweep by sweep: holding every sweep to concatenate them at the
     # end leaves freed blocks that the heap may keep, so the RSS of a later
     # fork would depend on the seed.
-    samples = first.empty_like(n_sweeps * n)
-    samples[:n] = first
-    for i in range(1, n_sweeps):
-        samples[i * n : (i + 1) * n] = sweep_jittered(walk, config, world, i)
+    samples = first.empty_like(n_sweeps * len(walk))
+    samples[: len(walk)] = first
+    fill_sweeps(walk, config, world, samples, n_sweeps, range(1, n_sweeps))
     return walk, samples
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import mmap
 import os
 import pickle
 import select
@@ -336,11 +337,10 @@ def cmd_pipeline(config: RunConfig) -> int:
     return 2 if failed else 0
 
 
-def ablation_workers(cpus: int, blas_threads: int, n_levels: int) -> int:
-    """Level workers alive at once: as many as the CPUs hold at
-    ``blas_threads`` BLAS threads each, at least 1 and at most one per
-    distinct level."""
-    return max(1, min(cpus // blas_threads, n_levels))
+def ablation_workers(cpus: int, n_levels: int) -> int:
+    """Level workers alive at once: one per CPU, since each runs at one BLAS
+    thread, at least 1 and at most one per distinct level."""
+    return max(1, min(cpus, n_levels))
 
 
 def _ablation_row(
@@ -357,10 +357,11 @@ def _ablation_row(
 
 
 def _fork(job, *args) -> tuple[int, int]:
-    """Run ``job(*args)`` in a forked child and return its pid and the read
-    end of a pipe. The child writes the pickled ``("row", result)`` or
-    ``("error", message)`` to the pipe and exits; it never waits on the
-    parent, so it cannot outlive its job by more than the write."""
+    """Run ``job(*args)`` at one BLAS thread in a forked child and return its
+    pid and the read end of a pipe. The child writes the pickled
+    ``("result", result)`` or ``("error", message)`` to the pipe and exits;
+    it never waits on the parent, so it cannot outlive its job by more than
+    the write."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -368,7 +369,8 @@ def _fork(job, *args) -> tuple[int, int]:
         try:
             os.close(read_fd)
             try:
-                payload = ("row", job(*args))
+                with kernels.one_blas_thread():
+                    payload = ("result", job(*args))
             except Exception as exc:
                 payload = ("error", str(exc))
             with os.fdopen(write_fd, "wb") as fh:
@@ -380,47 +382,77 @@ def _fork(job, *args) -> tuple[int, int]:
     return pid, read_fd
 
 
+def _result(running: dict[int, tuple[int, str]], fd: int) -> object:
+    """Read to EOF the payload of the child behind ``fd``, one of ``running``
+    (read fd -> (pid, job name)), reap it and return its result. A child
+    that failed or died raises RuntimeError naming its job."""
+    pid, job = running[fd]
+    with open(fd, "rb", closefd=False) as fh:
+        data = fh.read()  # until EOF: the child has written and exited
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del running[fd]
+    os.close(fd)
+    if code != 0:  # killed, or died before its payload was whole
+        raise RuntimeError(f"{job}: worker exited with status {code}")
+    kind, value = pickle.loads(data)
+    if kind == "error":
+        raise RuntimeError(f"{job}: {value}")
+    return value
+
+
+def _shared_samples(like: aug.Samples, n: int) -> aug.Samples:
+    """``n`` rows of ``like``'s dtypes and widths over anonymous shared
+    memory, so what a forked child writes there reaches this process."""
+    arrays = {}
+    for name, a in vars(like).items():
+        shape = (n, *a.shape[1:])
+        buffer = mmap.mmap(-1, max(1, math.prod(shape) * a.itemsize))  # MAP_SHARED; an mmap cannot be empty
+        arrays[name] = np.frombuffer(buffer, a.dtype, math.prod(shape)).reshape(shape)
+    return aug.Samples(**arrays)
+
+
 def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[dict[str, object]]:
     """Train one model per level of ``config.ablation_levels`` and score each
     on held-out jittered sweeps (disjoint RNG streams) and in closed loop.
 
     Level k trains on sweeps 0..k-1, the same dataset ``aug.build_dataset``
     gives for ``n_augmented = k``. A sweep does not depend on k, so the path
-    is walked and each sweep rendered once, here; every sweep has the walk's
-    length, so level k's rows are the first k * len(walk). Every distinct
-    level then runs in its own forked child, which inherits the samples and
-    sends back only its row: the largest k first, at most
-    ``ablation_workers`` children at a time. The first failing level kills
-    and reaps the other children and raises."""
-    levels = config.ablation_levels
-    walk, samples = aug.training_samples(route, config, world, max(levels))
-    tests = range(aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + config.n_test_sweeps)
-    test_set = aug.Samples.concatenate([aug.sweep_jittered(walk, config, world, i) for i in tests])
+    is walked and each sweep rendered once: every sweep has the walk's
+    length, so level k's rows are the first k * len(walk), and the test
+    sweeps follow the largest level's. This process renders sweep 0 and
+    then fills half of the other sweeps of one shared buffer while a forked
+    helper fills the other half. Every distinct level then runs in its own
+    forked child, which reads its rows and the test rows from that buffer
+    and sends back only its row: the largest k first, at most
+    ``ablation_workers`` children at a time.
+    The first failure kills and reaps the other children and raises."""
+    levels, n_train = config.ablation_levels, max(config.ablation_levels)
+    walk, first = aug.sweep_optimal(route, config, world)
+    n, slots = len(walk), n_train + config.n_test_sweeps
+    samples = _shared_samples(first, slots * n)
+    samples[:n] = first
+    del first  # its rows are in the buffer now; the forked children need not map a second copy
 
-    kernels.load()  # loaded once, before the first fork; the forked workers inherit it
-    pending = sorted(set(levels), reverse=True)
-    workers = ablation_workers(len(os.sched_getaffinity(0)), kernels.blas_threads(), len(pending))
-    running: dict[int, tuple[int, int]] = {}  # read fd -> (pid, k)
+    kernels.load()  # loaded once, before the first fork; the forked children inherit it
+    running: dict[int, tuple[int, str]] = {}  # read fd -> (pid, job name)
     rows: dict[int, dict[str, object]] = {}
     try:
+        half = slots // 2
+        pid, fd = _fork(aug.fill_sweeps, walk, config, world, samples, n_train, range(half, slots))
+        running[fd] = (pid, "ablation sweep render")
+        aug.fill_sweeps(walk, config, world, samples, n_train, range(1, half))
+        _result(running, fd)
+
+        test_set = samples[n_train * n :]
+        pending = sorted(set(levels), reverse=True)
+        workers = ablation_workers(len(os.sched_getaffinity(0)), len(pending))
         while pending or running:
             while pending and len(running) < workers:
                 k = pending.pop(0)
-                pid, fd = _fork(_ablation_row, config, world, route, test_set, samples[: k * len(walk)], k)
-                running[fd] = (pid, k)
-            fd = select.select(list(running), [], [])[0][0]
-            pid, k = running[fd]
-            with open(fd, "rb", closefd=False) as fh:
-                data = fh.read()  # until EOF: the child has written and exited
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[fd]
-            os.close(fd)
-            if code != 0:  # killed, or died before its payload was whole
-                raise RuntimeError(f"ablation level k={k}: worker exited with status {code}")
-            kind, value = pickle.loads(data)
-            if kind == "error":
-                raise RuntimeError(f"ablation level k={k}: {value}")
-            rows[k] = value
+                pid, fd = _fork(_ablation_row, config, world, route, test_set, samples[: k * n], k)
+                running[fd] = (pid, f"ablation level k={k}")
+            row = _result(running, select.select(list(running), [], [])[0][0])
+            rows[row["k"]] = row
     finally:
         for pid, _ in running.values():
             os.kill(pid, signal.SIGKILL)

@@ -27,9 +27,9 @@ is never used: the build goes to a private temporary directory instead.
 missing, the build fails or passes ``BUILD_TIMEOUT``, or numpy's OpenBLAS
 lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
 
-``blas_threads`` asks that same OpenBLAS how many threads it runs; the
-ablation sizes its worker pool by the answer. ``one_blas_thread`` runs a
-block at one of them.
+``blas_threads`` asks that same OpenBLAS how many threads it runs.
+``one_blas_thread`` runs a block at one of them: ``learner.train``, and
+every child the ablation forks.
 """
 
 from __future__ import annotations

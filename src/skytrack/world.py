@@ -88,6 +88,10 @@ def generate_world(config: RunConfig, bounds: Rect) -> LandmarkWorld:
     return LandmarkWorld(positions, signatures, bounds, config.seed)
 
 
+# Poses rendered per np.bincount: bounds the (poses x landmarks) temporaries.
+_RENDER_BLOCK = 64
+
+
 def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfig) -> np.ndarray:
     """Render the bearing-binned signature vectors seen from a batch of poses.
 
@@ -100,32 +104,42 @@ def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfi
     |beta| <= fov / 2, else nothing. The linear split makes the features
     continuous in pose, which the downstream regressor needs to generalize;
     kernel mass falling outside the outermost bin centers stays in the edge
-    bin, and anything beyond the FOV contributes exactly 0. Each row's bits
-    do not depend on the other rows: every step is elementwise, and a bin
-    sums its landmarks in landmark order.
+    bin, and anything beyond the FOV contributes exactly 0.
+
+    Poses are rendered in blocks of 64, each accumulated by one
+    ``np.bincount``: a bin sums, from 0.0, its lower-bin terms in landmark
+    order, then its upper-bin terms in landmark order. Each row's bits do not
+    depend on the other rows, so they do not depend on the blocking either:
+    every other step is elementwise.
     """
     bins, fov, s = config.bins, math.radians(config.fov_deg), world.signature_dim
     half = fov / 2.0
     bin_width = fov / bins
-    dx = world.positions[:, 0] - poses[:, 0:1]  # (P, N)
-    dy = world.positions[:, 1] - poses[:, 1:2]
-    raw = np.arctan2(dy, dx) - poses[:, 2:3]
-    beta = np.arctan2(np.sin(raw), np.cos(raw))
-    beta = np.where(beta == -math.pi, math.pi, beta)
-    pose, landmark = np.nonzero(np.abs(beta) <= half)
-    # continuous bin coordinate: 0 at the center of bin 0
-    u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
-    lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
-    frac = u - lower
-    contribution = world.signatures[landmark] * (
-        1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark]))
-    )[:, None]
-    row = pose * bins + lower
-    grid = np.zeros((poses.shape[0] * bins, s))
-    np.add.at(grid, row, contribution * (1.0 - frac)[:, None])
-    if bins > 1:
-        np.add.at(grid, row + 1, contribution * frac[:, None])
-    return grid.reshape(poses.shape[0], bins * s)
+    channel = np.arange(s)
+    out = np.empty((poses.shape[0], bins * s))
+    for start in range(0, poses.shape[0], _RENDER_BLOCK):
+        block = poses[start : start + _RENDER_BLOCK]
+        dx = world.positions[:, 0] - block[:, 0:1]  # (poses in the block, N)
+        dy = world.positions[:, 1] - block[:, 1:2]
+        raw = np.arctan2(dy, dx) - block[:, 2:3]
+        beta = np.arctan2(np.sin(raw), np.cos(raw))
+        beta = np.where(beta == -math.pi, math.pi, beta)
+        pose, landmark = np.nonzero(np.abs(beta) <= half)
+        # continuous bin coordinate: 0 at the center of bin 0
+        u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
+        lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
+        frac = u - lower
+        contribution = world.signatures[landmark] * (
+            1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark]))
+        )[:, None]
+        cell = (pose * bins + lower)[:, None] * s + channel  # flat (row, channel) of each lower-bin term
+        index, weight = [cell], [contribution * (1.0 - frac)[:, None]]
+        if bins > 1:
+            index.append(cell + s)
+            weight.append(contribution * frac[:, None])
+        sums = np.bincount(np.concatenate(index).ravel(), np.concatenate(weight).ravel(), len(block) * bins * s)
+        out[start : start + len(block)] = sums.reshape(len(block), bins * s)
+    return out
 
 
 def save_world(world: LandmarkWorld, file: FilePath | str) -> None:

@@ -23,14 +23,15 @@ from hypothesis import strategies as st
 import skytrack
 from conftest import children
 from skytrack import augmentation as aug
-from skytrack import cli, learner
+from skytrack import cli, kernels, learner
 from skytrack.config import ConfigError, RunConfig, load_config, parse_config
 from skytrack.geometry import Path, path_length, sum_angle_change
 from skytrack.world import generate_world, Rect
 
 SRC = str(FilePath(skytrack.__file__).resolve().parent.parent)
-# How long an ablation worker may outlive its SIGKILLed parent: it finishes
-# the level it is on (about a second in that test) and exits.
+# How long an ablation child may outlive its SIGKILLed parent: the render
+# helper finishes its sweeps, and a level worker the level it is on (about a
+# second in that test), and exits.
 LEVEL_BOUND_S = 20.0
 
 
@@ -469,18 +470,24 @@ class TestCommands:
 
     def test_ablation_reuses_sweeps_across_levels(self, tmp_path, monkeypatch):
         # Levels out of order: each must still train on exactly sweeps 0..k-1,
-        # and every training sweep is rendered once. Training runs in the
-        # level workers, so each one saves its dataset where this process can
-        # read it back.
+        # and every training and test sweep is rendered once. Rendering is
+        # split between this process and a forked helper, and training runs
+        # in the level workers, so each process records its renders and saves
+        # its dataset where this process can read them back. The order of the
+        # renders across two processes is not fixed.
         levels = [2, 1, 3]
-        config = load_config(small_config(tmp_path, ablation_levels="2,1,3"))
+        config = load_config(small_config(tmp_path, ablation_levels="2,1,3", n_test_sweeps=2))
         assert config.ablation_levels == tuple(levels)
         assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
         world, routes = cli._load_scenario(config)
-        trained_dir = tmp_path / "trained"
+        trained_dir, rendered_dir = tmp_path / "trained", tmp_path / "rendered"
         trained_dir.mkdir()
-        sweeps_rendered = []
+        rendered_dir.mkdir()
         real_train, real_optimal, real_jittered = learner.train, aug.sweep_optimal, aug.sweep_jittered
+
+        def rendered(sweep_index):
+            with open(rendered_dir / str(os.getpid()), "a") as fh:
+                fh.write(f"{sweep_index}\n")
 
         def train(dataset, *args, **kwargs):
             with open(trained_dir / f"{os.getpid()}_{len(dataset.samples)}.pkl", "wb") as fh:
@@ -488,12 +495,11 @@ class TestCommands:
             return real_train(dataset, *args, **kwargs)
 
         def sweep_optimal(*args):
-            sweeps_rendered.append(0)
+            rendered(0)
             return real_optimal(*args)
 
         def sweep_jittered(walk, config, world, sweep_index):
-            if sweep_index < aug.TEST_SWEEP_BASE:
-                sweeps_rendered.append(sweep_index)
+            rendered(sweep_index)
             return real_jittered(walk, config, world, sweep_index)
 
         monkeypatch.setattr(learner, "train", train)
@@ -501,7 +507,11 @@ class TestCommands:
         monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
         rows = cli.run_ablation(config, world, routes[0])
         assert [r["k"] for r in rows] == levels
-        assert sweeps_rendered == [0, 1, 2]
+        by_pid = {int(file.name): list(map(int, file.read_text().split())) for file in rendered_dir.iterdir()}
+        assert len(by_pid) == 2 and 0 in by_pid[os.getpid()]  # this process and one helper
+        sweeps_rendered = sorted(i for indices in by_pid.values() for i in indices)
+        assert [i for i in sweeps_rendered if i < aug.TEST_SWEEP_BASE] == [0, 1, 2]
+        assert [i for i in sweeps_rendered if i >= aug.TEST_SWEEP_BASE] == [aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + 1]
         monkeypatch.undo()
         trained = {}
         for file in trained_dir.iterdir():
@@ -533,7 +543,7 @@ class TestCommands:
             time.sleep(60)
 
         monkeypatch.setattr(learner, "train", train)
-        monkeypatch.setattr(cli, "ablation_workers", lambda cpus, blas_threads, n_levels: 2)
+        monkeypatch.setattr(cli, "ablation_workers", lambda cpus, n_levels: 2)
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="ablation level k=2: no convergence at k=2"):
             cli.run_ablation(config, world, routes[0])
@@ -554,9 +564,103 @@ class TestCommands:
             cli.run_ablation(replace(config, ablation_levels=(1,)), world, routes[0])
         assert children() == []
 
-    def test_ablation_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # This process becomes the reaper of the CLI's orphaned workers, so it
-        # can see them exit and leaves no zombie behind.
+    @staticmethod
+    def render_in(tmp_path, monkeypatch, helper, parent):
+        """A scenario whose jittered sweeps first call ``helper(sweep_index)``
+        when the render helper renders them, and ``parent(sweep_index)`` when
+        this process does; returns the config file, the config, the world and
+        the route."""
+        cfg = small_config(tmp_path, ablation_levels="1,2,3", n_test_sweeps=2)
+        config = load_config(cfg)
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        world, routes = cli._load_scenario(config)
+        real_jittered, this = aug.sweep_jittered, os.getpid()
+
+        def sweep_jittered(walk, config, world, sweep_index):
+            (parent if os.getpid() == this else helper)(sweep_index)
+            return real_jittered(walk, config, world, sweep_index)
+
+        monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
+        return cfg, config, world, routes[0]
+
+    def test_render_helper_failure_is_reported(self, tmp_path, monkeypatch, capsys):
+        def helper(sweep_index):
+            raise ValueError(f"no sweep {sweep_index}")
+
+        cfg, config, world, route = self.render_in(tmp_path, monkeypatch, helper, lambda sweep_index: None)
+        with pytest.raises(RuntimeError, match=r"ablation sweep render: no sweep \d+"):
+            cli.run_ablation(config, world, route)
+        assert children() == []
+        assert cli.main(["ablation", "--config", str(cfg)]) == 2
+        assert re.search(r"pipeline failure: ablation sweep render: no sweep \d+", capsys.readouterr().err)
+        assert children() == []
+        assert not (tmp_path / "run" / "ablation.csv").exists()
+
+    def test_render_helper_death_is_reported(self, tmp_path, monkeypatch):
+        _, config, world, route = self.render_in(tmp_path, monkeypatch, lambda i: os._exit(3), lambda i: None)
+        with pytest.raises(RuntimeError, match="ablation sweep render: worker exited with status 3"):
+            cli.run_ablation(config, world, route)
+        assert children() == []
+
+    def test_failure_in_this_process_half_reaps_the_render_helper(self, tmp_path, monkeypatch):
+        # The helper would render for a minute: it must be killed and reaped, not waited for.
+        def parent(sweep_index):
+            raise ValueError("no sweep here")
+
+        _, config, world, route = self.render_in(tmp_path, monkeypatch, lambda i: time.sleep(60), parent)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no sweep here"):
+            cli.run_ablation(config, world, route)
+        assert children() == []
+        assert time.monotonic() - start < 30.0
+
+    def test_forked_jobs_run_at_one_blas_thread(self, tmp_path, monkeypatch):
+        # With this process at 2 BLAS threads, the render helper and each
+        # level worker run at 1, which is why the pool holds one per CPU.
+        set_threads = kernels._openblas(kernels.SET_NUM_THREADS, None, ctypes.c_int)
+        if set_threads is None:
+            pytest.skip("numpy's OpenBLAS cannot set its thread count")
+        threads, seen = kernels.blas_threads(), tmp_path / "threads"
+        real_train, real_jittered = learner.train, aug.sweep_jittered
+
+        def record():
+            with open(seen, "a") as fh:
+                fh.write(f"{os.getpid()} {kernels.blas_threads()}\n")
+
+        def train(*args, **kwargs):
+            record()
+            return real_train(*args, **kwargs)
+
+        def sweep_jittered(*args):
+            record()
+            return real_jittered(*args)
+
+        monkeypatch.setattr(learner, "train", train)
+        monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
+        config = load_config(small_config(tmp_path, ablation_levels="1,2,3", n_test_sweeps=2))
+        assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
+        world, routes = cli._load_scenario(config)
+        try:
+            set_threads(2)
+            if kernels.blas_threads() != 2:
+                pytest.skip("OpenBLAS runs 2 threads only on 2 or more CPUs")
+            cli.run_ablation(config, world, routes[0])
+        finally:
+            set_threads(threads)
+        counts = {}
+        for line in seen.read_text().splitlines():
+            pid, count = map(int, line.split())
+            counts.setdefault(pid, set()).add(count)
+        assert counts.pop(os.getpid()) == {2}
+        assert len(counts) == 1 + len(config.ablation_levels)  # the render helper and one worker per level
+        assert all(count == {1} for count in counts.values())
+
+    @staticmethod
+    def kill_ablation_once_seen(tmp_path, n_children):
+        """Start ``skytrack ablation``, SIGKILL it once ``n_children`` distinct
+        children of it have been seen, and require them all to exit within
+        LEVEL_BOUND_S. This process becomes the reaper of the CLI's orphaned
+        children, so it can see them exit and leaves no zombie behind."""
         cfg = small_config(tmp_path, epochs=1000, ablation_levels="1,2")
         assert cli.main(["gen", "--config", str(cfg)]) == 0
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -565,10 +669,12 @@ class TestCommands:
         proc = subprocess.Popen(command, env=env, start_new_session=True, stdout=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 60.0
-            while not children(proc.pid):
+            seen = set(children(proc.pid))
+            while len(seen) < n_children:
                 assert proc.poll() is None, "the ablation ended before a worker was seen"
                 assert time.monotonic() < deadline, "no worker started"
                 time.sleep(0.01)
+                seen.update(children(proc.pid))
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             deadline = time.monotonic() + LEVEL_BOUND_S
@@ -585,12 +691,18 @@ class TestCommands:
                 os.waitpid(pid, 0)
             set_child_subreaper(False)
 
-    @pytest.mark.parametrize(
-        "cpus, blas_threads, n_levels, expected",
-        [(2, 1, 4, 2), (2, 2, 4, 1), (4, 1, 3, 3), (1, 1, 4, 1)],
-    )
-    def test_ablation_workers_rule(self, cpus, blas_threads, n_levels, expected):
-        assert cli.ablation_workers(cpus, blas_threads, n_levels) == expected
+    def test_ablation_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # Killed at its first child: most often the render helper.
+        self.kill_ablation_once_seen(tmp_path, 1)
+
+    def test_level_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # The render helper is the first child and the only one before the
+        # level workers, so the second child seen is a level worker.
+        self.kill_ablation_once_seen(tmp_path, 2)
+
+    @pytest.mark.parametrize("cpus, n_levels, expected", [(2, 4, 2), (4, 3, 3), (1, 4, 1), (2, 1, 1)])
+    def test_ablation_workers_rule(self, cpus, n_levels, expected):
+        assert cli.ablation_workers(cpus, n_levels) == expected
 
     @pytest.mark.parametrize(
         "key, value",

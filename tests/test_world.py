@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from skytrack import augmentation as aug
+from skytrack.cli import generate_route, routes_bounding_box
 from skytrack.config import RunConfig
 from skytrack.geometry import wrap_angle
 from skytrack.world import (
@@ -117,6 +119,53 @@ def pose_batches(draw):
     return np.array(rows)
 
 
+def render_add_at(world, poses, config):
+    """The batch renderer before it accumulated with np.bincount in blocks of
+    64 poses: the whole batch at once, one np.add.at per bin side."""
+    bins, fov, s = config.bins, math.radians(config.fov_deg), world.signature_dim
+    half = fov / 2.0
+    bin_width = fov / bins
+    dx = world.positions[:, 0] - poses[:, 0:1]  # (P, N)
+    dy = world.positions[:, 1] - poses[:, 1:2]
+    raw = np.arctan2(dy, dx) - poses[:, 2:3]
+    beta = np.arctan2(np.sin(raw), np.cos(raw))
+    beta = np.where(beta == -math.pi, math.pi, beta)
+    pose, landmark = np.nonzero(np.abs(beta) <= half)
+    u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
+    lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
+    frac = u - lower
+    contribution = world.signatures[landmark] * (
+        1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark]))
+    )[:, None]
+    row = pose * bins + lower
+    grid = np.zeros((poses.shape[0] * bins, s))
+    np.add.at(grid, row, contribution * (1.0 - frac)[:, None])
+    if bins > 1:
+        np.add.at(grid, row + 1, contribution * frac[:, None])
+    return grid.reshape(poses.shape[0], bins * s)
+
+
+def walk_and_jittered(seed):
+    """The world, the walk's poses and one jittered copy of them, for ``seed``'s default scenario."""
+    config = RunConfig(seed=seed)
+    route = generate_route(config, "path_00")
+    world = generate_world(config, routes_bounding_box([route], config.world_margin))
+    walk = aug.walk_path(route, config)
+    rng = np.random.default_rng(seed)
+    jittered = walk.poses + rng.uniform([-2.0, -2.0, -0.5], [2.0, 2.0, 0.5], size=walk.poses.shape)
+    return world, walk.poses, jittered
+
+
+# Landmarks at integer offsets, so that from the origin at yaw 0 the first two
+# sit exactly on the edges of a 90 degree view (bearings pi/4 and -pi/4) and
+# the third exactly behind, on the edge of a 360 degree view (bearing pi).
+EDGE_WORLD = LandmarkWorld(
+    np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]]), np.full((3, 2), math.sqrt(0.5)), Rect(-50, -50, 50, 50), 0
+)
+# From the origin facing +x, facing the first landmark, and far off with every landmark behind.
+EDGE_POSES = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, math.pi / 4], [100.0, 0.0, 0.0]])
+
+
 class TestRenderObservation:
     @given(
         poses=pose_batches(),
@@ -131,6 +180,29 @@ class TestRenderObservation:
         reference = [render_reference(BATCH_WORLD, *row, bins, math.radians(fov_deg)) for row in poses.tolist()]
         assert batch.shape == (len(poses), bins * BATCH_WORLD.signature_dim)
         assert batch.tobytes() == np.concatenate(alone).tobytes() == np.concatenate(reference).tobytes()
+
+    @pytest.mark.parametrize("fov_deg", [90.0, 360.0])
+    @pytest.mark.parametrize("bins", [1, 2, 7, 32])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_equals_add_at_renderer_bit_for_bit(self, seed, bins, fov_deg):
+        config = RunConfig(bins=bins, fov_deg=fov_deg)
+        world, walk, jittered = walk_and_jittered(seed)
+        assert len(walk) > 129
+        for poses in (walk, jittered, *(jittered[:count] for count in (1, 63, 64, 65, 129))):
+            assert render_observation(world, poses, config).tobytes() == render_add_at(world, poses, config).tobytes()
+
+    @pytest.mark.parametrize("fov_deg", [90.0, 360.0])
+    @pytest.mark.parametrize("bins", [1, 2, 7, 32])
+    def test_view_edges_equal_add_at_renderer_bit_for_bit(self, bins, fov_deg):
+        config = RunConfig(bins=bins, fov_deg=fov_deg)
+        poses = np.tile(EDGE_POSES, (22, 1))  # 66 rows: across the edge of the first block
+        features = render_observation(EDGE_WORLD, poses, config)
+        assert features.tobytes() == render_add_at(EDGE_WORLD, poses, config).tobytes()
+        if fov_deg == 90.0:  # only the two landmarks on the edges are in view from the origin
+            assert np.any(features[0] != 0.0) and np.all(features[2] == 0.0)
+        else:
+            behind = LandmarkWorld(EDGE_WORLD.positions[2:], EDGE_WORLD.signatures[2:], EDGE_WORLD.bounds, 0)
+            assert np.any(render_observation(behind, EDGE_POSES[:1], config) != 0.0)
 
     def test_dead_ahead_center_bin(self):
         sig = np.zeros(4)
