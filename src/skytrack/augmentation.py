@@ -29,6 +29,12 @@ TEST_SWEEP_BASE = 1_000_000
 
 STD_FLOOR = 1e-8
 
+# Rows per block of the streamed statistics and projection (``row_blocks``).
+# A block of 1,280 rows or more keeps the projection off OpenBLAS's SkylakeX
+# small-matrix kernel, which sums in another order than one full product: at
+# 512 rows it changed the bits for 2 projected features, at 64 rows for 3-12.
+_BLOCK_ROWS = 1280
+
 
 @dataclass(frozen=True)
 class Samples:
@@ -186,19 +192,48 @@ def build_dataset(
     return dataset_from_samples(training_samples(path, config, world, config.n_augmented)[1])
 
 
+def row_blocks(n: int) -> list[slice]:
+    """``range(n)`` as consecutive slices of ``_BLOCK_ROWS`` rows, the last
+    one taking the tail: each holds 1,280 to 2,559 rows, and fewer than 2,560
+    rows are one block."""
+    edges = [*range(0, _BLOCK_ROWS * max(1, n // _BLOCK_ROWS), _BLOCK_ROWS), n]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def dataset_from_samples(samples: Samples) -> Dataset:
+    """The samples with their per-feature mean and standard deviation (floored
+    at ``STD_FLOOR``), bit for bit ``features.mean(axis=0)`` and
+    ``features.std(axis=0)``. The squared deviations are summed block by block
+    (``row_blocks``) in one reused buffer of one block plus a row, which
+    carries the running sum, so no (N, D) temporary is made: numpy adds the
+    rows of a C-contiguous (N, D >= 2) array one after another, and so does
+    the running sum. A single column numpy sums pairwise, which blocks cannot
+    follow; its temporary is 8 bytes per row."""
+    f = samples.features
     if not len(samples):
         raise ValueError("empty sample list")
-    mean = samples.features.mean(axis=0)
-    std = np.maximum(samples.features.std(axis=0), STD_FLOOR)
-    return Dataset(samples, mean, std)
+    mean = f.mean(axis=0)
+    if f.shape[1] == 1 or not f.flags.c_contiguous:
+        std = f.std(axis=0)
+    else:
+        blocks = row_blocks(len(f))
+        buffer = np.zeros((len(f) - blocks[-1].start + 1, f.shape[1]))  # the last block is the largest
+        for rows in blocks:
+            d = buffer[1 : rows.stop - rows.start + 1]
+            np.subtract(f[rows], mean, out=d)
+            np.multiply(d, d, out=d)
+            buffer[0] = buffer[: len(d) + 1].sum(axis=0)
+        std = np.sqrt(buffer[0] / len(f))
+    return Dataset(samples, mean, np.maximum(std, STD_FLOOR))
 
 
 def normalize_features(
-    mean: np.ndarray, std: np.ndarray, features: np.ndarray
+    mean: np.ndarray, std: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
+    """``(features - mean) / std``, written into ``out`` when it is given."""
     if features.shape[-1] != mean.shape[0]:
         raise ValueError(
             f"dimension mismatch: got {features.shape[-1]}, expected {mean.shape[0]}"
         )
-    return (features - mean) / std
+    x = np.subtract(features, mean, out=out)
+    return np.divide(x, std, out=x)

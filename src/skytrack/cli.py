@@ -34,7 +34,7 @@ from . import kernels, learner, metrics, simulator
 from . import augmentation as aug
 from .config import ConfigError, RunConfig, load_config
 from .geometry import Path, path_length, sum_angle_change, wrap_angle
-from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
+from .world import LandmarkWorld, Rect, generate_world, json_floats, load_world, save_world
 
 def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
     lines = []
@@ -140,8 +140,9 @@ def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: 
     FilePath(sidecar_file).write_text(json.dumps(sidecar, sort_keys=True))
 
 
-def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> None:
-    """Raise ValueError unless the arrays and the sidecar make one dataset."""
+def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Raise ValueError unless the arrays and the sidecar make one dataset;
+    return its feature mean and std."""
 
     def check(ok: bool, problem: str) -> None:
         if not ok:
@@ -155,27 +156,30 @@ def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> None:
         check(ok, f"{key} has dtype {a.dtype}, not {dtype}")
         shape = (rows, dim) if key == "features" else (rows,)
         check(a.shape == shape, f"{key} has shape {a.shape}, not {shape}")
-    for key in ("feature_mean", "feature_std"):
-        check(len(sidecar[key]) == dim, f"sidecar {key} has {len(sidecar[key])} entries, not {dim}")
+    mean, std = json_floats(sidecar["feature_mean"]), json_floats(sidecar["feature_std"])
+    for key, a in (("feature_mean", mean), ("feature_std", std)):
+        check(a.shape == (dim,), f"sidecar {key} has shape {a.shape}, not ({dim},)")
+    check(np.isfinite(mean).all() and np.isfinite(std).all(), "non-finite statistic")
+    check(bool((std >= aug.STD_FLOOR).all()), f"feature_std below {aug.STD_FLOOR}")
     check(np.isfinite(arrays["features"]).all() and np.isfinite(arrays["targets"]).all(), "non-finite values")
+    return mean, std
 
 
 def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug.Dataset:
     """Read what save_dataset wrote. A file that is unreadable or does not
-    hold one consistent dataset raises one ValueError naming it."""
+    hold one consistent dataset raises one ValueError naming it. The sidecar's
+    statistics must be JSON numbers (not null, a boolean or a string), one per
+    feature, finite, with every std at least ``augmentation.STD_FLOOR``: the
+    floor that every written std meets."""
     try:
         sidecar = json.loads(FilePath(sidecar_file).read_text())
         with np.load(data_file, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
-        _check_dataset(arrays, sidecar)
+        mean, std = _check_dataset(arrays, sidecar)
     # zipfile raises NotImplementedError for a garbled compression method or version.
     except (OSError, EOFError, KeyError, NotImplementedError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{data_file}: bad dataset (sidecar {sidecar_file}): {exc}") from exc
-    return aug.Dataset(
-        aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS}),
-        np.array(sidecar["feature_mean"], dtype=float),
-        np.array(sidecar["feature_std"], dtype=float),
-    )
+    return aug.Dataset(aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS}), mean, std)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from . import kernels
-from .augmentation import Dataset, normalize_features
+from .augmentation import Dataset, normalize_features, row_blocks
 from .config import RunConfig
 from .geometry import wrap_angle
 from .world import json_floats
@@ -127,6 +127,26 @@ def lr_at(epoch: int, config: RunConfig) -> float:
     return config.lr0 / 2 ** (epoch // config.lr_halving_period)
 
 
+def project_dataset(dataset: Dataset, projection: np.ndarray) -> np.ndarray:
+    """The dataset's normalized features times ``projection.T``. Each block of
+    ``augmentation.row_blocks`` is normalized into one reused buffer and
+    multiplied into its rows of the result, so no (N, D) normalized copy is
+    made. Blocks of 1,280 rows or more give the bits of the one product
+    ``normalize_features(...) @ projection.T`` under the SkylakeX, Haswell,
+    Sandybridge and Prescott kernels; under 2,560 rows it is that product.
+    A one-row projection makes a matrix-vector product, whose bits depend on
+    each row's place in the call, so it stays one block."""
+    features = dataset.samples.features
+    blocks = row_blocks(len(features)) if projection.shape[0] > 1 else [slice(0, len(features))]
+    z = np.empty((len(features), projection.shape[0]))
+    buffer = np.empty((len(features) - blocks[-1].start, features.shape[1]))  # the last block is the largest
+    for rows in blocks:
+        x = buffer[: rows.stop - rows.start]
+        normalize_features(dataset.feature_mean, dataset.feature_std, features[rows], out=x)
+        np.matmul(x, projection.T, out=z[rows])
+    return z
+
+
 @kernels.one_blas_thread()
 def train(
     dataset: Dataset, config: RunConfig, projection_dim: int, hidden: int
@@ -134,18 +154,20 @@ def train(
     """Mini-batch training over the recipe of ``config``, whose ``seed``
     seeds both the weight init and the shuffle; returns the trained model
     (with the dataset's normalization statistics embedded) and the per-epoch
-    mean squared error history. It runs at one BLAS thread, so its bits do
-    not depend on the thread count (see ``kernels.one_blas_thread``)."""
+    mean squared error history. The frozen projection of the normalized
+    features is computed once, in row blocks (``project_dataset``), so
+    training holds the (N, projection_dim) result but no normalized copy of
+    the features. It runs at one BLAS thread, so its bits do not depend on
+    the thread count (see ``kernels.one_blas_thread``)."""
     if not len(dataset.samples):
         raise ValueError("empty dataset")
-    x = normalize_features(dataset.feature_mean, dataset.feature_std, dataset.samples.features)
     y = dataset.samples.targets
-    n = x.shape[0]
+    n = len(y)
 
-    model = init_model(config.seed, x.shape[1], projection_dim, hidden)
+    model = init_model(config.seed, dataset.dim, projection_dim, hidden)
     model.feature_mean = dataset.feature_mean.copy()
     model.feature_std = dataset.feature_std.copy()
-    z = x @ model.projection.T  # projection is frozen, so project once
+    z = project_dataset(dataset, model.projection)  # projection is frozen, so project once
 
     # w1, b1, w2 and b2 live in one flat vector, and so do their gradients,
     # so each step makes one finite check and one Adam call. Adam works

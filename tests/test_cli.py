@@ -318,6 +318,29 @@ class TestDatasetRoundTrip:
             cli.load_dataset(data_file, sidecar)
         assert str(info.value).startswith(f"{data_file}: ")
 
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ([None, 1.0], r"None \(NoneType\) is not a number"),
+            ([float("nan"), 1.0], "non-finite statistic"),
+            ([0.0, -1.0], "feature_std below 1e-08"),
+            ([True, 1.0], r"True \(bool\) is not a number"),
+        ],
+        ids=["null", "nan", "zero-and-negative", "bool"],
+    )
+    def test_load_rejects_sidecar_std_that_load_model_would(self, tmp_path, head, message):
+        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
+        route = Path([(0, 0), (6, 0)], "p")
+        ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
+        data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
+        cli.save_dataset(ds, data_file, sidecar)
+        doc = json.loads(sidecar.read_text())
+        doc["feature_std"][:2] = head
+        sidecar.write_text(json.dumps(doc))  # NaN is written as the bare token NaN, which json reads back
+        with pytest.raises(ValueError, match=message) as info:
+            cli.load_dataset(data_file, sidecar)
+        assert str(info.value).startswith(f"{data_file}: ")
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
