@@ -341,23 +341,10 @@ def cmd_pipeline(config: RunConfig) -> int:
     return 2 if failed else 0
 
 
-def ablation_workers(cpus: int, n_levels: int) -> int:
-    """Level workers alive at once: one per CPU, since each runs at one BLAS
-    thread, at least 1 and at most one per distinct level."""
-    return max(1, min(cpus, n_levels))
-
-
-def _ablation_row(
-    config: RunConfig,
-    world: LandmarkWorld,
-    route: Path,
-    test_set: aug.Samples,
-    samples: aug.Samples,
-    k: int,
-) -> dict[str, object]:
-    """Train on ``samples``, sweeps 0..k-1, fly the model and score it."""
-    report = _train_fly_score(config, world, route, aug.dataset_from_samples(samples), test_set)[2]
-    return {"k": k, "angle_mse": report.angle_mse, "mctd": report.mctd, "termination": report.termination}
+def ablation_workers(cpus: int, n_jobs: int) -> int:
+    """Ablation children alive at once: one per CPU, since each runs at one
+    BLAS thread, at least 1 and at most one per job."""
+    return max(1, min(cpus, n_jobs))
 
 
 def _fork(job, *args) -> tuple[int, int]:
@@ -386,22 +373,40 @@ def _fork(job, *args) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _result(running: dict[int, tuple[int, str]], fd: int) -> object:
-    """Read to EOF the payload of the child behind ``fd``, one of ``running``
-    (read fd -> (pid, job name)), reap it and return its result. A child
-    that failed or died raises RuntimeError naming its job."""
-    pid, job = running[fd]
-    with open(fd, "rb", closefd=False) as fh:
-        data = fh.read()  # until EOF: the child has written and exited
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    del running[fd]
-    os.close(fd)
-    if code != 0:  # killed, or died before its payload was whole
-        raise RuntimeError(f"{job}: worker exited with status {code}")
-    kind, value = pickle.loads(data)
-    if kind == "error":
-        raise RuntimeError(f"{job}: {value}")
-    return value
+def _pool(jobs: list[tuple], workers: int) -> list:
+    """Run each job ``(name, fn, *args)`` as ``fn(*args)`` in a child of
+    ``_fork``, started in list order with at most ``workers`` alive at once,
+    and return the results in list order. Each child is read to EOF and
+    reaped as it ends. One that failed or died raises RuntimeError naming
+    its job, and every child still running is killed and reaped first."""
+    results, started = [None] * len(jobs), 0
+    running: dict[int, tuple[int, int]] = {}  # read fd -> (pid, job index)
+    try:
+        while started < len(jobs) or running:
+            while started < len(jobs) and len(running) < workers:
+                pid, fd = _fork(*jobs[started][1:])
+                running[fd] = (pid, started)
+                started += 1
+            fd = select.select(list(running), [], [])[0][0]
+            pid, i = running[fd]
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()  # until EOF: the child has written and exited
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[fd]
+            os.close(fd)
+            if code != 0:  # killed, or died before its payload was whole
+                raise RuntimeError(f"{jobs[i][0]}: worker exited with status {code}")
+            kind, value = pickle.loads(data)
+            if kind == "error":
+                raise RuntimeError(f"{jobs[i][0]}: {value}")
+            results[i] = value
+    finally:
+        for pid, _ in running.values():
+            os.kill(pid, signal.SIGKILL)
+        for fd, (pid, _) in running.items():
+            os.waitpid(pid, 0)
+            os.close(fd)
+    return results
 
 
 def _shared_samples(like: aug.Samples, n: int) -> aug.Samples:
@@ -415,21 +420,20 @@ def _shared_samples(like: aug.Samples, n: int) -> aug.Samples:
     return aug.Samples(**arrays)
 
 
-def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[dict[str, object]]:
+def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[tuple[int, metrics.MetricsReport]]:
     """Train one model per level of ``config.ablation_levels`` and score each
-    on held-out jittered sweeps (disjoint RNG streams) and in closed loop.
+    on held-out jittered sweeps (disjoint RNG streams) and in closed loop;
+    returns ``(k, report)`` in config order.
 
     Level k trains on sweeps 0..k-1, the same dataset ``aug.build_dataset``
     gives for ``n_augmented = k``. A sweep does not depend on k, so the path
     is walked and each sweep rendered once: every sweep has the walk's
     length, so level k's rows are the first k * len(walk), and the test
-    sweeps follow the largest level's. This process renders sweep 0 and
-    then fills half of the other sweeps of one shared buffer while a forked
-    helper fills the other half. Every distinct level then runs in its own
-    forked child, which reads its rows and the test rows from that buffer
-    and sends back only its row: the largest k first, at most
-    ``ablation_workers`` children at a time.
-    The first failure kills and reaps the other children and raises."""
+    sweeps follow the largest level's. This process renders sweep 0 into one
+    shared buffer, and one ``_pool`` of render jobs, one per CPU, fills
+    about equal runs of the other sweeps. A second ``_pool`` then runs every
+    distinct level, the largest k first: each child reads its rows and the
+    test rows from that buffer and sends back only its report."""
     levels, n_train = config.ablation_levels, max(config.ablation_levels)
     walk, first = aug.sweep_optimal(route, config, world)
     n, slots = len(walk), n_train + config.n_test_sweeps
@@ -437,33 +441,21 @@ def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[d
     samples[:n] = first
     del first  # its rows are in the buffer now; the forked children need not map a second copy
 
-    kernels.load()  # loaded once, before the first fork; the forked children inherit it
-    running: dict[int, tuple[int, str]] = {}  # read fd -> (pid, job name)
-    rows: dict[int, dict[str, object]] = {}
-    try:
-        half = slots // 2
-        pid, fd = _fork(aug.fill_sweeps, walk, config, world, samples, n_train, range(half, slots))
-        running[fd] = (pid, "ablation sweep render")
-        aug.fill_sweeps(walk, config, world, samples, n_train, range(1, half))
-        _result(running, fd)
+    def level(k: int) -> metrics.MetricsReport:
+        """Train on sweeps 0..k-1, fly the model and score it."""
+        dataset = aug.dataset_from_samples(samples[: k * n])
+        return _train_fly_score(config, world, route, dataset, samples[n_train * n :])[2]
 
-        test_set = samples[n_train * n :]
-        pending = sorted(set(levels), reverse=True)
-        workers = ablation_workers(len(os.sched_getaffinity(0)), len(pending))
-        while pending or running:
-            while pending and len(running) < workers:
-                k = pending.pop(0)
-                pid, fd = _fork(_ablation_row, config, world, route, test_set, samples[: k * n], k)
-                running[fd] = (pid, f"ablation level k={k}")
-            row = _result(running, select.select(list(running), [], [])[0][0])
-            rows[row["k"]] = row
-    finally:
-        for pid, _ in running.values():
-            os.kill(pid, signal.SIGKILL)
-        for fd, (pid, _) in running.items():
-            os.waitpid(pid, 0)
-            os.close(fd)
-    return [rows[k] for k in levels]
+    kernels.load()  # loaded once, before the first fork; the forked children inherit it
+    cpus = len(os.sched_getaffinity(0))
+    parts = ablation_workers(cpus, slots - 1)
+    edges = [1 + (slots - 1) * i // parts for i in range(parts + 1)]
+    fill = ("ablation sweep render", aug.fill_sweeps, walk, config, world, samples, n_train)
+    _pool([(*fill, range(start, stop)) for start, stop in zip(edges, edges[1:])], parts)
+    distinct = sorted(set(levels), reverse=True)
+    jobs = [(f"ablation level k={k}", level, k) for k in distinct]
+    reports = dict(zip(distinct, _pool(jobs, ablation_workers(cpus, len(distinct)))))
+    return [(k, reports[k]) for k in levels]
 
 
 def cmd_ablation(config: RunConfig) -> int:
@@ -473,17 +465,17 @@ def cmd_ablation(config: RunConfig) -> int:
     route = routes[0]
     rows = run_ablation(config, world, route)
     with open(out_dir / "ablation.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["k", "angle_mse", "mctd", "termination"])
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["k", "angle_mse", "mctd", "termination"])
+        writer.writerows((k, r.angle_mse, r.mctd, r.termination) for k, r in rows)
     emit_line_svg(
-        [float(r["k"]) for r in rows],
-        [float(r["angle_mse"]) for r in rows],
+        [k for k, _ in rows],
+        [r.angle_mse for _, r in rows],
         f"held-out angle MSE vs training sweeps ({route.id})",
         out_dir / "ablation.svg",
     )
-    for r in rows:
-        print(f"k={r['k']}: angle_mse={r['angle_mse']:.6g}, mctd={r['mctd']:.3f}, {r['termination']}")
+    for k, r in rows:
+        print(f"k={k}: angle_mse={r.angle_mse:.6g}, mctd={r.mctd:.3f}, {r.termination}")
     return 0
 
 

@@ -159,13 +159,6 @@ def _numpy_core() -> ctypes.CDLL:
     return ctypes.CDLL(_multiarray_umath.__file__)
 
 
-def _blas() -> list[int]:
-    """The addresses of the ``BLAS`` routines in the OpenBLAS that numpy
-    calls. Raises AttributeError if one is missing."""
-    lib = _numpy_core()
-    return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS]
-
-
 def _openblas(name: str, restype, *argtypes):
     """The function ``name`` of numpy's OpenBLAS; None if numpy has no
     ``numpy._core`` or its BLAS no such symbol."""
@@ -200,8 +193,9 @@ def one_blas_thread():
         set_threads(threads)
 
 
-def _bind(lib_file: Path, dgemm: int, dgemv: int) -> Callable[..., float] | None:
-    """The C ``train_epoch`` of ``lib_file``, called as ``NUMPY`` is; None if the library does not load."""
+def _bind(lib_file: Path, dgemm, dgemv) -> Callable[..., float] | None:
+    """The C ``train_epoch`` of ``lib_file`` over the OpenBLAS functions
+    ``dgemm`` and ``dgemv``, called as ``NUMPY`` is; None if it does not load."""
     ptr, size, f64 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     try:
         epoch = ctypes.CDLL(str(lib_file)).train_epoch
@@ -281,15 +275,15 @@ def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | N
     import hashlib
     import platform
 
+    blas = [_openblas(name, None) for name in BLAS]
+    found = shutil.which(compiler)
+    if None in blas or found is None:
+        return None
     try:
-        blas = _blas()
-        found = shutil.which(compiler)
-        if found is None:
-            return None
         resolved = os.path.realpath(found)
         st = os.stat(resolved)
         source = SOURCE.read_bytes()
-    except (AttributeError, ImportError, OSError):
+    except OSError:
         return None
     stamp = repr((FLAGS, opt, platform.machine(), resolved, st.st_size, st.st_mtime_ns)).encode()
     cache = _cache_dir()

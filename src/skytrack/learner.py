@@ -92,21 +92,6 @@ def predict_raw(model: RegressorModel, x: np.ndarray) -> np.ndarray:
     return h @ model.w2 + model.b2
 
 
-def loss_and_gradient(
-    model: RegressorModel, features: np.ndarray, targets: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE over the batch (raw, unwrapped predictions) and the backprop
-    gradients for the head parameters. The projection gets no gradient."""
-    if features.shape[0] == 0:
-        raise ValueError("empty batch")
-    if features.shape[1] != model.input_dim:
-        raise ValueError(f"dimension mismatch: got {features.shape[1]}, expected {model.input_dim}")
-    z = features @ model.projection.T
-    grads = {key: np.empty_like(getattr(model, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
-    args = (z, targets, model.w1, model.b1, model.w2, model.b2, list(grads.values()))
-    return kernels.head_gradient(*args), grads
-
-
 def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
     """In-place bias-corrected Adam update of the parameters ``p``.
 

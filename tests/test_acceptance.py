@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from skytrack import augmentation as aug
-from skytrack import cli, learner
+from skytrack import cli, kernels, learner
 from skytrack.config import RunConfig
 from skytrack.geometry import (
     Path,
@@ -73,7 +73,7 @@ def ablation_study():
 def test_criterion_1_ablation_trend(ablation_study, capsys):
     per_seed, _, elapsed = ablation_study
     avg = [
-        float(np.mean([rows[i]["angle_mse"] for rows in per_seed.values()]))
+        float(np.mean([rows[i][1].angle_mse for rows in per_seed.values()]))
         for i in range(len(ABLATION_LEVELS))
     ]
     banded = all(b <= 1.10 * a for a, b in zip(avg, avg[1:]))
@@ -92,16 +92,16 @@ def test_criterion_2_closed_loop_recovery(ablation_study, capsys):
     per_seed, lengths, _ = ablation_study
     outcomes = []
     for seed, rows in per_seed.items():
-        by_k = {r["k"]: r for r in rows}
+        by_k = dict(rows)
         k16, k1 = by_k[16], by_k[1]
         threshold = 0.02 * lengths[seed]
-        k16_ok = k16["termination"] == COMPLETED and k16["mctd"] < threshold
-        k1_bad = k1["termination"] != COMPLETED or k1["mctd"] >= 3.0 * k16["mctd"]
+        k16_ok = k16.termination == COMPLETED and k16.mctd < threshold
+        k1_bad = k1.termination != COMPLETED or k1.mctd >= 3.0 * k16.mctd
         outcomes.append((seed, k16_ok and k1_bad, k16, k1))
     n_ok = sum(ok for _, ok, _, _ in outcomes)
     detail = "; ".join(
-        f"seed {seed}: k16 {k16['termination']} mctd={k16['mctd']:.3f} m, "
-        f"k1 {k1['termination']} mctd={k1['mctd']:.3f} m"
+        f"seed {seed}: k16 {k16.termination} mctd={k16.mctd:.3f} m, "
+        f"k1 {k1.termination} mctd={k1.mctd:.3f} m"
         for seed, _, k16, k1 in outcomes
     )
     report(capsys, 2, n_ok >= 2, f"{n_ok}/3 seeds recover ({detail})")
@@ -180,10 +180,13 @@ def test_criterion_5_gradient_check(capsys):
         m.b2 = float(rng.normal())
         x = rng.normal(size=(8, 10))
         y = rng.normal(size=8)
-        _, grads = learner.loss_and_gradient(m, x, y)
+        z = x @ m.projection.T  # the head's input: the frozen projection gets no gradient
+        grads = {key: np.empty_like(getattr(m, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
+        kernels.head_gradient(z, y, m.w1, m.b1, m.w2, m.b2, list(grads.values()))
+        scratch = [np.empty_like(g) for g in grads.values()]
 
         def loss_at():
-            return learner.loss_and_gradient(m, x, y)[0]
+            return kernels.head_gradient(z, y, m.w1, m.b1, m.w2, m.b2, scratch)
 
         for name in ("w1", "b1", "w2"):
             arr = getattr(m, name).ravel()

@@ -23,15 +23,15 @@ from hypothesis import strategies as st
 import skytrack
 from conftest import children
 from skytrack import augmentation as aug
-from skytrack import cli, kernels, learner
+from skytrack import cli, kernels, learner, metrics
 from skytrack.config import ConfigError, RunConfig, load_config, parse_config
 from skytrack.geometry import Path, path_length, sum_angle_change
 from skytrack.world import generate_world, Rect
 
 SRC = str(FilePath(skytrack.__file__).resolve().parent.parent)
-# How long an ablation child may outlive its SIGKILLed parent: the render
-# helper finishes its sweeps, and a level worker the level it is on (about a
-# second in that test), and exits.
+# How long an ablation child may outlive its SIGKILLed parent: a render job
+# finishes its sweeps, and a level worker the level it is on (about a second
+# in that test), and exits.
 LEVEL_BOUND_S = 20.0
 
 
@@ -493,11 +493,11 @@ class TestCommands:
 
     def test_ablation_reuses_sweeps_across_levels(self, tmp_path, monkeypatch):
         # Levels out of order: each must still train on exactly sweeps 0..k-1,
-        # and every training and test sweep is rendered once. Rendering is
-        # split between this process and a forked helper, and training runs
-        # in the level workers, so each process records its renders and saves
-        # its dataset where this process can read them back. The order of the
-        # renders across two processes is not fixed.
+        # and every training and test sweep is rendered once. This process
+        # renders sweep 0, the forked render jobs the others, and training
+        # runs in the level workers, so each process records its renders and
+        # saves its dataset where this process can read them back. The order
+        # of the renders across processes is not fixed.
         levels = [2, 1, 3]
         config = load_config(small_config(tmp_path, ablation_levels="2,1,3", n_test_sweeps=2))
         assert config.ablation_levels == tuple(levels)
@@ -529,11 +529,14 @@ class TestCommands:
         monkeypatch.setattr(aug, "sweep_optimal", sweep_optimal)
         monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
         rows = cli.run_ablation(config, world, routes[0])
-        assert [r["k"] for r in rows] == levels
+        assert [k for k, _ in rows] == levels
+        assert all(isinstance(report, metrics.MetricsReport) for _, report in rows)
         by_pid = {int(file.name): list(map(int, file.read_text().split())) for file in rendered_dir.iterdir()}
-        assert len(by_pid) == 2 and 0 in by_pid[os.getpid()]  # this process and one helper
+        assert by_pid.pop(os.getpid()) == [0]  # this process renders only sweep 0
+        render_jobs = cli.ablation_workers(len(os.sched_getaffinity(0)), max(levels) + config.n_test_sweeps - 1)
+        assert len(by_pid) == render_jobs
         sweeps_rendered = sorted(i for indices in by_pid.values() for i in indices)
-        assert [i for i in sweeps_rendered if i < aug.TEST_SWEEP_BASE] == [0, 1, 2]
+        assert [i for i in sweeps_rendered if i < aug.TEST_SWEEP_BASE] == [1, 2]
         assert [i for i in sweeps_rendered if i >= aug.TEST_SWEEP_BASE] == [aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + 1]
         monkeypatch.undo()
         trained = {}
@@ -588,29 +591,28 @@ class TestCommands:
         assert children() == []
 
     @staticmethod
-    def render_in(tmp_path, monkeypatch, helper, parent):
-        """A scenario whose jittered sweeps first call ``helper(sweep_index)``
-        when the render helper renders them, and ``parent(sweep_index)`` when
-        this process does; returns the config file, the config, the world and
-        the route."""
+    def render_in(tmp_path, monkeypatch, render):
+        """A scenario whose jittered sweeps, all rendered by the forked render
+        jobs, first call ``render(sweep_index)``; returns the config file, the
+        config, the world and the route."""
         cfg = small_config(tmp_path, ablation_levels="1,2,3", n_test_sweeps=2)
         config = load_config(cfg)
         assert cli.main(["gen", "--config", str(cfg)]) == 0
         world, routes = cli._load_scenario(config)
-        real_jittered, this = aug.sweep_jittered, os.getpid()
+        real_jittered = aug.sweep_jittered
 
         def sweep_jittered(walk, config, world, sweep_index):
-            (parent if os.getpid() == this else helper)(sweep_index)
+            render(sweep_index)
             return real_jittered(walk, config, world, sweep_index)
 
         monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
         return cfg, config, world, routes[0]
 
     def test_render_helper_failure_is_reported(self, tmp_path, monkeypatch, capsys):
-        def helper(sweep_index):
+        def render(sweep_index):
             raise ValueError(f"no sweep {sweep_index}")
 
-        cfg, config, world, route = self.render_in(tmp_path, monkeypatch, helper, lambda sweep_index: None)
+        cfg, config, world, route = self.render_in(tmp_path, monkeypatch, render)
         with pytest.raises(RuntimeError, match=r"ablation sweep render: no sweep \d+"):
             cli.run_ablation(config, world, route)
         assert children() == []
@@ -620,31 +622,50 @@ class TestCommands:
         assert not (tmp_path / "run" / "ablation.csv").exists()
 
     def test_render_helper_death_is_reported(self, tmp_path, monkeypatch):
-        _, config, world, route = self.render_in(tmp_path, monkeypatch, lambda i: os._exit(3), lambda i: None)
+        _, config, world, route = self.render_in(tmp_path, monkeypatch, lambda i: os._exit(3))
         with pytest.raises(RuntimeError, match="ablation sweep render: worker exited with status 3"):
             cli.run_ablation(config, world, route)
         assert children() == []
 
-    def test_failure_in_this_process_half_reaps_the_render_helper(self, tmp_path, monkeypatch):
-        # The helper would render for a minute: it must be killed and reaped, not waited for.
-        def parent(sweep_index):
-            raise ValueError("no sweep here")
+    def test_render_job_failure_reaps_the_other_render_job(self, tmp_path, monkeypatch):
+        # Two render jobs over slots 1-2 and 3-4: the first would render for
+        # a minute, the second fails at once. The first must be killed and
+        # reaped, not waited for.
+        def render(sweep_index):
+            if sweep_index >= aug.TEST_SWEEP_BASE:
+                raise ValueError("no test sweep here")
+            time.sleep(60)
 
-        _, config, world, route = self.render_in(tmp_path, monkeypatch, lambda i: time.sleep(60), parent)
+        _, config, world, route = self.render_in(tmp_path, monkeypatch, render)
+        monkeypatch.setattr(cli, "ablation_workers", lambda cpus, n_jobs: 2)
         start = time.monotonic()
-        with pytest.raises(ValueError, match="no sweep here"):
+        with pytest.raises(RuntimeError, match="ablation sweep render: no test sweep here"):
             cli.run_ablation(config, world, route)
         assert children() == []
         assert time.monotonic() - start < 30.0
 
+    def test_pool_returns_results_in_job_order(self, tmp_path):
+        # The later jobs finish first; the results still come back in job order.
+        finished = tmp_path / "finished"
+
+        def job(seconds, value):
+            time.sleep(seconds)
+            with open(finished, "a") as fh:
+                fh.write(f"{value}\n")
+            return value
+
+        assert cli._pool([(f"job {i}", job, 0.4 * (2 - i), i) for i in range(3)], 3) == [0, 1, 2]
+        assert finished.read_text().split() == ["2", "1", "0"]
+        assert children() == []
+
     def test_forked_jobs_run_at_one_blas_thread(self, tmp_path, monkeypatch):
-        # With this process at 2 BLAS threads, the render helper and each
-        # level worker run at 1, which is why the pool holds one per CPU.
+        # With this process at 2 BLAS threads, each render job and each level
+        # worker runs at 1, which is why a pool holds one per CPU.
         set_threads = kernels._openblas(kernels.SET_NUM_THREADS, None, ctypes.c_int)
         if set_threads is None:
             pytest.skip("numpy's OpenBLAS cannot set its thread count")
         threads, seen = kernels.blas_threads(), tmp_path / "threads"
-        real_train, real_jittered = learner.train, aug.sweep_jittered
+        real_train, real_optimal, real_jittered = learner.train, aug.sweep_optimal, aug.sweep_jittered
 
         def record():
             with open(seen, "a") as fh:
@@ -654,11 +675,16 @@ class TestCommands:
             record()
             return real_train(*args, **kwargs)
 
+        def sweep_optimal(*args):
+            record()
+            return real_optimal(*args)
+
         def sweep_jittered(*args):
             record()
             return real_jittered(*args)
 
         monkeypatch.setattr(learner, "train", train)
+        monkeypatch.setattr(aug, "sweep_optimal", sweep_optimal)
         monkeypatch.setattr(aug, "sweep_jittered", sweep_jittered)
         config = load_config(small_config(tmp_path, ablation_levels="1,2,3", n_test_sweeps=2))
         assert cli.main(["gen", "--config", str(tmp_path / "config.txt")]) == 0
@@ -674,8 +700,10 @@ class TestCommands:
         for line in seen.read_text().splitlines():
             pid, count = map(int, line.split())
             counts.setdefault(pid, set()).add(count)
-        assert counts.pop(os.getpid()) == {2}
-        assert len(counts) == 1 + len(config.ablation_levels)  # the render helper and one worker per level
+        assert counts.pop(os.getpid()) == {2}  # sweep 0, rendered here
+        sweeps = max(config.ablation_levels) + config.n_test_sweeps - 1
+        render_jobs = cli.ablation_workers(len(os.sched_getaffinity(0)), sweeps)
+        assert len(counts) == render_jobs + len(config.ablation_levels)  # one worker per level
         assert all(count == {1} for count in counts.values())
 
     @staticmethod
@@ -715,13 +743,14 @@ class TestCommands:
             set_child_subreaper(False)
 
     def test_ablation_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # Killed at its first child: most often the render helper.
+        # Killed at its first child: most often a render job.
         self.kill_ablation_once_seen(tmp_path, 1)
 
     def test_level_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # The render helper is the first child and the only one before the
-        # level workers, so the second child seen is a level worker.
-        self.kill_ablation_once_seen(tmp_path, 2)
+        # The render jobs are the first children and the only ones before
+        # the level workers, so one more child seen is a level worker. The
+        # scenario has levels 1 and 2 and one test sweep: 2 sweeps to fill.
+        self.kill_ablation_once_seen(tmp_path, cli.ablation_workers(len(os.sched_getaffinity(0)), 2) + 1)
 
     @pytest.mark.parametrize("cpus, n_levels, expected", [(2, 4, 2), (4, 3, 3), (1, 4, 1), (2, 1, 1)])
     def test_ablation_workers_rule(self, cpus, n_levels, expected):

@@ -276,15 +276,16 @@ def stand_in_compiler(tmp_path, then="exit 1"):
 
 
 def test_per_step_api_never_starts_the_compiler(tmp_path):
-    """``learner.loss_and_gradient`` and ``learner.adam_step`` run on NumPy
+    """``kernels.head_gradient`` and ``learner.adam_step`` run on NumPy
     alone, so a fresh process that calls them never starts the stand-in
     ``cc``; ``kernels.load`` in another fresh process does."""
     _, marker, _, env = stand_in_compiler(tmp_path)
     steps = (
         "import numpy as np\n"
-        "from skytrack import learner\n"
-        "model = learner.init_model(0, 6, projection_dim=4, hidden=5)\n"
-        "learner.loss_and_gradient(model, np.ones((3, 6)), np.zeros(3))\n"
+        "from skytrack import kernels, learner\n"
+        "m = learner.init_model(0, 6, projection_dim=4, hidden=5)\n"
+        "grads = [np.empty_like(m.w1), np.empty_like(m.b1), np.empty_like(m.w2), np.empty(1)]\n"
+        "kernels.head_gradient(np.ones((3, 6)) @ m.projection.T, np.zeros(3), m.w1, m.b1, m.w2, m.b2, grads)\n"
         "learner.adam_step(np.zeros(3), np.ones(3), learner.AdamState(np.zeros(3), np.zeros(3)), 1e-3)\n"
     )
     subprocess.run([sys.executable, "-c", steps], env=env, check=True, timeout=120)

@@ -19,7 +19,6 @@ from skytrack.learner import (
     adam_step,
     init_model,
     load_model,
-    loss_and_gradient,
     lr_at,
     predict,
     predict_raw,
@@ -30,6 +29,14 @@ from skytrack.learner import (
 
 def tiny_model(seed=0, d=6, f=4, h=5):
     return init_model(seed, d, projection_dim=f, hidden=h)
+
+
+def loss_and_gradient(model, x, y):
+    """``kernels.head_gradient`` on the projected rows ``x @ model.projection.T``:
+    the loss and the gradients of w1, b1, w2 and b2, by name."""
+    grads = {key: np.empty_like(getattr(model, key)) for key in ("w1", "b1", "w2")} | {"b2": np.empty(1)}
+    z = x @ model.projection.T
+    return kernels.head_gradient(z, y, model.w1, model.b1, model.w2, model.b2, list(grads.values())), grads
 
 
 def tiny_model_file(tmp_path):
@@ -182,14 +189,14 @@ class TestLossAndGradient:
             assert abs(grads["b2"][0] - fd) / denom < 1e-4
 
     def test_no_projection_gradient(self):
+        # The head sees only the projected rows, so the projection neither
+        # gets a gradient nor changes.
         m = tiny_model()
+        projection = m.projection.copy()
         x = np.random.default_rng(1).normal(size=(4, 6))
         _, grads = loss_and_gradient(m, x, np.zeros(4))
         assert set(grads) == {"w1", "b1", "w2", "b2"}
-
-    def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            loss_and_gradient(tiny_model(), np.zeros((0, 6)), np.zeros(0))
+        assert m.projection.tobytes() == projection.tobytes()
 
     def test_matches_outer_product_reference_bit_for_bit(self):
         def reference(model, z, targets):
