@@ -169,27 +169,21 @@ def fill_sweeps(
         samples[slot * n : (slot + 1) * n] = sweep_jittered(walk, config, world, index)
 
 
-def training_samples(
-    path: Path, config: RunConfig, world: LandmarkWorld, n_sweeps: int
-) -> tuple[Walk, Samples]:
-    """Sweep 0 (unperturbed) then jittered sweeps 1..n_sweeps-1, each as long
-    as the walk, so the first k * len(walk) rows are the first k sweeps."""
+def build_dataset(
+    path: Path, config: RunConfig, world: LandmarkWorld
+) -> Dataset:
+    """The n_augmented training sweeps, sweep 0 (unperturbed) then jittered
+    sweeps 1.., each as long as the walk, with normalization statistics
+    fitted over all of their samples."""
     walk, first = sweep_optimal(path, config, world)
     # Filled sweep by sweep: holding every sweep to concatenate them at the
     # end leaves freed blocks that the heap may keep, so the RSS of a later
     # fork would depend on the seed.
-    samples = first.empty_like(n_sweeps * len(walk))
+    samples = first.empty_like(config.n_augmented * len(walk))
     samples[: len(walk)] = first
-    fill_sweeps(walk, config, world, samples, n_sweeps, range(1, n_sweeps))
-    return walk, samples
-
-
-def build_dataset(
-    path: Path, config: RunConfig, world: LandmarkWorld
-) -> Dataset:
-    """The n_augmented training sweeps, with normalization statistics fitted
-    over all of their samples."""
-    return dataset_from_samples(training_samples(path, config, world, config.n_augmented)[1])
+    fill_sweeps(walk, config, world, samples, config.n_augmented, range(1, config.n_augmented))
+    del first  # its rows are in samples; freed before the statistics' buffer is made
+    return dataset_from_samples(samples)
 
 
 def row_blocks(n: int) -> list[slice]:

@@ -14,7 +14,6 @@ fully resolved copy is written next to every run's outputs. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import mmap
@@ -23,7 +22,6 @@ import pickle
 import select
 import signal
 import sys
-import zipfile
 import zlib
 from dataclasses import replace
 from pathlib import Path as FilePath
@@ -32,9 +30,10 @@ import numpy as np
 
 from . import kernels, learner, metrics, simulator
 from . import augmentation as aug
+from .artifacts import json_floats, json_int, read_csv, reading, write_csv, write_npz, write_text
 from .config import ConfigError, RunConfig, load_config
 from .geometry import Path, path_length, sum_angle_change, wrap_angle
-from .world import LandmarkWorld, Rect, generate_world, json_floats, load_world, save_world
+from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
 
 def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
     lines = []
@@ -42,7 +41,7 @@ def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
-    (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out_dir / "config.resolved.txt", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -83,33 +82,22 @@ def routes_bounding_box(paths: list[Path], margin: float) -> Rect:
 # file round-trip helpers
 
 def save_path(route: Path, file: FilePath | str) -> None:
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in route.waypoints.tolist():
-            writer.writerow([repr(x), repr(y)])
+    write_csv(file, ["x", "y"], ([repr(x), repr(y)] for x, y in route.waypoints.tolist()))
 
 
 def load_path(file: FilePath | str) -> Path:
     """Read what save_path wrote, as the path named by the file's stem. A
     file that does not hold at least two finite waypoints, no two equal in
     a row, raises one ValueError naming it."""
-    file = FilePath(file)
     points: list[tuple[float, float]] = []
-    try:
-        with open(file, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows[:1] != [["x", "y"]]:
-            raise ValueError("expected header 'x,y'")
-        for lineno, row in enumerate(rows[1:], start=2):
+    with reading(file):
+        for lineno, row in enumerate(read_csv(file, ["x", "y"]), start=2):
             try:
                 x, y = map(float, row)
             except ValueError as exc:  # a count other than 2 too
                 raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
             points.append((x, y))
-        return Path(points, file.stem)
-    except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ValueError(f"{file}: {exc}") from exc
+        return Path(points, FilePath(file).stem)
 
 
 # The arrays of a dataset file, in file order, and their dtypes ("str": unicode of any width).
@@ -125,9 +113,7 @@ def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: 
     the per-sweep RNG stream tags."""
     samples = dataset.samples
     sweeps, first = np.unique(samples.sweep_index, return_index=True)
-    # A file handle, not a name: np.savez appends ".npz" to a name without it.
-    with open(data_file, "wb") as fh:
-        np.savez(fh, **{key: getattr(samples, key) for key in DATASET_ARRAYS})
+    write_npz(data_file, {key: getattr(samples, key) for key in DATASET_ARRAYS})
     sidecar = {
         "dim": dataset.dim,
         "n_samples": len(samples),
@@ -137,7 +123,7 @@ def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: 
             str(k): f"crc32({samples.path_id[i]})/{k}" for k, i in zip(sweeps.tolist(), first.tolist())
         },
     }
-    FilePath(sidecar_file).write_text(json.dumps(sidecar, sort_keys=True))
+    write_text(sidecar_file, json.dumps(sidecar, sort_keys=True))
 
 
 def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +134,7 @@ def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> tuple[np.nda
         if not ok:
             raise ValueError(problem)
 
-    rows, dim = sidecar["n_samples"], sidecar["dim"]
+    rows, dim = json_int(sidecar, "n_samples"), json_int(sidecar, "dim")
     for key, dtype in DATASET_ARRAYS.items():
         check(key in arrays, f"missing array {key!r}")
         a = arrays[key]
@@ -171,14 +157,11 @@ def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug
     statistics must be JSON numbers (not null, a boolean or a string), one per
     feature, finite, with every std at least ``augmentation.STD_FLOOR``: the
     floor that every written std meets."""
-    try:
+    with reading(data_file, f"bad dataset (sidecar {sidecar_file}): "):
         sidecar = json.loads(FilePath(sidecar_file).read_text())
         with np.load(data_file, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
         mean, std = _check_dataset(arrays, sidecar)
-    # zipfile raises NotImplementedError for a garbled compression method or version.
-    except (OSError, EOFError, KeyError, NotImplementedError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{data_file}: bad dataset (sidecar {sidecar_file}): {exc}") from exc
     return aug.Dataset(aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS}), mean, std)
 
 
@@ -221,7 +204,7 @@ def emit_overlay_svg(route: Path, trajectory: simulator.TrajectoryLog, file: Fil
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>')
     parts.append(f'<text x="{_SVG_PAD:.0f}" y="20" font-size="14">{route.id} ({trajectory.termination})</text>')
     parts.append("</svg>")
-    FilePath(file).write_text("\n".join(parts))
+    write_text(file, "\n".join(parts))
 
 
 def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath | str) -> None:
@@ -239,7 +222,7 @@ def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath |
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>')
         parts.append(f'<text x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" font-size="11">{x:g}: {y:.6g}</text>')
     parts.append("</svg>")
-    FilePath(file).write_text("\n".join(parts))
+    write_text(file, "\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +314,9 @@ def cmd_pipeline(config: RunConfig) -> int:
             failed = True
             print(f"{route.id}: FAILED ({exc})", file=sys.stderr)
         manifest.append(record)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    with open(out_dir / "manifest.csv", "w", newline="") as fh:
-        fields = ["path_id", "n_samples", "path_distance", "sac", "mwmd", "mctd", "termination", "error"]
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for record in manifest:
-            writer.writerow({k: record.get(k, "") for k in fields})
+    write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
+    fields = ["path_id", "n_samples", "path_distance", "sac", "mwmd", "mctd", "termination", "error"]
+    write_csv(out_dir / "manifest.csv", fields, ([record.get(k, "") for k in fields] for record in manifest))
     return 2 if failed else 0
 
 
@@ -464,10 +443,8 @@ def cmd_ablation(config: RunConfig) -> int:
     write_resolved_config(config, out_dir)
     route = routes[0]
     rows = run_ablation(config, world, route)
-    with open(out_dir / "ablation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "angle_mse", "mctd", "termination"])
-        writer.writerows((k, r.angle_mse, r.mctd, r.termination) for k, r in rows)
+    table = ((k, r.angle_mse, r.mctd, r.termination) for k, r in rows)
+    write_csv(out_dir / "ablation.csv", ["k", "angle_mse", "mctd", "termination"], table)
     emit_line_svg(
         [k for k, _ in rows],
         [r.angle_mse for _, r in rows],

@@ -19,10 +19,10 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from . import kernels
+from .artifacts import json_floats, json_int, reading, write_text
 from .augmentation import Dataset, normalize_features, row_blocks
 from .config import RunConfig
 from .geometry import wrap_angle
-from .world import json_floats
 
 
 @dataclass
@@ -192,7 +192,7 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
         "feature_mean": model.feature_mean.tolist(),
         "feature_std": model.feature_std.tolist(),
     }
-    FilePath(file).write_text(json.dumps(doc, sort_keys=True))
+    write_text(file, json.dumps(doc, sort_keys=True))
 
 
 def load_model(file: FilePath | str) -> RegressorModel:
@@ -200,13 +200,11 @@ def load_model(file: FilePath | str) -> RegressorModel:
     holds a weight or statistic that is not a JSON number (null too: a model always
     has statistics), arrays whose dimensions disagree, a non-finite weight or statistic
     or a seed that is not an integer raises one ValueError naming the file."""
-    try:
+    with reading(file):
         doc = json.loads(FilePath(file).read_text())
         keys = ("projection", "w1", "b1", "w2", "b2", "feature_mean", "feature_std")
         arrays = {key: json_floats(doc[key]) for key in keys}
-        init_seed = int(doc["init_seed"])  # its error names an infinite or NaN seed
-        if type(doc["init_seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
-            raise ValueError(f"init_seed {doc['init_seed']!r} is not an integer")
+        init_seed = json_int(doc, "init_seed")
         projection, w1 = arrays["projection"], arrays["w1"]
         if projection.ndim != 2 or w1.ndim != 2:
             raise ValueError(f"projection {projection.shape} and w1 {w1.shape} must be matrices")
@@ -217,8 +215,4 @@ def load_model(file: FilePath | str) -> RegressorModel:
                 raise ValueError(f"{key} has shape {arrays[key].shape}, expected {shape}")
         if not all(np.isfinite(a).all() for a in arrays.values()):
             raise ValueError("non-finite weight or statistic")
-    except KeyError as exc:
-        raise ValueError(f"{file}: missing key {exc}") from exc
-    except (OverflowError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        raise ValueError(f"{file}: {exc}") from exc
     return RegressorModel(b2=float(arrays.pop("b2")), init_seed=init_seed, **arrays)

@@ -17,6 +17,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
+from .artifacts import write_text
 from .augmentation import Samples, normalize_features
 from .geometry import Path, point_segment_distance, sum_angle_change
 from .learner import RegressorModel, predict_raw
@@ -80,9 +81,7 @@ def evaluate(
 ) -> MetricsReport:
     """Bundle the three trajectory metrics, plus angle MSE when a labeled
     test set and model are supplied."""
-    mse = None
-    if test_set is not None and model is not None:
-        mse = angle_mse(model, test_set)
+    mse = angle_mse(model, test_set) if test_set is not None and model is not None else None
     return MetricsReport(
         path_id=path.id,
         mwmd=mean_waypoint_min_distance(path, trajectory.poses[:, :2]),
@@ -94,4 +93,4 @@ def evaluate(
 
 
 def save_report(report: MetricsReport, file: FilePath | str) -> None:
-    FilePath(file).write_text(json.dumps(asdict(report), sort_keys=True, indent=1))
+    write_text(file, json.dumps(asdict(report), sort_keys=True, indent=1))

@@ -7,7 +7,6 @@ advances whenever the drone enters its capture radius.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -15,6 +14,7 @@ from pathlib import Path as FilePath
 import numpy as np
 
 from . import learner
+from .artifacts import read_csv, reading, write_csv
 from .config import RunConfig
 from .geometry import Path, advance_target, bearing, default_max_steps, target_yaw_delta, wrap_angle
 from .world import LandmarkWorld, render_observation
@@ -109,11 +109,8 @@ TRAJECTORY_COLUMNS = ["step", "x", "y", "yaw", "command", "target_index"]
 def save_trajectory(log: TrajectoryLog, file: FilePath | str) -> None:
     """Write one row per pose; the command column is the delta that produced it."""
     commands = [""] + [repr(c) for c in log.commands.tolist()]
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for i, ((x, y, yaw), cmd, target) in enumerate(zip(log.poses.tolist(), commands, log.targets.tolist())):
-            writer.writerow([i, repr(x), repr(y), repr(yaw), cmd, target])
+    rows = enumerate(zip(log.poses.tolist(), commands, log.targets.tolist()))
+    write_csv(file, TRAJECTORY_COLUMNS, ([i, repr(x), repr(y), repr(yaw), cmd, t] for i, ((x, y, yaw), cmd, t) in rows))
 
 
 def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = "") -> TrajectoryLog:
@@ -125,14 +122,11 @@ def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = 
     poses: list[tuple[float, float, float]] = []
     commands: list[float] = []
     targets: list[int] = []
-    try:
-        with open(file, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows[:1] != [TRAJECTORY_COLUMNS]:
-            raise ValueError(f"unexpected trajectory header: {rows[0] if rows else None}")
-        if len(rows) == 1:
+    with reading(file):
+        rows = read_csv(file, TRAJECTORY_COLUMNS)
+        if not rows:
             raise ValueError("no poses")
-        for step, row in enumerate(rows[1:]):
+        for step, row in enumerate(rows):
             if len(row) != len(TRAJECTORY_COLUMNS):
                 raise ValueError(f"row {step + 2} has {len(row)} columns, expected {len(TRAJECTORY_COLUMNS)}")
             try:
@@ -155,6 +149,4 @@ def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = 
             except ValueError as exc:
                 raise ValueError(f"row {step + 2}: {exc}") from exc
         targets_array = np.array(targets, dtype=np.int64)
-    except (OverflowError, ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
-        raise ValueError(f"{file}: {exc}") from exc
     return TrajectoryLog(np.array(poses), np.array(commands), targets_array, path_id, termination)

@@ -16,6 +16,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
+from .artifacts import json_floats, json_int, reading, write_text
 from .config import RunConfig
 
 
@@ -151,17 +152,7 @@ def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
             for i in range(world.positions.shape[0])
         ],
     }
-    FilePath(file).write_text(json.dumps(doc, sort_keys=True, indent=1))
-
-
-def json_floats(value) -> np.ndarray:
-    """A JSON number, or nested lists of them, as a float array. A string,
-    a boolean or a null, which a saved float never is, raises TypeError."""
-    array = np.array(value, dtype=float)
-    for x in np.array(value, dtype=object).flat:
-        if type(x) not in (int, float):
-            raise TypeError(f"{x!r} ({type(x).__name__}) is not a number")
-    return array
+    write_text(file, json.dumps(doc, sort_keys=True, indent=1))
 
 
 def load_world(file: FilePath | str) -> LandmarkWorld:
@@ -169,7 +160,7 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
     landmark, finite positions, unit-norm signatures of one width, finite
     non-empty bounds and an integer seed, all as JSON numbers, raises one
     ValueError naming the file."""
-    try:
+    with reading(file):
         doc = json.loads(FilePath(file).read_text())
         landmarks = doc["landmarks"]
         positions = json_floats([lm["position"] for lm in landmarks])
@@ -177,9 +168,7 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
         box = json_floats(doc["bounds"])
         if box.shape != (4,):
             raise ValueError(f"bounds have shape {box.shape}, expected (4,)")
-        seed = int(doc["seed"])  # its error names an infinite or NaN seed
-        if type(doc["seed"]) is not int:  # 1.5, "7" and true (a bool) are not seeds
-            raise ValueError(f"seed {doc['seed']!r} is not an integer")
+        seed = json_int(doc, "seed")
         if not landmarks:
             raise ValueError("no landmarks")
         if positions.shape != (len(landmarks), 2) or signatures.ndim != 2 or signatures.shape[1] < 1:
@@ -189,8 +178,4 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
         if not np.all(np.abs(np.linalg.norm(signatures, axis=1) - 1.0) <= 1e-9):
             raise ValueError("signatures are not unit-norm")
         bounds = Rect(*box.tolist())
-    except KeyError as exc:
-        raise ValueError(f"{file}: missing key {exc}") from exc
-    except (OverflowError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        raise ValueError(f"{file}: {exc}") from exc
     return LandmarkWorld(positions, signatures, bounds, seed)

@@ -278,6 +278,18 @@ class TestDatasetRoundTrip:
         sidecar.write_text(json.dumps(doc))
 
     @staticmethod
+    def _sidecar_float_count(data_file, sidecar):
+        doc = json.loads(sidecar.read_text())
+        doc["n_samples"] = float(doc["n_samples"])  # equal to the row count, but not a JSON integer
+        sidecar.write_text(json.dumps(doc))
+
+    @staticmethod
+    def _sidecar_float_dim(data_file, sidecar):
+        doc = json.loads(sidecar.read_text())
+        doc["dim"] = float(doc["dim"])
+        sidecar.write_text(json.dumps(doc))
+
+    @staticmethod
     def _central_directory(data_file, offset, value):
         """Set a 2-byte field of the first zip central directory entry."""
         raw = bytearray(data_file.read_bytes())
@@ -303,6 +315,8 @@ class TestDatasetRoundTrip:
             ("_nan_feature", "non-finite values"),
             ("_sidecar_count", r"features has shape \(\d+, 128\), not \(\d+, 128\)"),
             ("_sidecar_dim", r"features has shape \(\d+, 128\), not \(\d+, 127\)"),
+            ("_sidecar_float_count", r"bad dataset \(sidecar .*\): n_samples \d+\.0 is not an integer"),
+            ("_sidecar_float_dim", r"bad dataset \(sidecar .*\): dim 128\.0 is not an integer"),
             ("_zip_method", "compression method is not supported"),
             ("_zip_version", "zip file version 12.5"),
         ],

@@ -1,12 +1,13 @@
 """Modules import one way: each module of the package imports only modules
-before it in LAYERS, or the package ``__init__``."""
+before it in LAYERS, or the package ``__init__``. And only ``artifacts``
+writes files: every artifact goes through its one atomic writer."""
 
 import ast
 from pathlib import Path
 
 import skytrack
 
-LAYERS = ["config", "geometry", "world", "augmentation", "kernels", "learner", "simulator", "metrics", "cli"]
+LAYERS = ["config", "artifacts", "geometry", "world", "augmentation", "kernels", "learner", "simulator", "metrics", "cli"]
 PACKAGE = Path(skytrack.__file__).parent
 
 
@@ -40,3 +41,52 @@ def test_modules_import_only_earlier_layers():
 
 def test_config_imports_no_package_module():
     assert package_imports("config") == set()
+
+
+# (module, function) that may write a file without ``artifacts``: the kernel
+# build cache, which writes a temp file and renames it itself, and the pipe
+# a forked ablation job sends its result over.
+OWN_WRITERS = {("kernels", "compile_kernels"), ("cli", "_fork")}
+
+
+def file_writes(module: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call in ``module`` that opens a file
+    to write or append, calls ``.write_text`` or ``.write_bytes``, or calls
+    ``np.save``, ``np.savez`` and the like."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+            # A mode is a literal string argument; one that is not a literal may be a write mode.
+            modes = node.args[1:] + [k.value for k in node.keywords if k.arg == "mode"]
+            modes += [a for a in node.args[:1] if isinstance(a, ast.Constant)]  # Path.open("w")
+            opens = name in ("open", "fdopen") and any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
+            )
+            owner = getattr(f, "value", None)
+            method = isinstance(f, ast.Attribute) and getattr(owner, "id", "") != "artifacts"
+            numpy_save = method and name.startswith("save") and getattr(owner, "id", "") == "np"
+            if opens or numpy_save or (method and name in ("write_text", "write_bytes")):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "")
+    return found
+
+
+def test_only_artifacts_writes_files():
+    for module in LAYERS:
+        if module != "artifacts":
+            writes = [(f, line) for f, line in file_writes(module) if (module, f) not in OWN_WRITERS]
+            assert writes == [], f"{module} writes a file outside artifacts at (function, line) {writes}"
+
+
+def test_the_write_check_sees_each_kind_of_write():
+    assert [f for f, _ in file_writes("artifacts")] == ["writing", "write_npz"]
+    assert [f for f, _ in file_writes("kernels")] == ["compile_kernels"]
+    assert [f for f, _ in file_writes("cli")] == ["_fork"]
