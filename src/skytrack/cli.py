@@ -1,4 +1,4 @@
-"""Batch pipeline driver and all on-disk formats.
+"""Batch pipeline driver, with the route and dataset formats and the plots.
 
 Commands:
   gen       synthesize a landmark world and waypoint paths from a config
@@ -252,7 +252,11 @@ def _load_scenario(config: RunConfig) -> tuple[LandmarkWorld, list[Path]]:
     for file in files:
         if not file.exists():
             raise FileNotFoundError(f"{file} missing; run 'gen' first")
-    return load_world(files[0]), [load_path(f) for f in files[1:]]
+    world, routes = load_world(files[0]), [load_path(f) for f in files[1:]]
+    for file, route in zip(files[1:], routes):  # a file cut at a row boundary still parses
+        if len(route.waypoints) != config.n_waypoints:
+            raise ValueError(f"{file}: {len(route.waypoints)} waypoints, expected n_waypoints = {config.n_waypoints}")
+    return world, routes
 
 
 def _train_fly_score(

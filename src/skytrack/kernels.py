@@ -18,11 +18,13 @@ contraction off (and no ``-ffast-math``) they give the same bits.
 ``XDG_CACHE_HOME`` is used, as the XDG spec asks), keyed by the source,
 flags, optimization level, machine and the compiler's resolved path, size and
 mtime; ``rm -r ~/.cache/skytrack`` clears it, and a damaged file is rebuilt.
-Only a miss builds, in a ``skytrack-kernels-*`` directory beside the cache
-file, after removing each such directory older than ``2 * BUILD_TIMEOUT`` (a
-build killed by SIGKILL leaves one). A cache directory that another user owns,
-that others can write, or that is relative (``~`` without an absolute home)
-is never used: the build goes to a private temporary directory instead.
+Only a miss builds, in a private ``skytrack-kernels-*`` directory in the
+system temp directory, and stores the library through ``artifacts.writing``,
+so the cache holds only whole ``<sha256>.so`` files; a build killed by
+SIGKILL leaves its directory in the system temp directory, not in the cache.
+A cache directory that another user owns, that others can write, or that is
+relative (``~`` without an absolute home) is never used: the library is then
+stored in the build directory and loaded from there.
 ``gen`` and the per-step API never start the compiler. If the compiler is
 missing, the build fails or passes ``BUILD_TIMEOUT``, or numpy's OpenBLAS
 lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
@@ -41,11 +43,12 @@ import os
 import shutil
 import signal
 import tempfile
-import time
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .artifacts import writing
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 COMPILER = "cc"
@@ -151,19 +154,14 @@ def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
     return [start for start, _ in spans]
 
 
-def _numpy_core() -> ctypes.CDLL:
-    """numpy's core extension, whose symbol lookups search the libraries it
-    links, numpy's OpenBLAS among them. Raises ImportError without it."""
-    from numpy._core import _multiarray_umath
-
-    return ctypes.CDLL(_multiarray_umath.__file__)
-
-
 def _openblas(name: str, restype, *argtypes):
-    """The function ``name`` of numpy's OpenBLAS; None if numpy has no
-    ``numpy._core`` or its BLAS no such symbol."""
+    """The function ``name`` of numpy's OpenBLAS, looked up through numpy's
+    core extension, whose symbol lookups search the libraries it links; None
+    if numpy has no ``numpy._core`` or its BLAS no such symbol."""
     try:
-        function = getattr(_numpy_core(), name)
+        from numpy._core import _multiarray_umath
+
+        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
     except (AttributeError, ImportError):
         return None
     function.restype, function.argtypes = restype, list(argtypes)
@@ -296,19 +294,14 @@ def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | N
     # damaged library can crash the loading process, so it is rebuilt.
     if hashlib.sha256(lib[:-32]).digest() == lib[-32:]:
         return _bind(Path(cache, name), *blas)
-    # A live build is killed at BUILD_TIMEOUT, so no live build is this old.
-    for old in cache.glob("skytrack-kernels-*") if cache else ():
-        with contextlib.suppress(OSError):  # another process removed it first
-            if time.time() - old.stat().st_mtime > 2 * BUILD_TIMEOUT:
-                shutil.rmtree(old, ignore_errors=True)
-    with tempfile.TemporaryDirectory(prefix="skytrack-kernels-", dir=cache) as build_dir:
+    with tempfile.TemporaryDirectory(prefix="skytrack-kernels-") as build_dir:
         built = Path(build_dir, "_kernels.so")
         if not _run_compiler([found, opt, *FLAGS, "-o", str(built), str(SOURCE), "-lm"]):
             return None
         lib = built.read_bytes()
-        built.write_bytes(lib + hashlib.sha256(lib).digest())
         lib_file = Path(cache or build_dir, name)
-        os.replace(built, lib_file)  # whole, so no process loads a part
+        with writing(lib_file, "wb") as fh:  # whole, so no process loads a part
+            fh.write(lib + hashlib.sha256(lib).digest())
         return _bind(lib_file, *blas)
 
 

@@ -30,6 +30,8 @@ class Rect:
     ymax: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax))):
+            raise ValueError("non-finite bounds")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("empty bounds")
 
@@ -55,7 +57,8 @@ class Rect:
 
 @dataclass(frozen=True)
 class LandmarkWorld:
-    """Immutable landmark map: positions (N, 2) and unit-norm signatures (N, S)."""
+    """Immutable landmark map: at least one landmark, finite positions (N, 2)
+    and unit-norm signatures (N, S), S >= 1; anything else raises ValueError."""
 
     positions: np.ndarray
     signatures: np.ndarray
@@ -63,10 +66,16 @@ class LandmarkWorld:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.positions.ndim != 2 or self.positions.shape[0] < 1:
-            raise ValueError("world requires at least one landmark")
-        if self.signatures.shape[0] != self.positions.shape[0]:
-            raise ValueError("positions/signatures count mismatch")
+        positions, signatures = self.positions, self.signatures
+        n = len(positions)
+        if n < 1:
+            raise ValueError("no landmarks")
+        if positions.shape != (n, 2) or signatures.ndim != 2 or signatures.shape[0] != n or signatures.shape[1] < 1:
+            raise ValueError(f"positions {positions.shape} and signatures {signatures.shape} do not fit")
+        if not np.isfinite(positions).all():
+            raise ValueError("non-finite position")
+        if not np.all(np.abs(np.linalg.norm(signatures, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("signatures are not unit-norm")
 
     @property
     def signature_dim(self) -> int:
@@ -156,10 +165,9 @@ def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
 
 
 def load_world(file: FilePath | str) -> LandmarkWorld:
-    """Read what save_world wrote. A file that does not hold at least one
-    landmark, finite positions, unit-norm signatures of one width, finite
-    non-empty bounds and an integer seed, all as JSON numbers, raises one
-    ValueError naming the file."""
+    """Read what save_world wrote. A file that does not hold four bounds, an
+    integer seed and a world that ``LandmarkWorld`` and ``Rect`` accept, all
+    as JSON numbers, raises one ValueError naming the file."""
     with reading(file):
         doc = json.loads(FilePath(file).read_text())
         landmarks = doc["landmarks"]
@@ -168,14 +176,4 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
         box = json_floats(doc["bounds"])
         if box.shape != (4,):
             raise ValueError(f"bounds have shape {box.shape}, expected (4,)")
-        seed = json_int(doc, "seed")
-        if not landmarks:
-            raise ValueError("no landmarks")
-        if positions.shape != (len(landmarks), 2) or signatures.ndim != 2 or signatures.shape[1] < 1:
-            raise ValueError(f"positions {positions.shape} and signatures {signatures.shape} do not fit")
-        if not (np.isfinite(positions).all() and np.isfinite(box).all()):
-            raise ValueError("non-finite position or bound")
-        if not np.all(np.abs(np.linalg.norm(signatures, axis=1) - 1.0) <= 1e-9):
-            raise ValueError("signatures are not unit-norm")
-        bounds = Rect(*box.tolist())
-    return LandmarkWorld(positions, signatures, bounds, seed)
+        return LandmarkWorld(positions, signatures, Rect(*box.tolist()), json_int(doc, "seed"))

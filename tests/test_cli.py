@@ -484,6 +484,19 @@ class TestCommands:
             assert cli.main([command, "--config", str(small_config(tmp_path, n_paths=2))]) == 2
             assert f"{tmp_path / 'run' / 'path_01.csv'} missing; run 'gen' first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pipeline", "ablation"])
+    def test_route_cut_at_a_row_boundary_exits_2_before_writing(self, tmp_path, capsys, command):
+        cfg = small_config(tmp_path)
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        route = run / "path_00.csv"
+        route.write_text("".join(route.read_text().splitlines(keepends=True)[:6]))  # the header and 5 of 9 rows
+        (run / "config.resolved.txt").unlink()  # both commands write it first
+        listing = sorted(run.iterdir())
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert f"{route}: 5 waypoints, expected n_waypoints = 9" in capsys.readouterr().err
+        assert sorted(run.iterdir()) == listing
+
     def test_manifest_sample_counts(self, tmp_path):
         cfg = small_config(tmp_path)
         cli.main(["gen", "--config", str(cfg)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,6 +290,21 @@ class TestRenderObservation:
             total = features.sum()
             assert total > prev
             prev = total
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(EDGE_WORLD, positions=np.array([[1.0, 1.0], [math.inf, -1.0], [-1.0, 0.0]])), "non-finite"),
+        (lambda: replace(EDGE_WORLD, signatures=np.full((3, 2), 0.5)), "not unit-norm"),
+        (lambda: Rect(-50, -50, math.inf, 50), "non-finite"),
+    ],
+    ids=["inf-position", "non-unit-signature", "inf-bound"],
+)
+def test_a_world_built_directly_is_checked_as_a_loaded_one(build, message):
+    """A library caller that builds a world gets the checks that load_world makes."""
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestWorldRoundTrip:
