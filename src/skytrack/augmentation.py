@@ -62,11 +62,27 @@ class Samples:
         return Samples(*(np.empty((n, *a.shape[1:]), a.dtype) for a in arrays))
 
 
+def check_statistics(mean: np.ndarray, std: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless ``mean`` and ``std`` hold ``dim`` finite values, every std >= ``STD_FLOOR``."""
+    for key, a in (("feature_mean", mean), ("feature_std", std)):
+        if a.shape != (dim,):
+            raise ValueError(f"{key} has shape {a.shape}, expected ({dim},)")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ValueError("non-finite statistic")
+    if not (std >= STD_FLOOR).all():
+        raise ValueError(f"feature_std below {STD_FLOOR}")
+
+
 @dataclass
 class Dataset:
     samples: Samples
     feature_mean: np.ndarray
     feature_std: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not len(self.samples):
+            raise ValueError("empty dataset")
+        check_statistics(self.feature_mean, self.feature_std, self.samples.features.shape[1])
 
     @property
     def dim(self) -> int:
@@ -204,8 +220,6 @@ def dataset_from_samples(samples: Samples) -> Dataset:
     the running sum. A single column numpy sums pairwise, which blocks cannot
     follow; its temporary is 8 bytes per row."""
     f = samples.features
-    if not len(samples):
-        raise ValueError("empty sample list")
     mean = f.mean(axis=0)
     if f.shape[1] == 1 or not f.flags.c_contiguous:
         std = f.std(axis=0)

@@ -126,9 +126,9 @@ def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: 
     write_text(sidecar_file, json.dumps(sidecar, sort_keys=True))
 
 
-def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Raise ValueError unless the arrays and the sidecar make one dataset;
-    return its feature mean and std."""
+def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> None:
+    """Raise ValueError unless the arrays are the file's five, of their dtypes,
+    with the sidecar's row count and width, and finite features and targets."""
 
     def check(ok: bool, problem: str) -> None:
         if not ok:
@@ -142,27 +142,21 @@ def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> tuple[np.nda
         check(ok, f"{key} has dtype {a.dtype}, not {dtype}")
         shape = (rows, dim) if key == "features" else (rows,)
         check(a.shape == shape, f"{key} has shape {a.shape}, not {shape}")
-    mean, std = json_floats(sidecar["feature_mean"]), json_floats(sidecar["feature_std"])
-    for key, a in (("feature_mean", mean), ("feature_std", std)):
-        check(a.shape == (dim,), f"sidecar {key} has shape {a.shape}, not ({dim},)")
-    check(np.isfinite(mean).all() and np.isfinite(std).all(), "non-finite statistic")
-    check(bool((std >= aug.STD_FLOOR).all()), f"feature_std below {aug.STD_FLOOR}")
     check(np.isfinite(arrays["features"]).all() and np.isfinite(arrays["targets"]).all(), "non-finite values")
-    return mean, std
 
 
 def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug.Dataset:
-    """Read what save_dataset wrote. A file that is unreadable or does not
-    hold one consistent dataset raises one ValueError naming it. The sidecar's
-    statistics must be JSON numbers (not null, a boolean or a string), one per
-    feature, finite, with every std at least ``augmentation.STD_FLOOR``: the
-    floor that every written std meets."""
+    """Read what save_dataset wrote. A file that is unreadable, that
+    ``_check_dataset`` refuses, whose sidecar statistics are not JSON numbers
+    (null, a boolean or a string), or that makes a dataset ``augmentation.Dataset``
+    refuses raises one ValueError naming it."""
     with reading(data_file, f"bad dataset (sidecar {sidecar_file}): "):
         sidecar = json.loads(FilePath(sidecar_file).read_text())
         with np.load(data_file, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
-        mean, std = _check_dataset(arrays, sidecar)
-    return aug.Dataset(aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS}), mean, std)
+        _check_dataset(arrays, sidecar)
+        samples = aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS})
+        return aug.Dataset(samples, json_floats(sidecar["feature_mean"]), json_floats(sidecar["feature_std"]))
 
 
 # ---------------------------------------------------------------------------

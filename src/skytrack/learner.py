@@ -20,13 +20,15 @@ import numpy as np
 
 from . import kernels
 from .artifacts import json_floats, json_int, reading, write_text
-from .augmentation import Dataset, normalize_features, row_blocks
+from .augmentation import Dataset, check_statistics, normalize_features, row_blocks
 from .config import RunConfig
 from .geometry import wrap_angle
 
 
 @dataclass
 class RegressorModel:
+    """Finite weights of dimensions >= 1 that agree, and statistics that ``check_statistics`` accepts."""
+
     projection: np.ndarray  # (F, D), fixed at init, never updated
     w1: np.ndarray  # (H, F)
     b1: np.ndarray  # (H,)
@@ -35,6 +37,20 @@ class RegressorModel:
     feature_mean: np.ndarray  # (D,) raw-feature statistics that predict normalizes by
     feature_std: np.ndarray  # (D,)
     init_seed: int
+
+    def __post_init__(self) -> None:
+        if self.projection.ndim != 2 or self.w1.ndim != 2:
+            raise ValueError(f"projection {self.projection.shape} and w1 {self.w1.shape} must be matrices")
+        (f, d), h = self.projection.shape, self.w1.shape[0]
+        if min(d, f, h) < 1:
+            raise ValueError(f"dimensions (input {d}, projection {f}, hidden {h}) must be >= 1")
+        shapes = {"w1": (h, f), "b1": (h,), "w2": (h,), "b2": ()}
+        for key, shape in shapes.items():
+            if np.shape(getattr(self, key)) != shape:
+                raise ValueError(f"{key} has shape {np.shape(getattr(self, key))}, expected {shape}")
+        if not all(np.isfinite(getattr(self, key)).all() for key in ("projection", *shapes)):
+            raise ValueError("non-finite weight")
+        check_statistics(self.feature_mean, self.feature_std, d)
 
     @property
     def input_dim(self) -> int:
@@ -51,15 +67,13 @@ class AdamState:
 
 
 def _uniform_init(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    bound = math.sqrt(6.0 / max(1, fan_in + fan_out))  # a sum of 0 makes an empty draw, which RegressorModel refuses
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
 def init_model(seed: int, input_dim: int, projection_dim: int, hidden: int) -> RegressorModel:
     """Seeded scaled-uniform init (+/- sqrt(6 / (fan_in + fan_out))); zero biases;
-    identity normalization statistics (mean 0, std 1), which ``train`` overwrites."""
-    if min(input_dim, projection_dim, hidden) < 1:
-        raise ValueError("all dimensions must be >= 1")
+    identity normalization statistics (mean 0, std 1): ``train`` gives its model the dataset's."""
     rng = np.random.default_rng(seed)
     projection = _uniform_init(rng, projection_dim, input_dim)
     w1 = _uniform_init(rng, hidden, projection_dim)
@@ -136,31 +150,28 @@ def project_dataset(dataset: Dataset, projection: np.ndarray) -> np.ndarray:
 def train(
     dataset: Dataset, config: RunConfig, projection_dim: int, hidden: int
 ) -> tuple[RegressorModel, list[float]]:
-    """Mini-batch training over the recipe of ``config``, whose ``seed``
-    seeds both the weight init and the shuffle; returns the trained model
-    (with the dataset's normalization statistics embedded) and the per-epoch
-    mean squared error history. The frozen projection of the normalized
-    features is computed once, in row blocks (``project_dataset``), so
-    training holds the (N, projection_dim) result but no normalized copy of
-    the features. It runs at one BLAS thread, so its bits do not depend on
-    the thread count (see ``kernels.one_blas_thread``)."""
-    if not len(dataset.samples):
-        raise ValueError("empty dataset")
+    """Mini-batch training over the recipe of ``config``, whose ``seed`` seeds
+    both the weight init (``init_model``) and the shuffle; returns the model,
+    built after the last epoch with the dataset's normalization statistics,
+    and the per-epoch mean squared error history. The frozen projection of the
+    normalized features is computed once, in row blocks (``project_dataset``),
+    so training holds the (N, projection_dim) result but no normalized copy of
+    the features. It runs at one BLAS thread, so its bits do not depend on the
+    thread count (see ``kernels.one_blas_thread``)."""
     y = dataset.samples.targets
     n = len(y)
 
-    model = init_model(config.seed, dataset.dim, projection_dim, hidden)
-    model.feature_mean = dataset.feature_mean.copy()
-    model.feature_std = dataset.feature_std.copy()
-    z = project_dataset(dataset, model.projection)  # projection is frozen, so project once
+    init = init_model(config.seed, dataset.dim, projection_dim, hidden)
+    projection = init.projection
+    z = project_dataset(dataset, projection)  # projection is frozen, so project once
 
     # w1, b1, w2 and b2 live in one flat vector, and so do their gradients,
     # so each step makes one finite check and one Adam call. Adam works
     # element by element, so the layout changes no bits. The epoch that
     # kernels.load returns runs each epoch in one call; the shuffle and the
-    # schedule stay here.
-    theta = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
-    model.w1, model.b1, model.w2, _ = kernels.split(theta, hidden, model.w1.shape[1])
+    # schedule stay here. theta holds the only copy of the weights.
+    theta = np.concatenate([init.w1.ravel(), init.b1, init.w2, [init.b2]])
+    del init
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     train_epoch = kernels.load()
     rng = np.random.default_rng(config.seed)
@@ -168,12 +179,13 @@ def train(
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
         sse = train_epoch(z, y, rng.permutation(n), theta, state, hidden, config.batch_size, lr)
-        model.b2 = float(theta[-1])
         epoch_loss = sse / n
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"diverged at epoch {epoch}")
         history.append(epoch_loss)
-    return model, history
+    w1, b1, w2, b2 = kernels.split(theta, hidden, projection_dim)
+    mean, std = dataset.feature_mean.copy(), dataset.feature_std.copy()
+    return RegressorModel(projection, w1, b1, w2, float(b2[0]), mean, std, config.seed), history
 
 
 def save_model(model: RegressorModel, file: FilePath | str) -> None:
@@ -196,23 +208,12 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
 
 
 def load_model(file: FilePath | str) -> RegressorModel:
-    """Read what save_model wrote. A file that does not parse, misses a key, or
-    holds a weight or statistic that is not a JSON number (null too: a model always
-    has statistics), arrays whose dimensions disagree, a non-finite weight or statistic
-    or a seed that is not an integer raises one ValueError naming the file."""
+    """Read what save_model wrote. A file that does not parse or misses a key, a weight
+    or statistic that is not a JSON number (null too), a seed that is not an integer,
+    or a model that ``RegressorModel`` refuses raises one ValueError naming the file."""
     with reading(file):
         doc = json.loads(FilePath(file).read_text())
         keys = ("projection", "w1", "b1", "w2", "b2", "feature_mean", "feature_std")
         arrays = {key: json_floats(doc[key]) for key in keys}
-        init_seed = json_int(doc, "init_seed")
-        projection, w1 = arrays["projection"], arrays["w1"]
-        if projection.ndim != 2 or w1.ndim != 2:
-            raise ValueError(f"projection {projection.shape} and w1 {w1.shape} must be matrices")
-        (f, d), h = projection.shape, w1.shape[0]
-        expected = {"w1": (h, f), "b1": (h,), "w2": (h,), "b2": (), "feature_mean": (d,), "feature_std": (d,)}
-        for key, shape in expected.items():
-            if arrays[key].shape != shape:
-                raise ValueError(f"{key} has shape {arrays[key].shape}, expected {shape}")
-        if not all(np.isfinite(a).all() for a in arrays.values()):
-            raise ValueError("non-finite weight or statistic")
-    return RegressorModel(b2=float(arrays.pop("b2")), init_seed=init_seed, **arrays)
+        arrays["b2"] = arrays["b2"].tolist()  # a float; a list, which RegressorModel refuses, for any other shape
+        return RegressorModel(init_seed=json_int(doc, "init_seed"), **arrays)

@@ -52,13 +52,28 @@ class ModelPolicy:
 
 @dataclass
 class TrajectoryLog:
-    """Record of one rollout, one row per pose."""
+    """Record of one rollout, one row per step. ``__post_init__`` refuses a log without
+    poses, or with a step that breaks a rule, naming that step and its bad value."""
 
     poses: np.ndarray  # (n, 3) x, y, yaw
     commands: np.ndarray  # (n - 1,) the yaw delta that produced each pose after the first
     targets: np.ndarray  # (n,) int64 index of the target waypoint
-    path_id: str
     termination: str
+
+    def __post_init__(self) -> None:
+        if not len(self.poses):
+            raise ValueError("no poses")
+        targets = self.targets.tolist()
+        rows = zip(self.poses.tolist(), [0.0, *self.commands.tolist()], targets, strict=True)  # no command at step 0
+        for step, ((x, y, yaw), command, target) in enumerate(rows):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"step {step}: non-finite position ({x!r}, {y!r})")
+            if not math.isfinite(command):
+                raise ValueError(f"step {step}: non-finite command {command!r}")
+            if not -math.pi < yaw <= math.pi:
+                raise ValueError(f"step {step}: yaw {yaw!r} outside (-pi, pi]")
+            if target < (targets[step - 1] if step else 0):
+                raise ValueError(f"step {step}: target_index {target} is negative or below the step before")
 
 
 def rollout(
@@ -100,7 +115,7 @@ def rollout(
         if not guard.contains(x, y):
             termination = DIVERGED
             break
-    return TrajectoryLog(poses[:n], commands[: n - 1], targets[:n], path.id, termination)
+    return TrajectoryLog(poses[:n], commands[: n - 1], targets[:n], termination)
 
 
 TRAJECTORY_COLUMNS = ["step", "x", "y", "yaw", "command", "target_index"]
@@ -113,20 +128,15 @@ def save_trajectory(log: TrajectoryLog, file: FilePath | str) -> None:
     write_csv(file, TRAJECTORY_COLUMNS, ([i, repr(x), repr(y), repr(yaw), cmd, t] for i, ((x, y, yaw), cmd, t) in rows))
 
 
-def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = "") -> TrajectoryLog:
-    """Read what save_trajectory wrote: the header, then at least one row,
-    ``step`` counting rows from 0, a command on every row but the first,
-    finite values, yaw in (-pi, pi] and target indices that start at 0 or
-    more and never decrease. Anything else raises one ValueError naming the
-    file."""
+def load_trajectory(file: FilePath | str, termination: str = "") -> TrajectoryLog:
+    """Read what save_trajectory wrote: the header, then rows whose ``step`` counts
+    from 0, with a command on every row but the first. Anything else, or a log
+    that ``TrajectoryLog`` refuses, raises one ValueError naming the file."""
     poses: list[tuple[float, float, float]] = []
     commands: list[float] = []
     targets: list[int] = []
     with reading(file):
-        rows = read_csv(file, TRAJECTORY_COLUMNS)
-        if not rows:
-            raise ValueError("no poses")
-        for step, row in enumerate(rows):
+        for step, row in enumerate(read_csv(file, TRAJECTORY_COLUMNS)):
             if len(row) != len(TRAJECTORY_COLUMNS):
                 raise ValueError(f"row {step + 2} has {len(row)} columns, expected {len(TRAJECTORY_COLUMNS)}")
             try:
@@ -134,19 +144,10 @@ def load_trajectory(file: FilePath | str, path_id: str = "", termination: str = 
                     raise ValueError(f"step {row[0]}, expected {step}")
                 if (row[4] == "") != (step == 0):
                     raise ValueError("the command must be empty on the first row and only there")
-                x, y, yaw, command = float(row[1]), float(row[2]), float(row[3]), float(row[4] or 0.0)
-                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(command)):
-                    raise ValueError("non-finite position or command")
-                if not -math.pi < yaw <= math.pi:
-                    raise ValueError(f"yaw {yaw!r} outside (-pi, pi]")
-                poses.append((x, y, yaw))
+                poses.append((float(row[1]), float(row[2]), float(row[3])))
                 if step:
-                    commands.append(command)
-                target = int(row[5])
-                if target < (targets[-1] if step else 0):
-                    raise ValueError(f"target_index {target} is negative or below the row before")
-                targets.append(target)
+                    commands.append(float(row[4]))
+                targets.append(int(row[5]))
             except ValueError as exc:
                 raise ValueError(f"row {step + 2}: {exc}") from exc
-        targets_array = np.array(targets, dtype=np.int64)
-    return TrajectoryLog(np.array(poses), np.array(commands), targets_array, path_id, termination)
+        return TrajectoryLog(np.array(poses), np.array(commands), np.array(targets, dtype=np.int64), termination)

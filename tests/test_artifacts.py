@@ -1,16 +1,20 @@
 """Every artifact is written whole or not at all: a write that fails part-way
-leaves the file it would have replaced as it was, and no temp file."""
+leaves the file it would have replaced as it was, and no temp file. And the
+record a reader returns checks itself, so one built in code is checked too."""
 
 import builtins
 import errno
 import io
+import math
 import os
 from dataclasses import replace
 from pathlib import Path as FilePath
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import make_samples
 from skytrack import augmentation as aug
 from skytrack import cli, learner, metrics, simulator, world
 from skytrack.config import RunConfig
@@ -110,3 +114,34 @@ def test_written_file_has_the_mode_open_gives(tmp_path, scenario):
     os.umask(umask)
     learner.save_model(scenario.model, tmp_path / "model.json")
     assert (tmp_path / "model.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+MODEL = learner.init_model(0, 6, projection_dim=4, hidden=5)
+DATASET = aug.dataset_from_samples(make_samples(np.arange(12.0).reshape(4, 3), np.zeros(4)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(MODEL, w1=np.zeros((5, 3))), r"w1 has shape \(5, 3\), expected \(5, 4\)"),
+        (lambda: replace(MODEL, w2=np.array([0.0, math.nan, 0.0, 0.0, 0.0])), "non-finite weight"),
+        (lambda: replace(MODEL, feature_std=np.zeros(6)), "feature_std below 1e-08"),
+        (lambda: replace(DATASET, feature_std=np.full(3, 1e-9)), "feature_std below 1e-08"),
+        (lambda: replace(DATASET, samples=DATASET.samples[:0]), "empty dataset"),
+        (
+            lambda: simulator.TrajectoryLog(np.array([[0.0, 0.0, 4.0]]), np.empty(0), np.zeros(1, dtype=np.int64), ""),
+            r"step 0: yaw 4.0 outside \(-pi, pi\]",
+        ),
+        (
+            lambda: simulator.TrajectoryLog(np.zeros((2, 3)), np.zeros(1), np.array([1, 0]), ""),
+            "step 1: target_index 0 is negative or below the step before",
+        ),
+    ],
+    ids=["model-w1-shape", "model-nan-weight", "model-zero-std", "dataset-std-below-floor", "dataset-no-rows",
+         "trajectory-yaw-4", "trajectory-falling-target"],
+)
+def test_a_record_built_directly_is_checked_as_a_loaded_one(build, message):
+    """A library caller that builds a model, a dataset or a trajectory gets the
+    checks that its loader makes."""
+    with pytest.raises(ValueError, match=message):
+        build()

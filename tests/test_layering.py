@@ -1,8 +1,13 @@
 """Modules import one way: each module of the package imports only modules
-before it in LAYERS, or the package ``__init__``. And only ``artifacts``
-writes files: every artifact goes through its one atomic writer."""
+before it in LAYERS, or the package ``__init__``. Only ``artifacts`` writes
+files: every artifact goes through its one atomic writer. And every loader
+only parses: the record it returns checks itself."""
 
 import ast
+import importlib
+import inspect
+import sys
+import typing
 from pathlib import Path
 
 import skytrack
@@ -64,13 +69,16 @@ def file_writes(text: str) -> list[tuple[str, int]]:
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+            owner = getattr(f, "value", None)
             # A mode is a literal string argument; one that is not a literal may be a write mode.
+            # Only a method open, as Path.open("w"), takes its mode first; open and io.open take a file.
             modes = node.args[1:] + [k.value for k in node.keywords if k.arg == "mode"]
-            modes += [a for a in node.args[:1] if isinstance(a, ast.Constant)]  # Path.open("w")
+            method_open = name == "open" and isinstance(f, ast.Attribute)
+            if method_open and getattr(owner, "id", "") not in sys.stdlib_module_names:
+                modes += [a for a in node.args[:1] if isinstance(a, ast.Constant)]
             opens = name in ("open", "fdopen") and any(
                 not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
             )
-            owner = getattr(f, "value", None)
             method = isinstance(f, ast.Attribute) and getattr(owner, "id", "") != "artifacts"
             numpy_save = method and name.startswith("save") and getattr(owner, "id", "") == "np"
             if opens or numpy_save or (method and name in ("write_text", "write_bytes")):
@@ -96,6 +104,24 @@ def test_the_write_check_sees_each_kind_of_write():
         'open(f, "w")', "open(f, mode)", 'os.fdopen(fd, "wb")', 'Path(f).open("a")',
         "f.write_text(t)", "f.write_bytes(b)", "np.save(f, a)", "np.savez(f, a=a)",
     ]
-    reads = ["open(f)", 'open(f, "rb")', "artifacts.write_text(f, t)"]
+    reads = ["open(f)", 'open(f, "rb")', "artifacts.write_text(f, t)", 'open("data.txt")', 'io.open("a.txt")']
     snippet = "".join(f"def call_{i}():\n    {call}\n" for i, call in enumerate(writes + reads))
     assert [f for f, _ in file_writes(snippet)] == [f"call_{i}" for i in range(len(writes))]
+
+
+# The records that the package's ``load_*`` functions return.
+LOADED_RECORDS = ["Dataset", "LandmarkWorld", "Path", "RegressorModel", "RunConfig", "TrajectoryLog"]
+
+
+def test_every_loaded_record_checks_itself():
+    """Each ``load_*`` returns a record that defines its own ``__post_init__``,
+    so the rules live in the record and a record built in code is checked too."""
+    records = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"skytrack.{layer}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("load_") and fn.__module__ == module.__name__:
+                records[f"{layer}.{name}"] = typing.get_type_hints(fn)["return"]
+    assert sorted(record.__name__ for record in records.values()) == LOADED_RECORDS
+    for loader, record in records.items():
+        assert "__post_init__" in vars(record), f"{loader} returns {record.__name__}, which does not check itself"

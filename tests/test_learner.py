@@ -81,8 +81,9 @@ class TestInitModel:
             assert np.all(np.abs(w) <= bound)
 
     def test_invalid_dims(self):
-        with pytest.raises(ValueError):
-            init_model(0, 0, 8, 12)
+        for dims in [(0, 8, 12), (0, 0, 12), (6, 4, 0)]:  # (0, 0, ...) draws an empty projection
+            with pytest.raises(ValueError, match="must be >= 1"):
+                init_model(0, *dims)
 
 
 class TestForward:
@@ -350,9 +351,9 @@ class TestTrain:
         np.testing.assert_array_equal(model.feature_std, ds.feature_std)
 
     def test_empty_dataset(self):
-        empty = aug.Dataset(make_samples(np.zeros((1, 4)), [0.0])[:0], np.zeros(4), np.ones(4))
+        """A dataset holds at least one row, so ``train`` never gets an empty one."""
         with pytest.raises(ValueError, match="empty dataset"):
-            train(empty, RunConfig(), projection_dim=8, hidden=16)
+            aug.Dataset(make_samples(np.zeros((1, 4)), [0.0])[:0], np.zeros(4), np.ones(4))
 
     @pytest.mark.parametrize("kernel_set", ["c", "numpy"], indirect=True)
     def test_one_seed_drives_the_init_and_the_shuffle(self, kernel_set):
@@ -441,11 +442,14 @@ class TestModelRoundTrip:
             # a model always carries its statistics
             (lambda doc: doc.update(feature_mean=None), "NoneType"),
             (lambda doc: doc.update(feature_std=None), "NoneType"),
+            # the floor that every std dataset_from_samples writes meets
+            (lambda doc: doc["feature_std"].__setitem__(2, 0.0), "feature_std below 1e-08"),
+            (lambda doc: doc["feature_std"].__setitem__(2, -1.0), "feature_std below 1e-08"),
         ],
         ids=[
             "missing-b2", "null-b2", "inf-b2", "nan-w1", "inf-std", "inf-seed",
             "fractional-seed", "bool-seed", "string-seed", "string-b2", "bool-b2", "string-w2", "bool-w1", "list-b2",
-            "null-mean", "null-std",
+            "null-mean", "null-std", "zero-std", "negative-std",
         ],
     )
     def test_load_rejects_bad_values(self, tmp_path, edit, expected):

@@ -232,7 +232,7 @@ class TestTrajectoryRoundTrip:
         log = rollout(OraclePolicy(), WORLD, p, cfg())
         file = tmp_path / "traj.csv"
         save_trajectory(log, file)
-        loaded = load_trajectory(file, path_id=log.path_id, termination=log.termination)
+        loaded = load_trajectory(file, termination=log.termination)
         # Bit for bit, with the same shapes and dtypes.
         for key in ("poses", "commands", "targets"):
             a, b = getattr(loaded, key), getattr(log, key)
@@ -258,14 +258,14 @@ class TestTrajectoryRoundTrip:
             ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,,1\n", "row 3: the command must be empty on the first row"),
             ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,0.1,1\n7,1.4,2.0,0.5,0.1,1\n", "row 4: step 7, expected 2"),
             ("1,1.0,2.0,0.5,,1\n", "row 2: step 1, expected 0"),
-            ("0,nan,2.0,0.5,,1\n", "row 2: non-finite"),
-            ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,inf,1\n", "row 3: non-finite position or command"),
-            ("0,1.0,2.0,nan,,1\n", "row 2: yaw nan outside"),
-            ("0,1.0,2.0,4.0,,1\n", r"row 2: yaw 4.0 outside \(-pi, pi\]"),
-            ("0,1.0,2.0,-3.141592653589793,,1\n", "row 2: yaw -3.141592653589793 outside"),
+            ("0,nan,2.0,0.5,,1\n", r"step 0: non-finite position \(nan, 2.0\)"),
+            ("0,1.0,2.0,0.5,,1\n1,1.2,2.0,0.5,inf,1\n", "step 1: non-finite command inf"),
+            ("0,1.0,2.0,nan,,1\n", "step 0: yaw nan outside"),
+            ("0,1.0,2.0,4.0,,1\n", r"step 0: yaw 4.0 outside \(-pi, pi\]"),
+            ("0,1.0,2.0,-3.141592653589793,,1\n", "step 0: yaw -3.141592653589793 outside"),
             ("0,1.0,2.0,0.5,,99999999999999999999\n", "too large"),
-            ("0,1.0,2.0,0.5,,-1\n", "row 2: target_index -1 is negative"),
-            ("0,1.0,2.0,0.5,,3\n1,1.2,2.0,0.5,0.1,2\n", "row 3: target_index 2 is negative or below the row"),
+            ("0,1.0,2.0,0.5,,-1\n", "step 0: target_index -1 is negative"),
+            ("0,1.0,2.0,0.5,,3\n1,1.2,2.0,0.5,0.1,2\n", "step 1: target_index 2 is negative or below the step before"),
         ],
     )
     def test_load_rejects_bad_rows(self, tmp_path, body, message):
