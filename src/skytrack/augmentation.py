@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +38,23 @@ _BLOCK_ROWS = 1280
 
 @dataclass(frozen=True)
 class Samples:
-    """Labeled rows as parallel arrays, one entry per row."""
+    """Labeled rows: ``targets[r]`` labels ``features[r]``."""
 
     features: np.ndarray  # (N, D) rendered observations
     targets: np.ndarray  # (N,) yaw-correction labels
-    path_id: np.ndarray  # (N,) str
-    sweep_index: np.ndarray  # (N,) int64
-    step_index: np.ndarray  # (N,) int64
+
+    def __post_init__(self) -> None:
+        if self.features.ndim != 2 or self.targets.shape != self.features.shape[:1]:
+            raise ValueError(f"features {self.features.shape} and targets {self.targets.shape} are not (N, D) and (N,)")
 
     def __len__(self) -> int:
         return int(self.targets.shape[0])
 
     def __getitem__(self, rows: slice) -> "Samples":
-        return Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return Samples(self.features[rows], self.targets[rows])
 
     def __setitem__(self, rows: slice, other: "Samples") -> None:
-        for f in fields(self):
-            getattr(self, f.name)[rows] = getattr(other, f.name)
-
-    def empty_like(self, n: int) -> "Samples":
-        """``n`` uninitialized rows of this sample set's dtypes and widths."""
-        arrays = (getattr(self, f.name) for f in fields(self))
-        return Samples(*(np.empty((n, *a.shape[1:]), a.dtype) for a in arrays))
+        self.features[rows], self.targets[rows] = other.features, other.targets
 
 
 def check_statistics(mean: np.ndarray, std: np.ndarray, dim: int) -> None:
@@ -102,10 +97,10 @@ class Walk:
         return int(self.target.shape[0])
 
 
-def sweep_rng(seed: int, path_id: str, sweep_index: int) -> np.random.Generator:
-    """PCG64 stream keyed on (seed, crc32(path id), sweep index)."""
-    tag = zlib.crc32(path_id.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, sweep_index]))
+def sweep_rng(seed: int, route_id: str, sweep: int) -> np.random.Generator:
+    """PCG64 stream keyed on (seed, crc32(route id), sweep index)."""
+    tag = zlib.crc32(route_id.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([seed, tag, sweep]))
 
 
 def walk_path(path: Path, config: RunConfig) -> Walk:
@@ -114,8 +109,10 @@ def walk_path(path: Path, config: RunConfig) -> Walk:
     labels, never the walk, so every sweep of a path shares this one."""
     wps = path.waypoints.tolist()
     target = advance_target(wps[0], wps, 0, config.capture_radius)
+    if target == len(wps):
+        raise ValueError(f"path {path.id!r}: its start captures its last waypoint, so the walk has no step")
     x, y = wps[0]
-    yaw = bearing(wps[0], wps[target]) if target < len(wps) else 0.0
+    yaw = bearing(wps[0], wps[target])
     max_steps = default_max_steps(path, config.step)
     poses: list[tuple[float, float, float]] = []
     targets: list[int] = []
@@ -129,24 +126,15 @@ def walk_path(path: Path, config: RunConfig) -> Walk:
         yaw = bearing((x, y), wps[target])
         x, y = x + config.step * math.cos(yaw), y + config.step * math.sin(yaw)
         target = advance_target((x, y), wps, target, config.capture_radius)
-    return Walk(path, np.array(poses, dtype=float).reshape(-1, 3), np.array(targets, dtype=np.int64))
+    return Walk(path, np.array(poses, dtype=float), np.array(targets, dtype=np.int64))
 
 
-def _render_sweep(
-    walk: Walk, config: RunConfig, world: LandmarkWorld, sweep_index: int, poses: np.ndarray
-) -> Samples:
+def _render_sweep(walk: Walk, config: RunConfig, world: LandmarkWorld, poses: np.ndarray) -> Samples:
     """Render and label ``poses``, one per step of ``walk``."""
     wps = walk.path.waypoints.tolist()
     # One scalar label per row: np.arctan2 differs from math.atan2 in the last bit on some rows.
     targets = [target_yaw_delta(pose, wps[t]) for pose, t in zip(poses.tolist(), walk.target.tolist())]
-    n = len(walk)
-    return Samples(
-        features=render_observation(world, poses, config),
-        targets=np.array(targets, dtype=float),
-        path_id=np.full(n, walk.path.id),
-        sweep_index=np.full(n, sweep_index, dtype=np.int64),
-        step_index=np.arange(n, dtype=np.int64),
-    )
+    return Samples(render_observation(world, poses, config), np.array(targets, dtype=float))
 
 
 def sweep_optimal(
@@ -155,20 +143,18 @@ def sweep_optimal(
     """Walk the path and render sweep 0, the unperturbed demonstration along
     the optimal shortest directions."""
     walk = walk_path(path, config)
-    return walk, _render_sweep(walk, config, world, 0, walk.poses)
+    return walk, _render_sweep(walk, config, world, walk.poses)
 
 
-def sweep_jittered(
-    walk: Walk, config: RunConfig, world: LandmarkWorld, sweep_index: int
-) -> Samples:
+def sweep_jittered(walk: Walk, config: RunConfig, world: LandmarkWorld, sweep: int) -> Samples:
     """The walk with every pose perturbed; labels are recomputed at the
     perturbed pose so the sweep teaches corrective steering."""
-    rng = sweep_rng(config.seed, walk.path.id, sweep_index)
+    rng = sweep_rng(config.seed, walk.path.id, sweep)
     pj, yj = config.pos_jitter, config.yaw_jitter
     # One draw, filled row by row (dx, dy, dyaw): the doubles of three scalar draws per step.
     poses = walk.poses + rng.uniform([-pj, -pj, -yj], [pj, pj, yj], size=(len(walk), 3))
     poses[:, 2] = [wrap_angle(yaw) for yaw in poses[:, 2].tolist()]
-    return _render_sweep(walk, config, world, sweep_index, poses)
+    return _render_sweep(walk, config, world, poses)
 
 
 def fill_sweeps(
@@ -195,7 +181,8 @@ def build_dataset(
     # Filled sweep by sweep: holding every sweep to concatenate them at the
     # end leaves freed blocks that the heap may keep, so the RSS of a later
     # fork would depend on the seed.
-    samples = first.empty_like(config.n_augmented * len(walk))
+    n = config.n_augmented * len(walk)
+    samples = Samples(np.empty((n, first.features.shape[1])), np.empty(n))
     samples[: len(walk)] = first
     fill_sweeps(walk, config, world, samples, config.n_augmented, range(1, config.n_augmented))
     del first  # its rows are in samples; freed before the statistics' buffer is made

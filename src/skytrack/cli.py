@@ -100,49 +100,46 @@ def load_path(file: FilePath | str) -> Path:
         return Path(points, FilePath(file).stem)
 
 
-# The arrays of a dataset file, in file order, and their dtypes ("str": unicode of any width).
-DATASET_ARRAYS = {
-    "features": "float64", "targets": "float64", "path_id": "str", "sweep_index": "int64", "step_index": "int64"
-}
+# The arrays of a dataset file, in file order, both float64.
+DATASET_ARRAYS = ("features", "targets")
 
 
-def save_dataset(dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: FilePath | str) -> None:
-    """The samples as exact float64 arrays in one uncompressed ``.npz``
-    (``features`` (N, D), ``targets``, ``path_id``, ``sweep_index``,
-    ``step_index``) plus a JSON sidecar with the normalization statistics and
-    the per-sweep RNG stream tags."""
+def save_dataset(
+    dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: FilePath | str, route_id: str, n_sweeps: int
+) -> None:
+    """The samples of ``n_sweeps`` equal sweeps of route ``route_id`` as
+    exact float64 arrays in one uncompressed ``.npz`` (``features`` (N, D)
+    and ``targets`` (N,)) plus a JSON sidecar with the normalization
+    statistics and the per-sweep RNG stream tags: row r is of sweep
+    r // (N / n_sweeps)."""
     samples = dataset.samples
-    sweeps, first = np.unique(samples.sweep_index, return_index=True)
     write_npz(data_file, {key: getattr(samples, key) for key in DATASET_ARRAYS})
     sidecar = {
         "dim": dataset.dim,
         "n_samples": len(samples),
         "feature_mean": dataset.feature_mean.tolist(),
         "feature_std": dataset.feature_std.tolist(),
-        "rng_streams": {
-            str(k): f"crc32({samples.path_id[i]})/{k}" for k, i in zip(sweeps.tolist(), first.tolist())
-        },
+        "rng_streams": {str(k): f"crc32({route_id})/{k}" for k in range(n_sweeps)},
     }
     write_text(sidecar_file, json.dumps(sidecar, sort_keys=True))
 
 
 def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> None:
-    """Raise ValueError unless the arrays are the file's five, of their dtypes,
-    with the sidecar's row count and width, and finite features and targets."""
+    """Raise ValueError unless the arrays are the file's two, float64, with
+    the sidecar's row count and width, and finite."""
 
     def check(ok: bool, problem: str) -> None:
         if not ok:
             raise ValueError(problem)
 
     rows, dim = json_int(sidecar, "n_samples"), json_int(sidecar, "dim")
-    for key, dtype in DATASET_ARRAYS.items():
+    for key in DATASET_ARRAYS:
         check(key in arrays, f"missing array {key!r}")
         a = arrays[key]
-        ok = a.dtype.kind == "U" if dtype == "str" else a.dtype == dtype
-        check(ok, f"{key} has dtype {a.dtype}, not {dtype}")
+        check(a.dtype == np.float64, f"{key} has dtype {a.dtype}, not float64")
         shape = (rows, dim) if key == "features" else (rows,)
         check(a.shape == shape, f"{key} has shape {a.shape}, not {shape}")
-    check(np.isfinite(arrays["features"]).all() and np.isfinite(arrays["targets"]).all(), "non-finite values")
+        check(np.isfinite(a).all(), "non-finite values")
 
 
 def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug.Dataset:
@@ -155,7 +152,7 @@ def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug
         with np.load(data_file, allow_pickle=False) as npz:
             arrays = {key: npz[key] for key in npz.files}
         _check_dataset(arrays, sidecar)
-        samples = aug.Samples(**{key: arrays[key] for key in DATASET_ARRAYS})
+        samples = aug.Samples(*(arrays[key] for key in DATASET_ARRAYS))
         return aug.Dataset(samples, json_floats(sidecar["feature_mean"]), json_floats(sidecar["feature_std"]))
 
 
@@ -183,40 +180,40 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _circle(cx: float, cy: float) -> str:
+    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>'
+
+
+def _write_svg(file: FilePath | str, parts: list[str]) -> None:
+    """``parts``, one element a line, on a white square canvas."""
+    header = f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE:.0f}" height="{_SVG_SIZE:.0f}">'
+    write_text(file, "\n".join([header, '<rect width="100%" height="100%" fill="white"/>', *parts, "</svg>"]))
+
+
 def emit_overlay_svg(route: Path, trajectory: simulator.TrajectoryLog, file: FilePath | str) -> None:
     """Reference waypoints as circle markers over the flown polyline."""
     wps, traj = route.waypoints.tolist(), trajectory.poses[:, :2].tolist()
     tf = _svg_transform(*zip(*wps, *traj))
     pts = " ".join("{},{}".format(*map(_fmt, tf(x, y))) for x, y in traj)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE:.0f}" height="{_SVG_SIZE:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
+    _write_svg(file, [
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.5"/>',
-    ]
-    for x, y in wps:
-        cx, cy = tf(x, y)
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>')
-    parts.append(f'<text x="{_SVG_PAD:.0f}" y="20" font-size="14">{route.id} ({trajectory.termination})</text>')
-    parts.append("</svg>")
-    write_text(file, "\n".join(parts))
+        *(_circle(*tf(x, y)) for x, y in wps),
+        f'<text x="{_SVG_PAD:.0f}" y="20" font-size="14">{route.id} ({trajectory.termination})</text>',
+    ])
 
 
 def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath | str) -> None:
     """Minimal line chart with point markers and value labels."""
     tf = _svg_transform(xs, ys)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE:.0f}" height="{_SVG_SIZE:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{_SVG_PAD:.0f}" y="20" font-size="14">{title}</text>',
-    ]
     pts = " ".join("{},{}".format(*map(_fmt, tf(x, y))) for x, y in zip(xs, ys))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
+    parts = [
+        f'<text x="{_SVG_PAD:.0f}" y="20" font-size="14">{title}</text>',
+        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
+    ]
     for x, y in zip(xs, ys):
         cx, cy = tf(x, y)
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#1f77b4"/>')
-        parts.append(f'<text x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" font-size="11">{x:g}: {y:.6g}</text>')
-    parts.append("</svg>")
-    write_text(file, "\n".join(parts))
+        parts += [_circle(cx, cy), f'<text x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" font-size="11">{x:g}: {y:.6g}</text>']
+    _write_svg(file, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,9 @@ def run_path_pipeline(
     written under out_dir. One model per path; no joint training. Returns
     the report and the number of training samples."""
     dataset = aug.build_dataset(route, config, world)
-    save_dataset(dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json")
+    save_dataset(
+        dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json", route.id, config.n_augmented
+    )
     n_samples = len(dataset.samples)
     model, log, report = _train_fly_score(config, world, route, dataset)
     del dataset  # so the features are freed before save_model builds the model's JSON text
@@ -386,15 +385,15 @@ def _pool(jobs: list[tuple], workers: int) -> list:
     return results
 
 
-def _shared_samples(like: aug.Samples, n: int) -> aug.Samples:
-    """``n`` rows of ``like``'s dtypes and widths over anonymous shared
+def _shared_samples(n: int, dim: int) -> aug.Samples:
+    """``n`` rows of ``dim`` features and their targets over anonymous shared
     memory, so what a forked child writes there reaches this process."""
-    arrays = {}
-    for name, a in vars(like).items():
-        shape = (n, *a.shape[1:])
-        buffer = mmap.mmap(-1, max(1, math.prod(shape) * a.itemsize))  # MAP_SHARED; an mmap cannot be empty
-        arrays[name] = np.frombuffer(buffer, a.dtype, math.prod(shape)).reshape(shape)
-    return aug.Samples(**arrays)
+
+    def shared(*shape: int) -> np.ndarray:
+        buffer = mmap.mmap(-1, max(1, math.prod(shape) * 8))  # MAP_SHARED; an mmap cannot be empty
+        return np.frombuffer(buffer, np.float64, math.prod(shape)).reshape(shape)
+
+    return aug.Samples(shared(n, dim), shared(n))
 
 
 def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[tuple[int, metrics.MetricsReport]]:
@@ -414,7 +413,7 @@ def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[t
     levels, n_train = config.ablation_levels, max(config.ablation_levels)
     walk, first = aug.sweep_optimal(route, config, world)
     n, slots = len(walk), n_train + config.n_test_sweeps
-    samples = _shared_samples(first, slots * n)
+    samples = _shared_samples(slots * n, first.features.shape[1])
     samples[:n] = first
     del first  # its rows are in the buffer now; the forked children need not map a second copy
 

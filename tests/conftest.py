@@ -58,12 +58,5 @@ def kernel_set(request, monkeypatch):
 
 
 def make_samples(features, targets) -> Samples:
-    """Samples of one sweep of path "p" with the given rows."""
-    n = len(targets)
-    return Samples(
-        np.asarray(features, dtype=float).reshape(n, -1),
-        np.asarray(targets, dtype=float),
-        np.full(n, "p"),
-        np.zeros(n, dtype=np.int64),
-        np.arange(n, dtype=np.int64),
-    )
+    """Samples of the given rows, as float64."""
+    return Samples(np.asarray(features, dtype=float).reshape(len(targets), -1), np.asarray(targets, dtype=float))

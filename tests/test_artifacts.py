@@ -50,8 +50,8 @@ def run_command(command, out_dir: FilePath) -> None:
 WRITERS = {
     "config.resolved.txt": lambda s, d: cli.write_resolved_config(CONFIG, d),
     "path.csv": lambda s, d: cli.save_path(s.route, d / "path.csv"),
-    "d.npz": lambda s, d: cli.save_dataset(s.dataset, d / "d.npz", d / "d.json"),
-    "d.json": lambda s, d: cli.save_dataset(s.dataset, d / "d.npz", d / "d.json"),
+    "d.npz": lambda s, d: cli.save_dataset(s.dataset, d / "d.npz", d / "d.json", s.route.id, CONFIG.n_augmented),
+    "d.json": lambda s, d: cli.save_dataset(s.dataset, d / "d.npz", d / "d.json", s.route.id, CONFIG.n_augmented),
     "overlay.svg": lambda s, d: cli.emit_overlay_svg(s.route, s.log, d / "overlay.svg"),
     "line.svg": lambda s, d: cli.emit_line_svg([1, 2], [0.5, 0.25], "t", d / "line.svg"),
     "manifest.json": lambda s, d: run_command(cli.cmd_pipeline, d),
@@ -128,6 +128,8 @@ DATASET = aug.dataset_from_samples(make_samples(np.arange(12.0).reshape(4, 3), n
         (lambda: replace(MODEL, feature_std=np.zeros(6)), "feature_std below 1e-08"),
         (lambda: replace(DATASET, feature_std=np.full(3, 1e-9)), "feature_std below 1e-08"),
         (lambda: replace(DATASET, samples=DATASET.samples[:0]), "empty dataset"),
+        (lambda: aug.Samples(np.zeros((3, 2)), np.zeros(2)), r"features \(3, 2\) and targets \(2,\) are not"),
+        (lambda: aug.Samples(np.zeros(3), np.zeros(3)), r"features \(3,\) and targets \(3,\) are not"),
         (
             lambda: simulator.TrajectoryLog(np.array([[0.0, 0.0, 4.0]]), np.empty(0), np.zeros(1, dtype=np.int64), ""),
             r"step 0: yaw 4.0 outside \(-pi, pi\]",
@@ -138,7 +140,7 @@ DATASET = aug.dataset_from_samples(make_samples(np.arange(12.0).reshape(4, 3), n
         ),
     ],
     ids=["model-w1-shape", "model-nan-weight", "model-zero-std", "dataset-std-below-floor", "dataset-no-rows",
-         "trajectory-yaw-4", "trajectory-falling-target"],
+         "samples-3-rows-2-targets", "samples-1d-features", "trajectory-yaw-4", "trajectory-falling-target"],
 )
 def test_a_record_built_directly_is_checked_as_a_loaded_one(build, message):
     """A library caller that builds a model, a dataset or a trajectory gets the

@@ -1,6 +1,7 @@
 """Training sweeps, jitter, and dataset normalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ class TestSweepOptimal:
         with pytest.raises(RuntimeError, match="unreachable"):
             aug.sweep_optimal(straight_path(5.0), config(), WORLD)
 
+    def test_walk_without_a_step_is_refused_before_any_statistic(self):
+        # The start already captures the last waypoint, so there is no row to render or average.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="path 'short': its start captures its last waypoint"):
+                aug.build_dataset(Path([(0, 0), (0.1, 0)], "short"), config(capture_radius=0.4), WORLD)
+
 
 class TestSweepJittered:
     def test_zero_jitter_equals_optimal(self):
@@ -113,8 +121,6 @@ class TestSweepJittered:
         route = Path([(0, 0), (5, 0), (5, 5)], "L5")
         cfg = config()
         samples = aug.sweep_jittered(aug.walk_path(route, cfg), cfg, WORLD, 7)
-        assert samples.sweep_index.tolist() == [7] * len(samples)
-        assert samples.step_index.tolist() == list(range(len(samples)))
         rng = aug.sweep_rng(cfg.seed, route.id, 7)
         wps = route.waypoints.tolist()
         target = advance_target(wps[0], wps, 0, cfg.capture_radius)
@@ -172,6 +178,18 @@ class TestBuildDataset:
         assert len(ds.samples) == len(base)
         assert ds.samples.targets.tobytes() == base.targets.tobytes()
         assert ds.samples.features.tobytes() == base.features.tobytes()
+
+    def test_rows_are_the_sweeps_in_order(self):
+        # Row r is of sweep r // len(walk), as the sidecar's rng_streams say.
+        route, cfg = Path([(0, 0), (3, 0), (3, 3)], "L"), config(n_augmented=4)
+        ds = aug.build_dataset(route, cfg, WORLD)
+        walk, first = aug.sweep_optimal(route, cfg, WORLD)
+        n = len(walk)
+        assert len(ds.samples) == 4 * n
+        for s, sweep in enumerate([first] + [aug.sweep_jittered(walk, cfg, WORLD, s) for s in range(1, 4)]):
+            rows = ds.samples[s * n : (s + 1) * n]
+            assert rows.features.tobytes() == sweep.features.tobytes(), s
+            assert rows.targets.tobytes() == sweep.targets.tobytes(), s
 
     def test_sample_count_scales_with_sweeps(self):
         route = straight_path(6.0)

@@ -211,14 +211,13 @@ class TestDatasetRoundTrip:
         ds = aug.build_dataset(route, cfg, world)
         data_file = tmp_path / "d"  # no suffix: the file must keep the given name
         sidecar = tmp_path / "d.json"
-        cli.save_dataset(ds, data_file, sidecar)
+        cli.save_dataset(ds, data_file, sidecar, route.id, cfg.n_augmented)
         assert sorted(f.name for f in tmp_path.iterdir()) == ["d", "d.json"]
         with np.load(data_file, allow_pickle=False) as arrays:
+            assert arrays.files == list(cli.DATASET_ARRAYS)
             assert arrays["features"].shape == (len(ds.samples), ds.dim)
             assert arrays["features"].dtype == np.float64
             assert arrays["targets"].dtype == np.float64
-            assert arrays["sweep_index"].dtype == arrays["step_index"].dtype == np.int64
-            assert arrays["path_id"].dtype.kind == "U"
         loaded = cli.load_dataset(data_file, sidecar)
         assert len(loaded.samples) == len(ds.samples)
         # Bit for bit: array_equal would let -0.0 == 0.0 through.
@@ -237,7 +236,7 @@ class TestDatasetRoundTrip:
     @staticmethod
     def _drop_key(data_file, sidecar):
         with np.load(data_file) as npz:
-            arrays = {k: npz[k] for k in npz.files if k != "step_index"}
+            arrays = {k: npz[k] for k in npz.files if k != "targets"}
         with open(data_file, "wb") as fh:
             np.savez(fh, **arrays)
 
@@ -309,7 +308,7 @@ class TestDatasetRoundTrip:
         "corrupt, message",
         [
             ("_truncate", "bad dataset"),
-            ("_drop_key", "missing array 'step_index'"),
+            ("_drop_key", "missing array 'targets'"),
             ("_drop_row", r"targets has shape \(\d+,\), not \(\d+,\)"),
             ("_int_targets", "targets has dtype int64, not float64"),
             ("_nan_feature", "non-finite values"),
@@ -326,7 +325,7 @@ class TestDatasetRoundTrip:
         route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
-        cli.save_dataset(ds, data_file, sidecar)
+        cli.save_dataset(ds, data_file, sidecar, route.id, 2)
         getattr(self, corrupt)(data_file, sidecar)
         with pytest.raises(ValueError, match=message) as info:
             cli.load_dataset(data_file, sidecar)
@@ -347,7 +346,7 @@ class TestDatasetRoundTrip:
         route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
-        cli.save_dataset(ds, data_file, sidecar)
+        cli.save_dataset(ds, data_file, sidecar, route.id, 2)
         doc = json.loads(sidecar.read_text())
         doc["feature_std"][:2] = head
         sidecar.write_text(json.dumps(doc))  # NaN is written as the bare token NaN, which json reads back
@@ -362,7 +361,7 @@ class TestDatasetRoundTrip:
         route = Path([(0, 0), (2, 0)], "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
-        cli.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar)
+        cli.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar, route.id, cfg.n_augmented)
         file = data.draw(st.sampled_from([data_file, sidecar]), label="file")
         raw = bytearray(file.read_bytes())
         if data.draw(st.booleans(), label="truncate"):
@@ -566,11 +565,12 @@ class TestCommands:
         assert [i for i in sweeps_rendered if i < aug.TEST_SWEEP_BASE] == [1, 2]
         assert [i for i in sweeps_rendered if i >= aug.TEST_SWEEP_BASE] == [aug.TEST_SWEEP_BASE, aug.TEST_SWEEP_BASE + 1]
         monkeypatch.undo()
+        n = len(aug.walk_path(routes[0], config))
         trained = {}
         for file in trained_dir.iterdir():
             with open(file, "rb") as fh:
                 dataset = pickle.load(fh)
-            trained[1 + int(dataset.samples.sweep_index.max())] = dataset
+            trained[len(dataset.samples) // n] = dataset
         assert len(list(trained_dir.iterdir())) == len(levels)
         assert sorted(trained) == sorted(levels)
         for k, dataset in trained.items():
@@ -588,9 +588,10 @@ class TestCommands:
         config = load_config(cfg)
         assert cli.main(["gen", "--config", str(cfg)]) == 0
         world, routes = cli._load_scenario(config)
+        n = len(aug.walk_path(routes[0], config))
 
         def train(dataset, *args, **kwargs):
-            k = 1 + int(dataset.samples.sweep_index.max())
+            k = len(dataset.samples) // n
             if k == 2:
                 raise ValueError("no convergence at k=2")
             time.sleep(60)

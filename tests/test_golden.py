@@ -37,7 +37,7 @@ GOLDEN = {
         "ablation.csv": "0d770d3c49e206a4db5c78dfadfe12985a7f5ce78e5f77b70ca3561a361771dd",
         "path_00_norm.json": "3abc529ff8dd643770b42594ff9a36e3aab7a70e7bce7068b1119a76268c9edb",
         "manifest.json": "a3f2a59a23ed5e150e9d8e48d8531e22e4c468268bc09909a203c4d063266029",
-        "path_00_dataset.npz": "f3f74e39a02acea8197c5bd6f04b3048858f64da6237d136393eca397c0e3abc",
+        "path_00_dataset.npz": "709ffcb4c8d4b1d704eabd626816c0bbe044180284677d53580b9d75f159ccc0",
         "path_00_overlay.svg": "9a429ca5514d16bb1f1e1941d601d3cf748bf98ad89421038d59d97d07500eb3",
         "ablation.svg": "00a0aba2d00ea3d1cb4e1dd66ce811c7f6166320858fd72eb42c3a05da075597",
         "world.json": "e82858eca9b24c1ceed50f9d92e4451c0692bbceb8a7ae512b3fd3d795cb7fc8",
@@ -50,7 +50,7 @@ GOLDEN = {
         "ablation.csv": "6f45d0babd60c7eb7845462ecd59c5411e361d2da88190e1848a61f21af3ca4e",
         "path_00_norm.json": "3abc529ff8dd643770b42594ff9a36e3aab7a70e7bce7068b1119a76268c9edb",
         "manifest.json": "50edbe34949ad77545f870871a289ae4cb2866e6812c51ee534749edb8b6f388",
-        "path_00_dataset.npz": "f3f74e39a02acea8197c5bd6f04b3048858f64da6237d136393eca397c0e3abc",
+        "path_00_dataset.npz": "709ffcb4c8d4b1d704eabd626816c0bbe044180284677d53580b9d75f159ccc0",
         "path_00_overlay.svg": "a64e43cd158cab00cabc1b58e0806bfa72a074126d550bf69c88269303564c8d",
         "ablation.svg": "63e2b637b0148658866c693502933fe044b56c95e02153dad022cd9d51b6e555",
         "world.json": "e82858eca9b24c1ceed50f9d92e4451c0692bbceb8a7ae512b3fd3d795cb7fc8",

@@ -120,10 +120,7 @@ def test_non_finite_gradient_changes_nothing(kernel_set):
 
 def train_bytes() -> bytes:
     rng = np.random.default_rng(2)
-    samples = aug.Samples(
-        rng.normal(size=(150, 12)), rng.normal(size=150), np.full(150, "p"),
-        np.zeros(150, dtype=np.int64), np.arange(150, dtype=np.int64),
-    )
+    samples = aug.Samples(rng.normal(size=(150, 12)), rng.normal(size=150))
     config = RunConfig(seed=1, lr0=1e-3, batch_size=64, epochs=3, lr_halving_period=2)
     model, history = learner.train(aug.dataset_from_samples(samples), config, projection_dim=16, hidden=24)
     return b"".join(a.tobytes() for a in (model.w1, model.b1, model.w2, np.array([model.b2, *history])))

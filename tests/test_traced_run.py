@@ -33,3 +33,6 @@ def test_traced_command_runs(tmp_path, command):
     metrics = json.loads(summary.read_text())["metrics"]
     if command == "pipeline":  # the ablation trains in forked workers, which the tracer does not follow
         assert metrics["learner.train_s"] > 0
+        # The tracer counts rows as len() of what sweep_optimal and sweep_jittered return.
+        (record,) = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert metrics["augmentation.samples"] == record["n_samples"]
