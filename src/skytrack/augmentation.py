@@ -9,16 +9,21 @@ the model learns to recover from drift.
 
 Every sweep's RNG stream is derived from (seed, path id, sweep index) via a
 numpy SeedSequence feeding PCG64, so datasets are reproducible sweep by sweep.
+A dataset file holds the sweeps' rows in this layout, with a sidecar of the
+statistics and the sweeps' RNG stream tags (``save_dataset``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import zlib
 from dataclasses import dataclass
+from pathlib import Path as FilePath
 
 import numpy as np
 
+from .artifacts import json_floats, json_int, reading, write_npz, write_text
 from .config import RunConfig
 from .geometry import Path, advance_target, bearing, default_max_steps, target_yaw_delta, wrap_angle
 from .world import LandmarkWorld, render_observation
@@ -232,3 +237,52 @@ def normalize_features(
         )
     x = np.subtract(features, mean, out=out)
     return np.divide(x, std, out=x)
+
+
+# The arrays of a dataset file, in file order, both float64.
+DATASET_ARRAYS = ("features", "targets")
+
+
+def save_dataset(
+    dataset: Dataset, data_file: FilePath | str, sidecar_file: FilePath | str, route_id: str, n_sweeps: int
+) -> None:
+    """The samples of ``n_sweeps`` equal sweeps of route ``route_id`` as
+    exact float64 arrays in one uncompressed ``.npz`` (``features`` (N, D)
+    and ``targets`` (N,)) plus a JSON sidecar with the normalization
+    statistics and the per-sweep RNG stream tags: row r is of sweep
+    r // (N / n_sweeps)."""
+    samples = dataset.samples
+    write_npz(data_file, {key: getattr(samples, key) for key in DATASET_ARRAYS})
+    sidecar = {
+        "dim": dataset.dim,
+        "n_samples": len(samples),
+        "feature_mean": dataset.feature_mean.tolist(),
+        "feature_std": dataset.feature_std.tolist(),
+        "rng_streams": {str(k): f"crc32({route_id})/{k}" for k in range(n_sweeps)},
+    }
+    write_text(sidecar_file, json.dumps(sidecar, sort_keys=True))
+
+
+def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> Dataset:
+    """Read what save_dataset wrote. A file that is unreadable, whose arrays
+    are not the file's two, float64, finite and of the sidecar's row count
+    and width, whose sidecar statistics are not JSON numbers (null, a boolean
+    or a string), or that makes a dataset ``Dataset`` refuses raises one
+    ValueError naming it."""
+    with reading(data_file, f"bad dataset (sidecar {sidecar_file}): "):
+        sidecar = json.loads(FilePath(sidecar_file).read_text())
+        with np.load(data_file, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        rows, dim = json_int(sidecar, "n_samples"), json_int(sidecar, "dim")
+        for key, shape in zip(DATASET_ARRAYS, [(rows, dim), (rows,)]):
+            if key not in arrays:
+                raise ValueError(f"missing array {key!r}")
+            a = arrays[key]
+            if a.dtype != np.float64:
+                raise ValueError(f"{key} has dtype {a.dtype}, not float64")
+            if a.shape != shape:
+                raise ValueError(f"{key} has shape {a.shape}, not {shape}")
+            if not np.isfinite(a).all():
+                raise ValueError("non-finite values")
+        samples = Samples(*(arrays[key] for key in DATASET_ARRAYS))
+        return Dataset(samples, json_floats(sidecar["feature_mean"]), json_floats(sidecar["feature_std"]))

@@ -1,4 +1,6 @@
-"""Batch pipeline driver, with the route and dataset formats and the plots.
+"""Batch pipeline driver: the commands, the fork pool and the plots. Each
+file format lives beside the record it builds (``geometry.save_path``,
+``augmentation.save_dataset``, ``world.save_world`` and so on).
 
 Commands:
   gen       synthesize a landmark world and waypoint paths from a config
@@ -6,9 +8,12 @@ Commands:
   ablation  sweep the number of training augmentations and report held-out
             angle MSE plus closed-loop metrics
 
-Config files are flat ``key = value`` text; unknown keys are rejected and a
-fully resolved copy is written next to every run's outputs. Exit codes:
-0 success, 1 config error, 2 pipeline stage failure.
+Config files are flat ``key = value`` text; unknown keys are rejected. Each
+command writes its fully resolved copy next to its outputs, as
+``<command>.resolved.txt`` (``gen``'s is ``config.resolved.txt``), and
+``pipeline`` and ``ablation`` first check that the world and routes on disk
+are the ones their config makes. Exit codes: 0 success, 1 config error,
+2 pipeline stage failure.
 """
 
 from __future__ import annotations
@@ -22,138 +27,21 @@ import pickle
 import select
 import signal
 import sys
-import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path as FilePath
 
 import numpy as np
 
 from . import kernels, learner, metrics, simulator
 from . import augmentation as aug
-from .artifacts import json_floats, json_int, read_csv, reading, write_csv, write_npz, write_text
-from .config import ConfigError, RunConfig, load_config
-from .geometry import Path, path_length, sum_angle_change, wrap_angle
-from .world import LandmarkWorld, Rect, generate_world, load_world, save_world
+from .artifacts import write_csv, write_text
+from .augmentation import save_dataset
+from .config import ConfigError, RunConfig, format_config, load_config
+from .geometry import Path, generate_route, load_path, path_length, save_path, sum_angle_change
+from .world import LandmarkWorld, generate_world, load_world, routes_bounding_box, save_world
 
-def write_resolved_config(config: RunConfig, out_dir: FilePath) -> None:
-    lines = []
-    for key, value in vars(config).items():
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    write_text(out_dir / "config.resolved.txt", "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# path synthesis
-
-def generate_route(config: RunConfig, path_id: str) -> Path:
-    """Seeded random walk with a turn budget, all read from ``config``.
-
-    Interior turns all have magnitude sac_budget / (n_waypoints - 2) with
-    random signs, so the realized sum of angle change equals the budget
-    exactly (``RunConfig`` keeps each turn below pi).
-    """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, zlib.crc32(path_id.encode("utf-8"))])
-    )
-    n_segments = config.n_waypoints - 1
-    turn = 0.0 if config.n_waypoints < 3 else config.sac_budget / (config.n_waypoints - 2)
-    seg = config.path_length / n_segments
-    heading = float(rng.uniform(-math.pi, math.pi))
-    x, y = 0.0, 0.0
-    points = [(x, y)]
-    for i in range(n_segments):
-        if i > 0:
-            heading = wrap_angle(heading + turn * (1.0 if rng.random() < 0.5 else -1.0))
-        x += seg * math.cos(heading)
-        y += seg * math.sin(heading)
-        points.append((x, y))
-    return Path(points, path_id)
-
-
-def routes_bounding_box(paths: list[Path], margin: float) -> Rect:
-    w = np.concatenate([route.waypoints for route in paths])
-    (xmin, ymin), (xmax, ymax) = w.min(axis=0).tolist(), w.max(axis=0).tolist()
-    return Rect(xmin - margin, ymin - margin, xmax + margin, ymax + margin)
-
-
-# ---------------------------------------------------------------------------
-# file round-trip helpers
-
-def save_path(route: Path, file: FilePath | str) -> None:
-    write_csv(file, ["x", "y"], ([repr(x), repr(y)] for x, y in route.waypoints.tolist()))
-
-
-def load_path(file: FilePath | str) -> Path:
-    """Read what save_path wrote, as the path named by the file's stem. A
-    file that does not hold at least two finite waypoints, no two equal in
-    a row, raises one ValueError naming it."""
-    points: list[tuple[float, float]] = []
-    with reading(file):
-        for lineno, row in enumerate(read_csv(file, ["x", "y"]), start=2):
-            try:
-                x, y = map(float, row)
-            except ValueError as exc:  # a count other than 2 too
-                raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
-            points.append((x, y))
-        return Path(points, FilePath(file).stem)
-
-
-# The arrays of a dataset file, in file order, both float64.
-DATASET_ARRAYS = ("features", "targets")
-
-
-def save_dataset(
-    dataset: aug.Dataset, data_file: FilePath | str, sidecar_file: FilePath | str, route_id: str, n_sweeps: int
-) -> None:
-    """The samples of ``n_sweeps`` equal sweeps of route ``route_id`` as
-    exact float64 arrays in one uncompressed ``.npz`` (``features`` (N, D)
-    and ``targets`` (N,)) plus a JSON sidecar with the normalization
-    statistics and the per-sweep RNG stream tags: row r is of sweep
-    r // (N / n_sweeps)."""
-    samples = dataset.samples
-    write_npz(data_file, {key: getattr(samples, key) for key in DATASET_ARRAYS})
-    sidecar = {
-        "dim": dataset.dim,
-        "n_samples": len(samples),
-        "feature_mean": dataset.feature_mean.tolist(),
-        "feature_std": dataset.feature_std.tolist(),
-        "rng_streams": {str(k): f"crc32({route_id})/{k}" for k in range(n_sweeps)},
-    }
-    write_text(sidecar_file, json.dumps(sidecar, sort_keys=True))
-
-
-def _check_dataset(arrays: dict[str, np.ndarray], sidecar: dict) -> None:
-    """Raise ValueError unless the arrays are the file's two, float64, with
-    the sidecar's row count and width, and finite."""
-
-    def check(ok: bool, problem: str) -> None:
-        if not ok:
-            raise ValueError(problem)
-
-    rows, dim = json_int(sidecar, "n_samples"), json_int(sidecar, "dim")
-    for key in DATASET_ARRAYS:
-        check(key in arrays, f"missing array {key!r}")
-        a = arrays[key]
-        check(a.dtype == np.float64, f"{key} has dtype {a.dtype}, not float64")
-        shape = (rows, dim) if key == "features" else (rows,)
-        check(a.shape == shape, f"{key} has shape {a.shape}, not {shape}")
-        check(np.isfinite(a).all(), "non-finite values")
-
-
-def load_dataset(data_file: FilePath | str, sidecar_file: FilePath | str) -> aug.Dataset:
-    """Read what save_dataset wrote. A file that is unreadable, that
-    ``_check_dataset`` refuses, whose sidecar statistics are not JSON numbers
-    (null, a boolean or a string), or that makes a dataset ``augmentation.Dataset``
-    refuses raises one ValueError naming it."""
-    with reading(data_file, f"bad dataset (sidecar {sidecar_file}): "):
-        sidecar = json.loads(FilePath(sidecar_file).read_text())
-        with np.load(data_file, allow_pickle=False) as npz:
-            arrays = {key: npz[key] for key in npz.files}
-        _check_dataset(arrays, sidecar)
-        samples = aug.Samples(*(arrays[key] for key in DATASET_ARRAYS))
-        return aug.Dataset(samples, json_floats(sidecar["feature_mean"]), json_floats(sidecar["feature_std"]))
+def write_resolved_config(config: RunConfig, file: FilePath) -> None:
+    write_text(file, format_config(config))
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +107,16 @@ def emit_line_svg(xs: list[float], ys: list[float], title: str, file: FilePath |
 # ---------------------------------------------------------------------------
 # commands
 
+def scenario(config: RunConfig) -> tuple[LandmarkWorld, list[Path]]:
+    """The world and the routes path_00 .. path_{n_paths-1} that ``config`` makes."""
+    routes = [generate_route(config, f"path_{i:02d}") for i in range(config.n_paths)]
+    return generate_world(config, routes_bounding_box(routes, config.world_margin)), routes
+
+
 def cmd_gen(config: RunConfig) -> int:
     out_dir = FilePath(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    routes = [generate_route(config, f"path_{i:02d}") for i in range(config.n_paths)]
-    bounds = routes_bounding_box(routes, config.world_margin)
-    world = generate_world(config, bounds)
+    world, routes = scenario(config)
     save_world(world, out_dir / "world.json")
     for route in routes:
         save_path(route, out_dir / f"{route.id}.csv")
@@ -232,21 +124,29 @@ def cmd_gen(config: RunConfig) -> int:
             f"{route.id}: length={path_length(route):.2f} m, "
             f"sac={sum_angle_change(route):.3f} rad"
         )
-    write_resolved_config(config, out_dir)
+    write_resolved_config(config, out_dir / "config.resolved.txt")
     return 0
 
 
 def _load_scenario(config: RunConfig) -> tuple[LandmarkWorld, list[Path]]:
-    """The world and the routes path_00 .. path_{n_paths-1} that 'gen' wrote."""
+    """The world and the routes that 'gen' wrote, which must be the ones
+    ``scenario(config)`` makes: a file that differs raises ValueError naming
+    it and its first field that differs, or its waypoint count when that
+    differs (a route file cut at a row boundary still parses)."""
     out_dir = FilePath(config.out_dir)
     files = [out_dir / "world.json"] + [out_dir / f"path_{i:02d}.csv" for i in range(config.n_paths)]
     for file in files:
         if not file.exists():
             raise FileNotFoundError(f"{file} missing; run 'gen' first")
     world, routes = load_world(files[0]), [load_path(f) for f in files[1:]]
-    for file, route in zip(files[1:], routes):  # a file cut at a row boundary still parses
-        if len(route.waypoints) != config.n_waypoints:
-            raise ValueError(f"{file}: {len(route.waypoints)} waypoints, expected n_waypoints = {config.n_waypoints}")
+    made_world, made_routes = scenario(config)
+    for file, loaded, made in zip(files, [world, *routes], [made_world, *made_routes]):
+        for key in (f.name for f in fields(made)):
+            a, b = getattr(loaded, key), getattr(made, key)
+            if key == "waypoints" and len(a) != len(b):
+                raise ValueError(f"{file}: {len(a)} waypoints, expected n_waypoints = {config.n_waypoints}")
+            if not (np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b):
+                raise ValueError(f"{file}: {key!r} differs from what this config makes; run 'gen' with it first")
     return world, routes
 
 
@@ -288,7 +188,7 @@ def run_path_pipeline(
 def cmd_pipeline(config: RunConfig) -> int:
     world, routes = _load_scenario(config)
     out_dir = FilePath(config.out_dir)
-    write_resolved_config(config, out_dir)
+    write_resolved_config(config, out_dir / "pipeline.resolved.txt")
     manifest = []
     failed = False
     for route in routes:
@@ -437,7 +337,7 @@ def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[t
 def cmd_ablation(config: RunConfig) -> int:
     world, routes = _load_scenario(config)
     out_dir = FilePath(config.out_dir)
-    write_resolved_config(config, out_dir)
+    write_resolved_config(config, out_dir / "ablation.resolved.txt")
     route = routes[0]
     rows = run_ablation(config, world, route)
     table = ((k, r.angle_mse, r.mctd, r.termination) for k, r in rows)

@@ -80,10 +80,11 @@ class RunConfig:
         check("step", 0 < self.step <= self.capture_radius, "must be in (0, capture_radius]")
         levels = self.ablation_levels
         check("ablation_levels", bool(levels) and min(levels) >= 1, "must list one or more levels, each >= 1")
-        # Empty text would be the current directory. config.resolved.txt must
-        # read back as written: it is UTF-8 text (which cannot hold a lone
-        # surrogate, as os.fsdecode makes of a byte that is not UTF-8), '#'
-        # starts a comment, a line break ends the line and the value is stripped.
+        # Empty text would be the current directory. Each command's resolved
+        # config (``format_config``) must read back as written: it is UTF-8 text
+        # (which cannot hold a lone surrogate, as os.fsdecode makes of a byte
+        # that is not UTF-8), '#' starts a comment, a line break ends the line
+        # and the value is stripped.
         out_dir = self.out_dir
         ok = out_dir != "" and out_dir.encode("utf-8", "replace").decode("utf-8") == out_dir
         ok = ok and "#" not in out_dir and len(out_dir.splitlines()) <= 1 and out_dir == out_dir.strip()
@@ -111,6 +112,12 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(**values)
+
+
+def format_config(config: RunConfig) -> str:
+    """Every key of ``config`` in order as one ``key = value`` line, which ``parse_config`` reads back."""
+    values = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in vars(config).items()}
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def load_config(file: Path | str) -> RunConfig:

@@ -1,4 +1,5 @@
-"""Planar geometry: wrapped angles, bearings, waypoint paths, and path statistics.
+"""Planar geometry: wrapped angles, bearings, waypoint paths and their
+statistics, the seeded route a config makes, and the route file format.
 
 Convention: angles are radians in the half-open interval (-pi, pi],
 counterclockwise positive, 0 along the +x axis. All distances are meters.
@@ -7,9 +8,14 @@ counterclockwise positive, 0 along the +x axis. All distances are meters.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
+from pathlib import Path as FilePath
 
 import numpy as np
+
+from .artifacts import read_csv, reading, write_csv
+from .config import RunConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,3 +120,47 @@ def advance_target(position, waypoints, current_index: int, capture_radius: floa
 def default_max_steps(path: Path, step: float) -> int:
     """Step budget of one walk along a path: three times its length."""
     return math.ceil(3.0 * path_length(path) / step)
+
+
+def generate_route(config: RunConfig, path_id: str) -> Path:
+    """Seeded random walk with a turn budget, all read from ``config``.
+
+    Interior turns all have magnitude sac_budget / (n_waypoints - 2) with
+    random signs, so the realized sum of angle change equals the budget
+    exactly (``RunConfig`` keeps each turn below pi).
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, zlib.crc32(path_id.encode("utf-8"))])
+    )
+    n_segments = config.n_waypoints - 1
+    turn = 0.0 if config.n_waypoints < 3 else config.sac_budget / (config.n_waypoints - 2)
+    seg = config.path_length / n_segments
+    heading = float(rng.uniform(-math.pi, math.pi))
+    x, y = 0.0, 0.0
+    points = [(x, y)]
+    for i in range(n_segments):
+        if i > 0:
+            heading = wrap_angle(heading + turn * (1.0 if rng.random() < 0.5 else -1.0))
+        x += seg * math.cos(heading)
+        y += seg * math.sin(heading)
+        points.append((x, y))
+    return Path(points, path_id)
+
+
+def save_path(route: Path, file: FilePath | str) -> None:
+    write_csv(file, ["x", "y"], ([repr(x), repr(y)] for x, y in route.waypoints.tolist()))
+
+
+def load_path(file: FilePath | str) -> Path:
+    """Read what save_path wrote, as the path named by the file's stem. A
+    file that does not hold at least two finite waypoints, no two equal in
+    a row, raises one ValueError naming it."""
+    points: list[tuple[float, float]] = []
+    with reading(file):
+        for lineno, row in enumerate(read_csv(file, ["x", "y"]), start=2):
+            try:
+                x, y = map(float, row)
+            except ValueError as exc:  # a count other than 2 too
+                raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
+            points.append((x, y))
+        return Path(points, FilePath(file).stem)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .artifacts import json_floats, json_int, reading, write_text
 from .config import RunConfig
+from .geometry import Path
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,12 @@ class Rect:
 
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
+
+
+def routes_bounding_box(paths: list[Path], margin: float) -> Rect:
+    w = np.concatenate([route.waypoints for route in paths])
+    (xmin, ymin), (xmax, ymax) = w.min(axis=0).tolist(), w.max(axis=0).tolist()
+    return Rect(xmin - margin, ymin - margin, xmax + margin, ymax + margin)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from skytrack import cli, kernels, learner
 from skytrack.config import RunConfig
 from skytrack.geometry import (
     Path,
+    generate_route,
     path_length,
     point_segment_distance,
     sum_angle_change,
@@ -42,7 +43,7 @@ from skytrack.geometry import (
 )
 from skytrack.metrics import evaluate, mean_cross_track_distance, mean_waypoint_min_distance
 from skytrack.simulator import COMPLETED, OraclePolicy, rollout
-from skytrack.world import generate_world
+from skytrack.world import generate_world, routes_bounding_box
 
 ABLATION_LEVELS = [1, 4, 8, 16]
 SEEDS = (0, 1, 2)
@@ -63,8 +64,8 @@ def ablation_study():
     lengths = {}
     for seed in SEEDS:
         config = RunConfig(seed=seed, ablation_levels=tuple(ABLATION_LEVELS))
-        route = cli.generate_route(config, "path_00")
-        world = generate_world(config, cli.routes_bounding_box([route], config.world_margin))
+        route = generate_route(config, "path_00")
+        world = generate_world(config, routes_bounding_box([route], config.world_margin))
         per_seed[seed] = cli.run_ablation(config, world, route)
         lengths[seed] = path_length(route)
     return per_seed, lengths, time.monotonic() - start
@@ -113,8 +114,8 @@ def test_criterion_3_oracle_tracking(capsys):
     worst_mctd, worst_mwmd = 0.0, 0.0
     for i in range(20):
         route_config = RunConfig(seed=100 + i, n_waypoints=21, path_length=40.0, sac_budget=2.0)
-        route = cli.generate_route(route_config, f"oracle_{i:02d}")
-        world = generate_world(RunConfig(seed=i, n_landmarks=40, signature_dim=4), cli.routes_bounding_box([route], 5.0))
+        route = generate_route(route_config, f"oracle_{i:02d}")
+        world = generate_world(RunConfig(seed=i, n_landmarks=40, signature_dim=4), routes_bounding_box([route], 5.0))
         log = rollout(OraclePolicy(), world, route, cfg)
         rep = evaluate(route, log)
         assert rep.termination == COMPLETED
@@ -294,7 +295,7 @@ def test_criterion_8_property_suite(capsys):
 
     # step/heading invariants of the closed-loop walk
     route = Path([(0, 0), (5, 0), (5, 5)], "L")
-    world = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), cli.routes_bounding_box([route], 5.0))
+    world = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), routes_bounding_box([route], 5.0))
     log = rollout(OraclePolicy(), world, route, cfg)
     assert log.termination == COMPLETED
     for (ax, ay, _), (bx, by, b_yaw) in zip(log.poses.tolist(), log.poses[1:].tolist()):

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_samples
 from skytrack import augmentation as aug
-from skytrack import cli, learner, metrics, simulator, world
+from skytrack import cli, geometry, learner, metrics, simulator, world
 from skytrack.config import RunConfig
 from skytrack.geometry import Path
 
@@ -31,7 +31,7 @@ CONFIG = RunConfig(
 def scenario():
     """A world, a route, and the dataset, model, flight and report of that route."""
     route = Path([(0.0, 0.0), (6.0, 0.0)], "p")
-    landmarks = world.generate_world(CONFIG, cli.routes_bounding_box([route], 10.0))
+    landmarks = world.generate_world(CONFIG, world.routes_bounding_box([route], 10.0))
     dataset = aug.build_dataset(route, CONFIG, landmarks)
     model, _ = learner.train(dataset, CONFIG, projection_dim=CONFIG.projection_dim, hidden=CONFIG.hidden_units)
     log = simulator.rollout(simulator.OraclePolicy(), landmarks, route, CONFIG)
@@ -48,10 +48,10 @@ def run_command(command, out_dir: FilePath) -> None:
 
 # (file that fails, how to write it into a directory from the scenario), one per writer.
 WRITERS = {
-    "config.resolved.txt": lambda s, d: cli.write_resolved_config(CONFIG, d),
-    "path.csv": lambda s, d: cli.save_path(s.route, d / "path.csv"),
-    "d.npz": lambda s, d: cli.save_dataset(s.dataset, d / "d.npz", d / "d.json", s.route.id, CONFIG.n_augmented),
-    "d.json": lambda s, d: cli.save_dataset(s.dataset, d / "d.npz", d / "d.json", s.route.id, CONFIG.n_augmented),
+    "config.resolved.txt": lambda s, d: cli.write_resolved_config(CONFIG, d / "config.resolved.txt"),
+    "path.csv": lambda s, d: geometry.save_path(s.route, d / "path.csv"),
+    "d.npz": lambda s, d: aug.save_dataset(s.dataset, d / "d.npz", d / "d.json", s.route.id, CONFIG.n_augmented),
+    "d.json": lambda s, d: aug.save_dataset(s.dataset, d / "d.npz", d / "d.json", s.route.id, CONFIG.n_augmented),
     "overlay.svg": lambda s, d: cli.emit_overlay_svg(s.route, s.log, d / "overlay.svg"),
     "line.svg": lambda s, d: cli.emit_line_svg([1, 2], [0.5, 0.25], "t", d / "line.svg"),
     "manifest.json": lambda s, d: run_command(cli.cmd_pipeline, d),

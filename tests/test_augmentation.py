@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
-from skytrack.cli import generate_route
 from skytrack.config import RunConfig
-from skytrack.geometry import Path, advance_target, bearing, target_yaw_delta, wrap_angle
+from skytrack.geometry import Path, advance_target, bearing, generate_route, target_yaw_delta, wrap_angle
 from skytrack.world import Rect, generate_world
 
 WORLD = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))

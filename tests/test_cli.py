@@ -24,9 +24,9 @@ import skytrack
 from conftest import children
 from skytrack import augmentation as aug
 from skytrack import cli, kernels, learner, metrics
-from skytrack.config import ConfigError, RunConfig, load_config, parse_config
-from skytrack.geometry import Path, path_length, sum_angle_change
-from skytrack.world import generate_world, Rect
+from skytrack.config import ConfigError, RunConfig, format_config, load_config, parse_config
+from skytrack.geometry import Path, generate_route, load_path, path_length, save_path, sum_angle_change
+from skytrack.world import Rect, generate_world, routes_bounding_box
 
 SRC = str(FilePath(skytrack.__file__).resolve().parent.parent)
 # How long an ablation child may outlive its SIGKILLed parent: a render job
@@ -80,11 +80,9 @@ class TestParseConfig:
         config = parse_config("ablation_levels = 1,2,4\n")
         assert config.ablation_levels == (1, 2, 4)
 
-    def test_resolved_copy_reparses_identically(self, tmp_path):
+    def test_resolved_copy_reparses_identically(self):
         config = parse_config("seed = 3\nfov_deg = 45.0\n")
-        cli.write_resolved_config(config, tmp_path)
-        text = (tmp_path / "config.resolved.txt").read_text()
-        assert parse_config(text) == config
+        assert parse_config(format_config(config)) == config
 
     def test_resolved_config_bytes(self, tmp_path):
         # Every key in order, floats in Python's shortest repr, the levels as
@@ -124,22 +122,22 @@ class TestParseConfig:
 
 class TestGenerateRoute:
     def test_deterministic(self):
-        a = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
-        b = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
+        a = generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
+        b = generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
         assert np.array_equal(a.waypoints, b.waypoints)
 
     def test_id_sensitivity(self):
-        a = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
-        b = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "q")
+        a = generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "p")
+        b = generate_route(RunConfig(seed=0, n_waypoints=10, path_length=50.0, sac_budget=2.0), "q")
         assert not np.array_equal(a.waypoints, b.waypoints)
 
     def test_exact_length_and_sac(self):
-        route = cli.generate_route(RunConfig(seed=4, n_waypoints=61, path_length=150.0, sac_budget=5.0), "p")
+        route = generate_route(RunConfig(seed=4, n_waypoints=61, path_length=150.0, sac_budget=5.0), "p")
         assert path_length(route) == pytest.approx(150.0)
         assert sum_angle_change(route) == pytest.approx(5.0)
 
     def test_zero_budget_is_straight(self):
-        route = cli.generate_route(RunConfig(seed=1, n_waypoints=8, path_length=20.0, sac_budget=0.0), "p")
+        route = generate_route(RunConfig(seed=1, n_waypoints=8, path_length=20.0, sac_budget=0.0), "p")
         assert sum_angle_change(route) == pytest.approx(0.0)
 
     def test_budget_too_large(self):
@@ -149,10 +147,10 @@ class TestGenerateRoute:
 
 class TestPathRoundTrip:
     def test_save_load_exact(self, tmp_path):
-        route = cli.generate_route(RunConfig(seed=7, n_waypoints=12, path_length=40.0, sac_budget=1.5), "p")
+        route = generate_route(RunConfig(seed=7, n_waypoints=12, path_length=40.0, sac_budget=1.5), "p")
         file = tmp_path / "p.csv"
-        cli.save_path(route, file)
-        loaded = cli.load_path(file)
+        save_path(route, file)
+        loaded = load_path(file)
         assert loaded.id == "p"  # the file's stem
         # Bit for bit: array_equal would let -0.0 == 0.0 through.
         assert loaded.waypoints.dtype == np.float64 and loaded.waypoints.tobytes() == route.waypoints.tobytes()
@@ -161,33 +159,33 @@ class TestPathRoundTrip:
         file = tmp_path / "one.csv"
         file.write_text("x,y\n1.0,2.0\n")
         with pytest.raises(ValueError, match="length >= 2"):
-            cli.load_path(file)
+            load_path(file)
 
     def test_malformed_row(self, tmp_path):
         file = tmp_path / "bad.csv"
         file.write_text("x,y\n1.0,2.0\noops\n")
         with pytest.raises(ValueError, match="line 3"):
-            cli.load_path(file)
+            load_path(file)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
     def test_non_finite_waypoint_names_the_file(self, tmp_path, value):
         file = tmp_path / "p.csv"
         file.write_text(f"x,y\n1.0,2.0\n3.0,{value}\n5.0,6.0\n")
         with pytest.raises(ValueError, match="non-finite") as info:
-            cli.load_path(file)
+            load_path(file)
         assert str(info.value).startswith(f"{file}: ")
 
     def test_wrong_header(self, tmp_path):
         file = tmp_path / "hdr.csv"
         file.write_text("a,b\n1,2\n3,4\n")
         with pytest.raises(ValueError, match="header"):
-            cli.load_path(file)
+            load_path(file)
 
     def test_repeated_waypoint_names_the_file(self, tmp_path):
         file = tmp_path / "p.csv"
         file.write_text("x,y\n1.0,2.0\n3.0,4.0\n3.0,4.0\n5.0,6.0\n")
         with pytest.raises(ValueError, match="zero-length segment at waypoint 1") as info:
-            cli.load_path(file)
+            load_path(file)
         assert str(info.value).startswith(f"{file}: ")
 
     @pytest.mark.parametrize(
@@ -199,7 +197,7 @@ class TestPathRoundTrip:
         file = tmp_path / "p.csv"
         file.write_bytes(raw)
         with pytest.raises(ValueError, match=message) as info:
-            cli.load_path(file)
+            load_path(file)
         assert str(info.value).startswith(f"{file}: ")
 
 
@@ -211,17 +209,17 @@ class TestDatasetRoundTrip:
         ds = aug.build_dataset(route, cfg, world)
         data_file = tmp_path / "d"  # no suffix: the file must keep the given name
         sidecar = tmp_path / "d.json"
-        cli.save_dataset(ds, data_file, sidecar, route.id, cfg.n_augmented)
+        aug.save_dataset(ds, data_file, sidecar, route.id, cfg.n_augmented)
         assert sorted(f.name for f in tmp_path.iterdir()) == ["d", "d.json"]
         with np.load(data_file, allow_pickle=False) as arrays:
-            assert arrays.files == list(cli.DATASET_ARRAYS)
+            assert arrays.files == list(aug.DATASET_ARRAYS)
             assert arrays["features"].shape == (len(ds.samples), ds.dim)
             assert arrays["features"].dtype == np.float64
             assert arrays["targets"].dtype == np.float64
-        loaded = cli.load_dataset(data_file, sidecar)
+        loaded = aug.load_dataset(data_file, sidecar)
         assert len(loaded.samples) == len(ds.samples)
         # Bit for bit: array_equal would let -0.0 == 0.0 through.
-        for key in cli.DATASET_ARRAYS:
+        for key in aug.DATASET_ARRAYS:
             a, b = getattr(loaded.samples, key), getattr(ds.samples, key)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
         assert loaded.feature_mean.tobytes() == ds.feature_mean.tobytes()
@@ -325,10 +323,10 @@ class TestDatasetRoundTrip:
         route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
-        cli.save_dataset(ds, data_file, sidecar, route.id, 2)
+        aug.save_dataset(ds, data_file, sidecar, route.id, 2)
         getattr(self, corrupt)(data_file, sidecar)
         with pytest.raises(ValueError, match=message) as info:
-            cli.load_dataset(data_file, sidecar)
+            aug.load_dataset(data_file, sidecar)
         assert str(info.value).startswith(f"{data_file}: ")
 
     @pytest.mark.parametrize(
@@ -346,12 +344,12 @@ class TestDatasetRoundTrip:
         route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
-        cli.save_dataset(ds, data_file, sidecar, route.id, 2)
+        aug.save_dataset(ds, data_file, sidecar, route.id, 2)
         doc = json.loads(sidecar.read_text())
         doc["feature_std"][:2] = head
         sidecar.write_text(json.dumps(doc))  # NaN is written as the bare token NaN, which json reads back
         with pytest.raises(ValueError, match=message) as info:
-            cli.load_dataset(data_file, sidecar)
+            aug.load_dataset(data_file, sidecar)
         assert str(info.value).startswith(f"{data_file}: ")
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -361,7 +359,7 @@ class TestDatasetRoundTrip:
         route = Path([(0, 0), (2, 0)], "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
-        cli.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar, route.id, cfg.n_augmented)
+        aug.save_dataset(aug.build_dataset(route, cfg, world), data_file, sidecar, route.id, cfg.n_augmented)
         file = data.draw(st.sampled_from([data_file, sidecar]), label="file")
         raw = bytearray(file.read_bytes())
         if data.draw(st.booleans(), label="truncate"):
@@ -371,7 +369,7 @@ class TestDatasetRoundTrip:
                 raw[at] = data.draw(st.integers(0, 255), label="byte")
         file.write_bytes(bytes(raw))
         try:
-            loaded = cli.load_dataset(data_file, sidecar)
+            loaded = aug.load_dataset(data_file, sidecar)
         except ValueError as exc:
             assert str(exc).startswith(f"{data_file}: ")
         else:  # a garbled value or digit can leave a valid dataset; it must still be one
@@ -381,8 +379,8 @@ class TestDatasetRoundTrip:
 
 class TestSvgEmission:
     def test_overlay_marker_count(self, tmp_path):
-        route = cli.generate_route(RunConfig(seed=0, n_waypoints=10, path_length=30.0, sac_budget=1.0), "p")
-        world = generate_world(RunConfig(seed=0, n_landmarks=20, signature_dim=4), cli.routes_bounding_box([route], 5.0))
+        route = generate_route(RunConfig(seed=0, n_waypoints=10, path_length=30.0, sac_budget=1.0), "p")
+        world = generate_world(RunConfig(seed=0, n_landmarks=20, signature_dim=4), routes_bounding_box([route], 5.0))
         from skytrack.simulator import OraclePolicy, rollout
 
         cfg = RunConfig(n_augmented=1, capture_radius=0.4, seed=0)
@@ -428,6 +426,22 @@ def small_config(tmp_path, **overrides):
     return file
 
 
+def edit_world(edit):
+    """An edit of the run directory that applies ``edit`` to world.json's document."""
+
+    def apply(run):
+        doc = json.loads((run / "world.json").read_text())
+        edit(doc)
+        (run / "world.json").write_text(json.dumps(doc))
+
+    return apply
+
+
+def move_a_waypoint_to_the_end(run):
+    rows = (run / "path_00.csv").read_text().splitlines(keepends=True)
+    (run / "path_00.csv").write_text("".join(rows[:2] + rows[3:] + rows[2:3]))  # as many rows
+
+
 class TestCommands:
     def test_gen_writes_world_and_paths(self, tmp_path):
         assert cli.main(["gen", "--config", str(small_config(tmp_path))]) == 0
@@ -435,6 +449,15 @@ class TestCommands:
         assert (run / "world.json").exists()
         assert (run / "path_00.csv").exists()
         assert (run / "config.resolved.txt").exists()
+
+    def test_each_command_keeps_its_resolved_config(self, tmp_path):
+        # One out_dir, three commands at three epoch counts: no command
+        # overwrites another's recipe.
+        run = tmp_path / "run"
+        for command, epochs in (("gen", 5), ("pipeline", 1), ("ablation", 2)):
+            assert cli.main([command, "--config", str(small_config(tmp_path, epochs=epochs))]) == 0
+        for name, epochs in (("config", 5), ("pipeline", 1), ("ablation", 2)):
+            assert load_config(run / f"{name}.resolved.txt").epochs == epochs, name
 
     def test_gen_deterministic(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -490,11 +513,35 @@ class TestCommands:
         run = tmp_path / "run"
         route = run / "path_00.csv"
         route.write_text("".join(route.read_text().splitlines(keepends=True)[:6]))  # the header and 5 of 9 rows
-        (run / "config.resolved.txt").unlink()  # both commands write it first
         listing = sorted(run.iterdir())
         assert cli.main([command, "--config", str(cfg)]) == 2
         assert f"{route}: 5 waypoints, expected n_waypoints = 9" in capsys.readouterr().err
         assert sorted(run.iterdir()) == listing
+
+    @pytest.mark.parametrize("command", ["pipeline", "ablation"])
+    @pytest.mark.parametrize(
+        "made, edit, ran, file, key",
+        [
+            # gen's world is seed 5's, 40 landmarks wide 8; the command's config makes seed 9's, 7 wide 3.
+            (dict(seed=5, n_landmarks=40, signature_dim=8), None, dict(seed=9, n_landmarks=7, signature_dim=3),
+             "world.json", "positions"),
+            ({}, edit_world(lambda doc: doc.update(seed=6)), {}, "world.json", "seed"),
+            ({}, edit_world(lambda doc: doc["landmarks"][3]["signature"].reverse()), {}, "world.json", "signatures"),
+            ({}, move_a_waypoint_to_the_end, {}, "path_00.csv", "waypoints"),
+        ],
+        ids=["another-config", "world-seed", "world-signature", "route-waypoint"],
+    )
+    def test_scenario_the_config_does_not_make_exits_2_before_writing(
+        self, tmp_path, capsys, command, made, edit, ran, file, key
+    ):
+        assert cli.main(["gen", "--config", str(small_config(tmp_path, **made))]) == 0
+        run = tmp_path / "run"
+        if edit is not None:
+            edit(run)
+        before = {f.name: f.read_bytes() for f in run.iterdir()}
+        assert cli.main([command, "--config", str(small_config(tmp_path, **ran))]) == 2
+        assert f"{run / file}: {key!r} differs from what this config makes" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
     def test_manifest_sample_counts(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -575,7 +622,7 @@ class TestCommands:
         assert sorted(trained) == sorted(levels)
         for k, dataset in trained.items():
             expected = aug.build_dataset(routes[0], replace(config, n_augmented=k), world)
-            for key in cli.DATASET_ARRAYS:
+            for key in aug.DATASET_ARRAYS:
                 assert getattr(dataset.samples, key).tobytes() == getattr(expected.samples, key).tobytes(), key
             assert dataset.feature_mean.tobytes() == expected.feature_mean.tobytes()
             assert dataset.feature_std.tobytes() == expected.feature_std.tobytes()

@@ -6,8 +6,8 @@ from dataclasses import fields
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
-from skytrack.cli import write_resolved_config
-from skytrack.config import ConfigError, RunConfig, load_config, parse_config
+from skytrack.artifacts import write_text
+from skytrack.config import ConfigError, RunConfig, format_config, load_config, parse_config
 
 KEYS = [f.name for f in fields(RunConfig)]
 VALUES = st.one_of(
@@ -91,5 +91,5 @@ def test_resolved_config_reads_back_equal(tmp_path, values):
         config = RunConfig(**values)
     except ConfigError:
         reject()
-    write_resolved_config(config, tmp_path)
+    write_text(tmp_path / "config.resolved.txt", format_config(config))
     assert load_config(tmp_path / "config.resolved.txt") == config

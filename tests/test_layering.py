@@ -1,7 +1,8 @@
 """Modules import one way: each module of the package imports only modules
 before it in LAYERS, or the package ``__init__``. Only ``artifacts`` writes
-files: every artifact goes through its one atomic writer. And every loader
-only parses: the record it returns checks itself."""
+files: every artifact goes through its one atomic writer. Every loader only
+parses: the record it returns checks itself. And every file format sits
+beside its record: a loader and its saver live in the record's module."""
 
 import ast
 import importlib
@@ -113,15 +114,44 @@ def test_the_write_check_sees_each_kind_of_write():
 LOADED_RECORDS = ["Dataset", "LandmarkWorld", "Path", "RegressorModel", "RunConfig", "TrajectoryLog"]
 
 
-def test_every_loaded_record_checks_itself():
-    """Each ``load_*`` returns a record that defines its own ``__post_init__``,
-    so the rules live in the record and a record built in code is checked too."""
-    records = {}
+def format_functions() -> dict[str, str]:
+    """The layer that defines each ``save_*`` and ``load_*`` of the package, by name."""
+    defined = {}
     for layer in LAYERS:
         module = importlib.import_module(f"skytrack.{layer}")
         for name, fn in inspect.getmembers(module, inspect.isfunction):
-            if name.startswith("load_") and fn.__module__ == module.__name__:
-                records[f"{layer}.{name}"] = typing.get_type_hints(fn)["return"]
+            if name.startswith(("save_", "load_")) and fn.__module__ == module.__name__:
+                assert name not in defined, f"{name} is defined in {defined[name]} and {layer}"
+                defined[name] = layer
+    return defined
+
+
+def loaders() -> dict[str, type]:
+    """The record that each ``load_*`` of the package returns, by ``layer.name``."""
+    return {
+        f"{layer}.{name}": typing.get_type_hints(getattr(importlib.import_module(f"skytrack.{layer}"), name))["return"]
+        for name, layer in format_functions().items()
+        if name.startswith("load_")
+    }
+
+
+def test_every_loaded_record_checks_itself():
+    """Each ``load_*`` returns a record that defines its own ``__post_init__``,
+    so the rules live in the record and a record built in code is checked too."""
+    records = loaders()
     assert sorted(record.__name__ for record in records.values()) == LOADED_RECORDS
     for loader, record in records.items():
         assert "__post_init__" in vars(record), f"{loader} returns {record.__name__}, which does not check itself"
+
+
+def test_each_format_sits_beside_its_record():
+    """Each ``load_*`` is defined in the module that defines the record it
+    returns, and so is its ``save_*`` partner, if it has one. ``cli`` holds
+    the commands and defines no format."""
+    defined = format_functions()
+    for loader, record in loaders().items():
+        layer, name = loader.split(".")
+        assert record.__module__ == f"skytrack.{layer}", f"{loader} returns {record.__module__}.{record.__name__}"
+        saver = "save_" + name.removeprefix("load_")
+        assert defined.get(saver, layer) == layer, f"{saver} is defined in {defined[saver]}, not beside {loader}"
+    assert [name for name, layer in defined.items() if layer == "cli"] == []

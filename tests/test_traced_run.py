@@ -7,6 +7,8 @@ name, so a change under ``src/`` can break ``perfbench/run.py --trace 1``
 without any other test noticing.
 """
 
+import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +21,20 @@ from skytrack import cli
 from test_cli import SRC, small_config
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_every_traced_name_resolves():
+    """Each (module, attribute) that the tracer rebinds exists in ``skytrack``."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, _ in tracer.WRAPPED:
+        try:
+            functools.reduce(getattr, attr.split("."), importlib.import_module(f"skytrack.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    assert missing == [], f"perfbench/tracer.py rebinds names that skytrack lacks: {missing}"
 
 
 @pytest.mark.parametrize("command", ["pipeline", "ablation"])
@@ -36,3 +52,7 @@ def test_traced_command_runs(tmp_path, command):
         # The tracer counts rows as len() of what sweep_optimal and sweep_jittered return.
         (record,) = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert metrics["augmentation.samples"] == record["n_samples"]
+        # The tracer counts the dataset's bytes only when cli calls save_dataset through its own name.
+        run = tmp_path / "run"
+        size = (run / "path_00_dataset.npz").stat().st_size + (run / "path_00_norm.json").stat().st_size
+        assert metrics["cli.dataset_mb"] == size / 1e6

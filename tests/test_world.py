@@ -10,15 +10,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
-from skytrack.cli import generate_route, routes_bounding_box
 from skytrack.config import RunConfig
-from skytrack.geometry import wrap_angle
+from skytrack.geometry import generate_route, wrap_angle
 from skytrack.world import (
     LandmarkWorld,
     Rect,
     generate_world,
     load_world,
     render_observation,
+    routes_bounding_box,
     save_world,
 )
 
