@@ -1,13 +1,14 @@
-/* One training epoch of learner.train in C. Every loop does the same IEEE
-   double operations, in the same order, as the NumPy epoch in kernels.py,
-   and every product goes to the same OpenBLAS routine, with the same
-   arguments, that numpy's matmul picks for it, so the two give the same
-   bits: build without FMA contraction (-ffp-contract=off) and without
-   -ffast-math. The one freedom left to the compiler is the operand order of
-   an add or multiply, which decides only which NaN comes out where two
-   different NaNs meet; a NaN in a gradient stops the epoch before its step
-   stores anything. Arrays are C-contiguous and do not overlap; kernels.py
-   checks both before it passes a pointer. */
+/* The training epoch of learner.train, the renderer's per-pair loop of
+   world.render_observation and the held-out forward of metrics.angle_mse,
+   in C. Every loop does the same IEEE double operations, in the same order,
+   as the NumPy code it stands in for, and every product goes to the same
+   OpenBLAS routine, with the same arguments, that numpy's matmul picks for
+   it, so the two give the same bits: build without FMA contraction
+   (-ffp-contract=off) and without -ffast-math. The one freedom left to the
+   compiler is the operand order of an add or multiply, which decides only
+   which NaN comes out where two different NaNs meet; a NaN in a gradient
+   stops the epoch before its step stores anything. Arrays are C-contiguous
+   and do not overlap; kernels.py checks both before it passes a pointer. */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -103,11 +104,12 @@ static void bias_relu(double *restrict a, const double *restrict b1, ptrdiff_t n
     }
 }
 
-/* numpy's CBLAS, 64-bit integers (scipy_cblas_dgemm64_, _dgemv64_). */
+/* numpy's CBLAS, 64-bit integers (scipy_cblas_dgemm64_, _dgemv64_, _ddot64_). */
 typedef void (*dgemm_fn)(int, int, int, int64_t, int64_t, int64_t, double, const double *, int64_t,
                          const double *, int64_t, double, double *, int64_t);
 typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *, int64_t, const double *,
                          int64_t, double, double *, int64_t);
+typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
 
 /* The steps of one epoch over the rows order[0..n-1] of z (width columns)
@@ -167,4 +169,88 @@ ptrdiff_t train_epoch(const double *restrict z, const double *restrict y, const 
     }
     free(work);
     return steps;
+}
+
+/* Bins the landmarks seen from each of `poses` poses into its row of out
+   (bins * s doubles), as world.render_observation's NumPy code does.
+   planes holds three (poses, n) planes: dx, dy and the bearing beta, all
+   from NumPy. Per pose: beta = -pi becomes pi; a landmark is in view if
+   |beta| <= half; u = clip((beta + half) / bin_width - 0.5, 0, bins - 1),
+   lower = min(floor(u), bins - 2) (0 for one bin), frac = u - lower, and
+   c = sig * (1 / (1 + hypot(dx, dy))). Each cell sums from 0.0 its lower
+   terms c * (1 - frac) in landmark order, then its upper terms c * frac in
+   landmark order: np.bincount's order. Returns 0, or -1 if memory runs out. */
+static const double PI = 3.141592653589793; /* math.pi */
+
+int render(const double *restrict planes, ptrdiff_t poses, ptrdiff_t n, const double *restrict sig,
+           ptrdiff_t s, ptrdiff_t bins, double half, double bin_width, double *restrict out) {
+    const double *dx = planes, *dy = planes + poses * n, *beta = dy + poses * n;
+    /* the in-view landmarks of one pose: index, lower bin, frac, 1 / (1 + range);
+       n + 1 entries, since malloc(0) may return NULL */
+    ptrdiff_t *seen = malloc(sizeof(ptrdiff_t) * 2 * (n + 1));
+    double *terms = malloc(sizeof(double) * 2 * (n + 1));
+    if (!seen || !terms) {
+        free(seen);
+        free(terms);
+        return -1;
+    }
+    for (ptrdiff_t p = 0; p < poses; p++) {
+        double *row = out + p * bins * s;
+        ptrdiff_t k = 0;
+        for (ptrdiff_t j = 0; j < bins * s; j++) row[j] = 0.0;
+        for (ptrdiff_t l = 0; l < n; l++) {
+            double b = beta[p * n + l];
+            if (b == -PI) b = PI;
+            if (!(fabs(b) <= half)) continue;
+            double u = (b + half) / bin_width - 0.5;
+            u = u < 0.0 ? 0.0 : u > bins - 1.0 ? bins - 1.0 : u;
+            double lower = 0.0;
+            if (bins > 1) lower = fmin(floor(u), bins - 2.0);
+            seen[2 * k] = l;
+            seen[2 * k + 1] = (ptrdiff_t)lower;
+            terms[2 * k] = u - lower;
+            terms[2 * k + 1] = 1.0 / (1.0 + hypot(dx[p * n + l], dy[p * n + l]));
+            k++;
+        }
+        for (ptrdiff_t i = 0; i < k; i++) {
+            const double *c = sig + seen[2 * i] * s, w = 1.0 - terms[2 * i], inv = terms[2 * i + 1];
+            double *cell = row + seen[2 * i + 1] * s;
+            for (ptrdiff_t j = 0; j < s; j++) cell[j] += (c[j] * inv) * w;
+        }
+        if (bins > 1)
+            for (ptrdiff_t i = 0; i < k; i++) {
+                const double *c = sig + seen[2 * i] * s, w = terms[2 * i], inv = terms[2 * i + 1];
+                double *cell = row + (seen[2 * i + 1] + 1) * s;
+                for (ptrdiff_t j = 0; j < s; j++) cell[j] += (c[j] * inv) * w;
+            }
+    }
+    free(seen);
+    free(terms);
+    return 0;
+}
+
+/* The head's raw output for each of `rows` feature rows (d wide), as
+   learner.predict_raw gives it for that row alone: x = (f - mean) / std,
+   z = projection @ x, a = w1 @ z, h = np.maximum(a + b1, 0.0) and
+   out = (0.0 + h . w2) + b2. numpy's matmul sends a one-row product to
+   dgemv (ColMajor, Trans) and the head's to ddot, which numpy's dot adds to
+   0.0; d, f and hidden >= 2, so neither product is a dot or numpy's own
+   loop. Returns 0, or -1 if memory runs out. */
+int forward(const double *restrict features, ptrdiff_t rows, ptrdiff_t d, const double *restrict mean,
+            const double *restrict std, const double *restrict projection, ptrdiff_t f,
+            const double *restrict w1, ptrdiff_t hidden, const double *restrict b1,
+            const double *restrict w2, double b2, dgemv_fn dgemv, ddot_fn ddot, double *restrict out) {
+    double *x = malloc(sizeof(double) * (d + f + hidden));
+    if (!x) return -1;
+    double *z = x + d, *a = z + f;
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        const double *row = features + r * d;
+        EACH(j, d, { x[j] = (row[j] - mean[j]) / std[j]; });
+        dgemv(COL_MAJOR, TRANS, d, f, 1.0, projection, d, x, 1, 0.0, z, 1);
+        dgemv(COL_MAJOR, TRANS, f, hidden, 1.0, w1, f, z, 1, 0.0, a, 1);
+        bias_relu(a, b1, 1, hidden);
+        out[r] = (0.0 + ddot(hidden, a, 1, w2, 1)) + b2;
+    }
+    free(x);
+    return 0;
 }

@@ -1,5 +1,6 @@
-"""How an artifact file is written, whole or not at all (``writing``), and how a
-reader reports a bad one: as one ValueError that names the file (``reading``)."""
+"""How an artifact file is written, whole or not at all (``writing``), how a
+run clears an earlier run's files (``remove``), and how a reader reports a
+bad one: as one ValueError that names the file (``reading``)."""
 
 from __future__ import annotations
 
@@ -26,6 +27,13 @@ def writing(file: FilePath | str, mode: str = "w", **open_kwargs):
         with contextlib.suppress(OSError):
             os.remove(temp)
         raise
+
+
+def remove(*files: FilePath | str) -> None:
+    """Delete each of ``files`` that exists: the files a run would write, so one
+    that fails leaves no earlier run's file under a name it owns."""
+    for file in files:
+        FilePath(file).unlink(missing_ok=True)
 
 
 def write_text(file: FilePath | str, text: str) -> None:

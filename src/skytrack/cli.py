@@ -12,8 +12,9 @@ Config files are flat ``key = value`` text; unknown keys are rejected. Each
 command writes its fully resolved copy next to its outputs, as
 ``<command>.resolved.txt`` (``gen``'s is ``config.resolved.txt``), and
 ``pipeline`` and ``ablation`` first check that the world and routes on disk
-are the ones their config makes. Exit codes: 0 success, 1 config error,
-2 pipeline stage failure.
+are the ones their config makes. A path or an ablation that fails leaves
+none of an earlier run's files under the names it would have written.
+Exit codes: 0 success, 1 config error, 2 pipeline stage failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import kernels, learner, metrics, simulator
 from . import augmentation as aug
-from .artifacts import write_csv, write_text
+from .artifacts import remove, write_csv, write_text
 from .augmentation import save_dataset
 from .config import ConfigError, RunConfig, format_config, load_config
 from .geometry import Path, generate_route, load_path, path_length, save_path, sum_angle_change
@@ -165,23 +166,32 @@ def _train_fly_score(
     return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)
 
 
+def path_files(out_dir: FilePath, route_id: str) -> list[FilePath]:
+    """The six files that ``run_path_pipeline`` writes for a route, in write
+    order: dataset, its sidecar, model, trajectory, metrics and overlay."""
+    names = ("dataset.npz", "norm.json", "model.json", "trajectory.csv", "metrics.json", "overlay.svg")
+    return [out_dir / f"{route_id}_{name}" for name in names]
+
+
 def run_path_pipeline(
     config: RunConfig, world: LandmarkWorld, route: Path, out_dir: FilePath
 ) -> tuple[metrics.MetricsReport, int]:
     """Dataset -> train -> closed-loop rollout -> metrics, with all artifacts
     written under out_dir. One model per path; no joint training. Returns
-    the report and the number of training samples."""
+    the report and the number of training samples. The path's six files
+    are removed first, so a path that fails leaves none of an earlier run's."""
+    files = path_files(out_dir, route.id)
+    remove(*files)
+    dataset_file, norm_file, model_file, trajectory_file, metrics_file, overlay_file = files
     dataset = aug.build_dataset(route, config, world)
-    save_dataset(
-        dataset, out_dir / f"{route.id}_dataset.npz", out_dir / f"{route.id}_norm.json", route.id, config.n_augmented
-    )
+    save_dataset(dataset, dataset_file, norm_file, route.id, config.n_augmented)
     n_samples = len(dataset.samples)
     model, log, report = _train_fly_score(config, world, route, dataset)
     del dataset  # so the features are freed before save_model builds the model's JSON text
-    learner.save_model(model, out_dir / f"{route.id}_model.json")
-    simulator.save_trajectory(log, out_dir / f"{route.id}_trajectory.csv")
-    metrics.save_report(report, out_dir / f"{route.id}_metrics.json")
-    emit_overlay_svg(route, log, out_dir / f"{route.id}_overlay.svg")
+    learner.save_model(model, model_file)
+    simulator.save_trajectory(log, trajectory_file)
+    metrics.save_report(report, metrics_file)
+    emit_overlay_svg(route, log, overlay_file)
     return report, n_samples
 
 
@@ -311,6 +321,7 @@ def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[t
     distinct level, the largest k first: each child reads its rows and the
     test rows from that buffer and sends back only its report."""
     levels, n_train = config.ablation_levels, max(config.ablation_levels)
+    kernels.load()  # loaded once, before sweep 0's render and the first fork; the forked children inherit it
     walk, first = aug.sweep_optimal(route, config, world)
     n, slots = len(walk), n_train + config.n_test_sweeps
     samples = _shared_samples(slots * n, first.features.shape[1])
@@ -322,7 +333,6 @@ def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[t
         dataset = aug.dataset_from_samples(samples[: k * n])
         return _train_fly_score(config, world, route, dataset, samples[n_train * n :])[2]
 
-    kernels.load()  # loaded once, before the first fork; the forked children inherit it
     cpus = len(os.sched_getaffinity(0))
     parts = ablation_workers(cpus, slots - 1)
     edges = [1 + (slots - 1) * i // parts for i in range(parts + 1)]
@@ -339,7 +349,11 @@ def cmd_ablation(config: RunConfig) -> int:
     out_dir = FilePath(config.out_dir)
     write_resolved_config(config, out_dir / "ablation.resolved.txt")
     route = routes[0]
-    rows = run_ablation(config, world, route)
+    try:
+        rows = run_ablation(config, world, route)
+    except BaseException:  # the table and plot are written only after every level: none of an earlier run's stays
+        remove(out_dir / "ablation.csv", out_dir / "ablation.svg")
+        raise
     table = ((k, r.angle_mse, r.mctd, r.termination) for k, r in rows)
     write_csv(out_dir / "ablation.csv", ["k", "angle_mse", "mctd", "termination"], table)
     emit_line_svg(

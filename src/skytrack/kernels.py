@@ -1,17 +1,28 @@
-"""The training epoch in two sets that give the same bits: C and NumPy.
+"""The loops that run in C, each beside the NumPy code that gives the same bits.
 
-The C set (``_kernels.c``) runs one whole epoch of ``learner.train`` per
-call: row gather, forward GEMM, bias and rectifier, head, loss, backward,
-finite check and Adam. It sends every product to the BLAS routine that
-numpy's matmul picks for it, with the same arguments, in the OpenBLAS that
-numpy itself loaded (``BLAS``, looked up once per process). The NumPy set
-runs the same epoch as a Python loop of NumPy steps. It is the reference,
-and the C set leaves to it what numpy sends elsewhere than dgemm or dgemv:
-a one-row batch, or a head under 2 units wide or deep.
+The C set (``_kernels.c``) holds three loops, bound as a ``KernelSet``:
 
-Both sets do the same IEEE double operations in the same order, and every
-one of them, divide and sqrt included, is correctly rounded, so with FMA
-contraction off (and no ``-ffast-math``) they give the same bits.
+- ``train_epoch`` runs one whole epoch of ``learner.train`` per call: row
+  gather, forward GEMM, bias and rectifier, head, loss, backward, finite
+  check and Adam. The NumPy set runs the same epoch as a Python loop of
+  NumPy steps (``_numpy_epoch``). It is the reference, and the C epoch
+  leaves to it what numpy sends elsewhere than dgemm or dgemv: a one-row
+  batch, or a head under 2 units wide or deep.
+- ``render`` bins the (pose, landmark) pairs of ``world.render_observation``
+  after NumPy has taken the bearings: the view test, the bin split,
+  ``1 / (1 + hypot)`` with libm's ``hypot`` (which ``np.hypot`` calls), and
+  the sums in ``np.bincount``'s order.
+- ``forward`` runs the rows of ``metrics.angle_mse`` through the head one at
+  a time, with the dgemv, dgemv and ddot calls that numpy's matmul makes for
+  one row; it declines the shapes for which numpy makes other calls.
+
+Every product goes to the BLAS routine that numpy's matmul picks for it,
+with the same arguments, in the OpenBLAS that numpy itself loaded (``BLAS``,
+looked up once per process). Both sets do the same IEEE double operations in
+the same order, and every one of them, divide and sqrt included, is
+correctly rounded, so with FMA contraction off (and no ``-ffast-math``) they
+give the same bits. ``NUMPY`` has no ``render`` or ``forward``: its callers
+run their own NumPy code, which stays as the reference.
 
 ``load`` builds the C set once per user and compiler: the library is cached as
 ``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so`` (only an absolute
@@ -27,7 +38,7 @@ relative (``~`` without an absolute home) is never used: the library is then
 stored in the build directory and loaded from there.
 ``gen`` and the per-step API never start the compiler. If the compiler is
 missing, the build fails or passes ``BUILD_TIMEOUT``, or numpy's OpenBLAS
-lacks a ``BLAS`` symbol, ``load`` silently returns NUMPY.
+lacks a ``BLAS`` symbol, ``load`` silently returns ``NUMPY``.
 
 ``blas_threads`` asks that same OpenBLAS how many threads it runs.
 ``one_blas_thread`` runs a block at one of them: ``learner.train``, and
@@ -43,6 +54,7 @@ import os
 import shutil
 import signal
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -57,7 +69,7 @@ COMPILER = "cc"
 FLAGS = ("-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 # numpy's CBLAS with 64-bit integers, and its thread count's getter and
 # setter, as its wheels' scipy-openblas exports them.
-BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_")
+BLAS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 NUM_THREADS = "scipy_openblas_get_num_threads64_"
 SET_NUM_THREADS = "scipy_openblas_set_num_threads64_"
 BUILD_TIMEOUT = 120  # seconds; a longer build is killed and NUMPY used
@@ -126,26 +138,43 @@ def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> 
     return sse
 
 
-NUMPY = _numpy_epoch
+@dataclass(frozen=True)
+class KernelSet:
+    """The loops of one set. ``train_epoch`` runs one epoch of
+    ``learner.train`` (see ``_numpy_epoch``). ``render`` and ``forward`` are
+    the C renderer's per-pair loop and the C held-out forward (see ``_bind``),
+    None in ``NUMPY``: their callers then run their own NumPy code, which
+    gives the same bits."""
+
+    train_epoch: Callable[..., float]
+    render: Callable[..., None] | None = None
+    forward: Callable[..., np.ndarray | None] | None = None
 
 
-def _pointers(*arrays: tuple[np.ndarray, int]) -> list[int]:
+NUMPY = KernelSet(_numpy_epoch)
+
+
+def _pointers(*arrays: tuple[np.ndarray, int], read: int = 0) -> list[int]:
     """Addresses of the ``(array, size)`` arguments of one C call, after
-    checking what the loops assume of them: writeable C-contiguous float64
-    arrays of ``size`` elements, no two of which overlap. A wrong pointer
-    would corrupt memory without a sign."""
+    checking what the loops assume of them: C-contiguous float64 arrays of
+    ``size`` elements, no two of which overlap, writeable but for the first
+    ``read``, which C only reads. A wrong pointer would corrupt memory
+    without a sign."""
     spans = []
-    for x, size in arrays:
+    for i, (x, size) in enumerate(arrays):
         if not (
             isinstance(x, np.ndarray)
             and x.dtype == np.float64
             and x.flags.c_contiguous
-            and x.flags.writeable
+            and (x.flags.writeable or i < read)
             and x.size == size
         ):
             kind = f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
-            raise ValueError(f"expected a writeable C-contiguous float64 array of {size} elements, got {kind}")
-        start = x.ctypes.data
+            access = "" if i < read else "writeable "
+            raise ValueError(f"expected a {access}C-contiguous float64 array of {size} elements, got {kind}")
+        # A ctypes view of a writeable buffer gives its address in a third of
+        # the time of x.ctypes.data, which a one-pose render would feel.
+        start = ctypes.addressof(ctypes.c_char.from_buffer(x)) if x.flags.writeable and size else x.ctypes.data
         spans.append((start, start + x.nbytes))
     for i, (lo, hi) in enumerate(spans):
         for lo2, hi2 in spans[i + 1 :]:
@@ -191,15 +220,20 @@ def one_blas_thread():
         set_threads(threads)
 
 
-def _bind(lib_file: Path, dgemm, dgemv) -> Callable[..., float] | None:
-    """The C ``train_epoch`` of ``lib_file`` over the OpenBLAS functions
-    ``dgemm`` and ``dgemv``, called as ``NUMPY`` is; None if it does not load."""
+def _bind(lib_file: Path, blas: list) -> KernelSet | None:
+    """The C loops of ``lib_file`` over the OpenBLAS functions ``blas``
+    (dgemm, dgemv and ddot, as in ``BLAS``); None if it does not load."""
+    dgemm, dgemv, ddot = blas
     ptr, size, f64 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     try:
-        epoch = ctypes.CDLL(str(lib_file)).train_epoch
-    except OSError:
+        lib = ctypes.CDLL(str(lib_file))
+        epoch, render_loop, forward_loop = lib.train_epoch, lib.render, lib.forward
+    except (OSError, AttributeError):
         return None
     epoch.restype, epoch.argtypes = size, [ptr] * 3 + [size] * 4 + [ptr] * 3 + [size] + [f64] * 4 + [ptr] * 3
+    render_loop.restype, render_loop.argtypes = ctypes.c_int, [ptr, size, size, ptr, size, size, f64, f64, ptr]
+    forward_loop.restype = ctypes.c_int
+    forward_loop.argtypes = [ptr, size, size, ptr, ptr, ptr, size, ptr, size, ptr, ptr, f64, ptr, ptr, ptr]
 
     def train_epoch(z, y, order, theta, state, hidden, batch_size, lr):
         if not isinstance(z, np.ndarray) or z.ndim != 2:
@@ -228,7 +262,43 @@ def _bind(lib_file: Path, dgemm, dgemv) -> Callable[..., float] | None:
             raise RuntimeError("diverged: non-finite gradient")
         return _numpy_epoch(z, y, order[done:], theta, state, hidden, batch_size, lr, sse.value)
 
-    return train_epoch
+    def render(planes, signatures, bins, half, bin_width, out):
+        """Bin into ``out`` (P, bins * S) the landmarks seen from P poses:
+        ``planes`` (3, P, N) holds each pose's dx, dy and bearing to the N
+        landmarks, whose ``signatures`` are (N, S); see ``world.render_observation``."""
+        _, poses, n = planes.shape
+        s = signatures.shape[1]
+        if bins < 1:  # C clips each landmark's bin into 0..bins-1
+            raise ValueError(f"bins {bins} must be >= 1")
+        args = _pointers((planes, 3 * poses * n), (signatures, n * s), (out, poses * bins * s), read=2)
+        if render_loop(args[0], poses, n, args[1], s, bins, half, bin_width, args[2]):
+            raise MemoryError("render: out of memory")
+
+    def forward(features, mean, std, projection, w1, b1, w2, b2):
+        """Each row of ``features`` through the head, as ``learner.predict_raw``
+        gives it for that row alone, normalized by ``mean`` and ``std``; None
+        where numpy would not send both products to dgemv and the last to
+        ddot with these arguments: an input, projection or head under 2 wide,
+        or a product's weight that is not a C-contiguous float64 array."""
+        (f, d), h = projection.shape, w1.shape[0]
+        weights = (projection, w1, w2)
+        if min(d, f, h) < 2 or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in weights):
+            return None
+        if features.ndim != 2 or features.shape[1] != d:
+            raise ValueError(f"dimension mismatch: got {features.shape[-1]}, expected {d}")
+        # Elementwise operands: a contiguous float64 copy changes no bit.
+        features, mean, std, b1 = (np.ascontiguousarray(a, np.float64) for a in (features, mean, std, b1))
+        rows = len(features)
+        out = np.empty(rows)
+        x, mu, sd, p, a1, c1, a2, y = _pointers(
+            (features, rows * d), (mean, d), (std, d), (projection, f * d), (w1, h * f), (b1, h), (w2, h),
+            (out, rows), read=7,
+        )
+        if forward_loop(x, rows, d, mu, sd, p, f, a1, h, c1, a2, b2, dgemv, ddot, y):
+            raise MemoryError("forward: out of memory")
+        return out
+
+    return KernelSet(train_epoch, render, forward)
 
 
 def _cache_dir() -> Path | None:
@@ -266,8 +336,8 @@ def _run_compiler(command: list[str]) -> bool:
             process.wait()
 
 
-def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | None:
-    """The C epoch of ``_kernels.c`` built by ``compiler`` at ``opt``, taken
+def compile_kernels(compiler: str, opt: str = "-O2") -> KernelSet | None:
+    """The C set of ``_kernels.c`` built by ``compiler`` at ``opt``, taken
     from the cache if it holds it intact; None if it cannot be had (see the
     module docstring)."""
     import hashlib
@@ -293,7 +363,7 @@ def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | N
     # A build appends the library's sha256, which the loader ignores: a
     # damaged library can crash the loading process, so it is rebuilt.
     if hashlib.sha256(lib[:-32]).digest() == lib[-32:]:
-        return _bind(Path(cache, name), *blas)
+        return _bind(Path(cache, name), blas)
     with tempfile.TemporaryDirectory(prefix="skytrack-kernels-") as build_dir:
         built = Path(build_dir, "_kernels.so")
         if not _run_compiler([found, opt, *FLAGS, "-o", str(built), str(SOURCE), "-lm"]):
@@ -302,11 +372,11 @@ def compile_kernels(compiler: str, opt: str = "-O2") -> Callable[..., float] | N
         lib_file = Path(cache or build_dir, name)
         with writing(lib_file, "wb") as fh:  # whole, so no process loads a part
             fh.write(lib + hashlib.sha256(lib).digest())
-        return _bind(lib_file, *blas)
+        return _bind(lib_file, blas)
 
 
 @functools.cache
-def load() -> Callable[..., float]:
-    """The C epoch, from the cache or built on the first call in a process;
+def load() -> KernelSet:
+    """The C set, from the cache or built on the first call in a process;
     ``NUMPY`` if it cannot be had. A forked child inherits it."""
     return compile_kernels(COMPILER) or NUMPY

@@ -173,7 +173,7 @@ def train(
     theta = np.concatenate([init.w1.ravel(), init.b1, init.w2, [init.b2]])
     del init
     state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
-    train_epoch = kernels.load()
+    train_epoch = kernels.load().train_epoch
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     for epoch in range(config.epochs):

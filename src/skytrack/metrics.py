@@ -17,6 +17,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
+from . import kernels
 from .artifacts import write_text
 from .augmentation import Samples, normalize_features
 from .geometry import Path, point_segment_distance, sum_angle_change
@@ -51,15 +52,28 @@ def mean_cross_track_distance(path: Path, positions: np.ndarray) -> float:
 
 
 def angle_mse(model: RegressorModel, test_set: Samples) -> float:
-    """Mean squared error of the raw (unwrapped) predictions on labeled samples."""
+    """Mean squared error of the raw (unwrapped) predictions on labeled samples.
+
+    Each row is predicted alone, as ``predict_raw`` predicts one row:
+    OpenBLAS routes a one-row product to another kernel than a batch, and a
+    batched forward changes the last bits. The C forward of
+    ``kernels.load().forward`` runs every row in one call, with the BLAS
+    calls numpy makes for one row; where it cannot (see there), or without
+    it, a NumPy loop calls ``predict_raw`` row by row. Both give the same
+    bits, and the squared errors are summed here, in row order."""
     if not len(test_set):
         raise ValueError("empty test set")
+    mean, std, forward = model.feature_mean, model.feature_std, kernels.load().forward
+    weights = (model.projection, model.w1, model.b1, model.w2, model.b2)
+    raw = None if forward is None else forward(test_set.features, mean, std, *weights)
+    if raw is None:
+        rows = (normalize_features(mean, std, features).reshape(1, -1) for features in test_set.features)
+        predictions = [float(predict_raw(model, x)[0]) for x in rows]
+    else:
+        predictions = raw.tolist()
     sse = 0.0
-    # One product per row: OpenBLAS routes a one-row product to another
-    # kernel than a batch, and a batched forward changes the last bits.
-    for features, target in zip(test_set.features, test_set.targets.tolist()):
-        x = normalize_features(model.feature_mean, model.feature_std, features)
-        sse += (float(predict_raw(model, x.reshape(1, -1))[0]) - target) ** 2
+    for prediction, target in zip(predictions, test_set.targets.tolist()):
+        sse += (prediction - target) ** 2
     return sse / len(test_set)
 
 

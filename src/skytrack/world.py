@@ -16,6 +16,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 
+from . import kernels
 from .artifacts import json_floats, json_int, reading, write_text
 from .config import RunConfig
 from .geometry import Path
@@ -105,7 +106,7 @@ def generate_world(config: RunConfig, bounds: Rect) -> LandmarkWorld:
     return LandmarkWorld(positions, signatures, bounds, config.seed)
 
 
-# Poses rendered per np.bincount: bounds the (poses x landmarks) temporaries.
+# Poses rendered per block: bounds the (poses x landmarks) temporaries.
 _RENDER_BLOCK = 64
 
 
@@ -123,30 +124,41 @@ def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfi
     kernel mass falling outside the outermost bin centers stays in the edge
     bin, and anything beyond the FOV contributes exactly 0.
 
-    Poses are rendered in blocks of 64, each accumulated by one
-    ``np.bincount``: a bin sums, from 0.0, its lower-bin terms in landmark
-    order, then its upper-bin terms in landmark order. Each row's bits do not
-    depend on the other rows, so they do not depend on the blocking either:
-    every other step is elementwise.
+    Poses are rendered in blocks of 64. NumPy computes each block's dx, dy
+    and bearings (both ``np.arctan2`` calls, ``np.sin`` and ``np.cos``:
+    numpy's trig is not libm's). The per-pair rest runs in the C loop of
+    ``kernels.load().render``, or, without it, in NumPy with one
+    ``np.bincount`` per block; both do the same IEEE operations in the same
+    order, so they give the same bits: a bin sums, from 0.0, its lower-bin
+    terms in landmark order, then its upper-bin terms in landmark order.
+    Each row's bits do not depend on the other rows, so they do not depend
+    on the blocking either: every other step is elementwise.
     """
     bins, fov, s = config.bins, math.radians(config.fov_deg), world.signature_dim
     half = fov / 2.0
     bin_width = fov / bins
     channel = np.arange(s)
+    render = kernels.load().render
+    signatures = np.ascontiguousarray(world.signatures)  # C reads it row by row
     out = np.empty((poses.shape[0], bins * s))
     for start in range(0, poses.shape[0], _RENDER_BLOCK):
         block = poses[start : start + _RENDER_BLOCK]
-        dx = world.positions[:, 0] - block[:, 0:1]  # (poses in the block, N)
-        dy = world.positions[:, 1] - block[:, 1:2]
-        raw = np.arctan2(dy, dx) - block[:, 2:3]
-        beta = np.arctan2(np.sin(raw), np.cos(raw))
+        planes = np.empty((3, len(block), len(signatures)))
+        dx, dy, beta = planes
+        np.subtract(world.positions[:, 0], block[:, 0:1], out=dx)
+        np.subtract(world.positions[:, 1], block[:, 1:2], out=dy)
+        np.subtract(np.arctan2(dy, dx, out=beta), block[:, 2:3], out=beta)
+        np.arctan2(np.sin(beta), np.cos(beta), out=beta)
+        if render is not None:  # C maps a bearing of -pi to pi, as below
+            render(planes, signatures, bins, half, bin_width, out[start : start + len(block)])
+            continue
         beta = np.where(beta == -math.pi, math.pi, beta)
         pose, landmark = np.nonzero(np.abs(beta) <= half)
         # continuous bin coordinate: 0 at the center of bin 0
         u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
         lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
         frac = u - lower
-        contribution = world.signatures[landmark] * (
+        contribution = signatures[landmark] * (
             1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark]))
         )[:, None]
         cell = (pose * bins + lower)[:, None] * s + channel  # flat (row, channel) of each lower-bin term

@@ -19,7 +19,7 @@ import numpy as np
 from skytrack import kernels
 from skytrack.augmentation import Samples
 
-# The C epoch's build cache lives in a temporary directory of this test
+# The C kernels' build cache lives in a temporary directory of this test
 # run, so the suite neither reads nor writes the user's own cache. This runs
 # before any test module is collected, and test_kernels.py calls
 # kernels.load() then.
@@ -48,11 +48,12 @@ def no_leftover_children():
 
 @pytest.fixture
 def kernel_set(request, monkeypatch):
-    """Runs the test on the training epoch named by the parameter, "c" or
-    "numpy"; skips "c" where no C compiler could build it."""
+    """Runs the test on the kernel set named by the parameter, "c" or
+    "numpy" (the training epoch, renderer and held-out forward alike);
+    skips "c" where no C compiler could build it."""
     chosen = kernels.load() if request.param == "c" else kernels.NUMPY
     if request.param == "c" and chosen is kernels.NUMPY:
-        pytest.skip("no C compiler: the NumPy epoch is in use")
+        pytest.skip("no C compiler: the NumPy set is in use")
     monkeypatch.setattr(kernels, "load", lambda: chosen)
     return chosen
 

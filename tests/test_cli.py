@@ -543,6 +543,27 @@ class TestCommands:
         assert f"{run / file}: {key!r} differs from what this config makes" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
+    @pytest.mark.parametrize("command", ["pipeline", "ablation"])
+    def test_a_failed_run_leaves_no_earlier_runs_files(self, tmp_path, capsys, command):
+        """A re-run whose training diverges (lr0 = 1e300) exits 2 and leaves
+        none of the first run's files under the names it owns: a path's
+        model, trajectory, metrics and overlay, or the ablation's table and
+        plot. What it wrote before the failure is its own."""
+        assert cli.main(["gen", "--config", str(small_config(tmp_path))]) == 0
+        assert cli.main([command, "--config", str(small_config(tmp_path))]) == 0
+        run = tmp_path / "run"
+        if command == "pipeline":
+            dataset, norm, *owned = cli.path_files(run, "path_00")
+            written = [dataset, norm, run / "manifest.json", run / "manifest.csv"]
+        else:
+            owned, written = [run / "ablation.csv", run / "ablation.svg"], []
+        assert all(f.exists() for f in owned)
+        assert cli.main([command, "--config", str(small_config(tmp_path, lr0=1e300))]) == 2
+        assert "diverged" in capsys.readouterr().err
+        assert [f.name for f in owned if f.exists()] == []
+        assert all(f.exists() for f in written)
+        assert load_config(run / f"{command}.resolved.txt").lr0 == 1e300
+
     def test_manifest_sample_counts(self, tmp_path):
         cfg = small_config(tmp_path)
         cli.main(["gen", "--config", str(cfg)])
@@ -782,12 +803,13 @@ class TestCommands:
         assert all(count == {1} for count in counts.values())
 
     @staticmethod
-    def kill_ablation_once_seen(tmp_path, n_children):
-        """Start ``skytrack ablation``, SIGKILL it once ``n_children`` distinct
-        children of it have been seen, and require them all to exit within
-        LEVEL_BOUND_S. This process becomes the reaper of the CLI's orphaned
-        children, so it can see them exit and leaves no zombie behind."""
-        cfg = small_config(tmp_path, epochs=1000, ablation_levels="1,2")
+    def kill_ablation_once_seen(tmp_path, alive_s):
+        """Start ``skytrack ablation``, SIGKILL it once a child of it has been
+        seen alive for ``alive_s`` seconds, and require all its children to
+        exit within LEVEL_BOUND_S. This process becomes the reaper of the
+        CLI's orphaned children, so it can see them exit and leaves no zombie
+        behind."""
+        cfg = small_config(tmp_path, epochs=10000, ablation_levels="1,2")
         assert cli.main(["gen", "--config", str(cfg)]) == 0
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         command = [sys.executable, "-m", "skytrack.cli", "ablation", "--config", str(cfg)]
@@ -795,12 +817,16 @@ class TestCommands:
         proc = subprocess.Popen(command, env=env, start_new_session=True, stdout=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 60.0
-            seen = set(children(proc.pid))
-            while len(seen) < n_children:
+            first_seen: dict[int, float] = {}
+            while True:
+                now, alive = time.monotonic(), children(proc.pid)
+                for pid in alive:
+                    first_seen.setdefault(pid, now)
+                if any(now - first_seen[pid] >= alive_s for pid in alive):
+                    break
                 assert proc.poll() is None, "the ablation ended before a worker was seen"
-                assert time.monotonic() < deadline, "no worker started"
+                assert now < deadline, "no worker started"
                 time.sleep(0.01)
-                seen.update(children(proc.pid))
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             deadline = time.monotonic() + LEVEL_BOUND_S
@@ -818,14 +844,14 @@ class TestCommands:
             set_child_subreaper(False)
 
     def test_ablation_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # Killed at its first child: most often a render job.
-        self.kill_ablation_once_seen(tmp_path, 1)
+        # Killed at its first child seen: most often a render job.
+        self.kill_ablation_once_seen(tmp_path, 0.0)
 
     def test_level_workers_exit_when_the_parent_is_killed(self, tmp_path):
-        # The render jobs are the first children and the only ones before
-        # the level workers, so one more child seen is a level worker. The
-        # scenario has levels 1 and 2 and one test sweep: 2 sweeps to fill.
-        self.kill_ablation_once_seen(tmp_path, cli.ablation_workers(len(os.sched_getaffinity(0)), 2) + 1)
+        # A render job of the 9-waypoint test route lasts milliseconds, and a
+        # level trains for 10,000 epochs (about a second), so a child alive
+        # for 0.5 s is a level worker.
+        self.kill_ablation_once_seen(tmp_path, 0.5)
 
     @pytest.mark.parametrize("cpus, n_levels, expected", [(2, 4, 2), (4, 3, 3), (1, 4, 1), (2, 1, 1)])
     def test_ablation_workers_rule(self, cpus, n_levels, expected):

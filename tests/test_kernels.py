@@ -1,5 +1,6 @@
-"""One C training epoch against one NumPy epoch, bit for bit; the fallback
-when the compiler or a BLAS symbol is missing; the checks the C epoch makes
+"""One C training epoch against one NumPy epoch, and the C held-out forward
+against per-row ``predict_raw``, bit for bit; the fallback when the compiler
+or a BLAS symbol is missing; the checks the C epoch makes
 before it passes a pointer; when the compiler starts; the build cache; and
 that a hung build is killed with its children."""
 
@@ -18,13 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
-from skytrack import cli, kernels, learner
+from skytrack import cli, kernels, learner, metrics
 from skytrack.config import RunConfig
+from skytrack.world import render_observation
 from test_cli import SRC, small_config
+from test_world import walk_and_jittered
 
-C = kernels.load()
-NUMPY = kernels.NUMPY
-needs_c = pytest.mark.skipif(C is NUMPY, reason="no C compiler: the NumPy epoch is in use")
+C = kernels.load().train_epoch
+NUMPY = kernels.NUMPY.train_epoch
+needs_c = pytest.mark.skipif(kernels.load() is kernels.NUMPY, reason="no C compiler: the NumPy set is in use")
 
 
 def epoch_args(seed, n, width, hidden, batch_size, t, lr, dead=()):
@@ -109,13 +112,13 @@ def test_non_finite_gradient_changes_nothing(kernel_set):
     z[bad], y[bad] = 0.0, -1e308
     for part in kernels.split(theta, 16, 8)[1:3]:
         np.clip(part, -0.5, 0.5, out=part)
-    first = run_epoch(kernel_set, z, y, order[:2], theta, state, *rest)
+    first = run_epoch(kernel_set.train_epoch, z, y, order[:2], theta, state, *rest)
     assert first[3] == 1
     after = np.frombuffer(first[0]).copy()
     grad = np.empty_like(after)
     kernels.head_gradient(z[bad], y[bad], *kernels.split(after, 16, 8), kernels.split(grad, 16, 8))
     assert np.flatnonzero(~np.isfinite(grad)).tolist() == [grad.size - 1]
-    assert run_epoch(kernel_set, z, y, order, theta, state, *rest) == (*first[:4], "diverged: non-finite gradient")
+    assert run_epoch(kernel_set.train_epoch, z, y, order, theta, state, *rest) == (*first[:4], "diverged: non-finite gradient")
 
 
 def train_bytes() -> bytes:
@@ -124,6 +127,54 @@ def train_bytes() -> bytes:
     config = RunConfig(seed=1, lr0=1e-3, batch_size=64, epochs=3, lr_halving_period=2)
     model, history = learner.train(aug.dataset_from_samples(samples), config, projection_dim=16, hidden=24)
     return b"".join(a.tobytes() for a in (model.w1, model.b1, model.w2, np.array([model.b2, *history])))
+
+
+def random_model(seed, d, f, h) -> learner.RegressorModel:
+    """A model of input width ``d``, projection ``f`` and ``h`` hidden units with random
+    biases and statistics, about a third of its units dead."""
+    rng = np.random.default_rng(seed)
+    m = learner.init_model(seed, d, projection_dim=f, hidden=h)
+    b1 = rng.normal(scale=0.5, size=h) - (rng.random(h) < 0.3) * 10.0
+    return learner.RegressorModel(
+        m.projection, m.w1, b1, m.w2, float(rng.normal()), rng.normal(size=d), rng.uniform(0.5, 2.0, size=d), seed
+    )
+
+
+def render_and_score_bytes() -> bytes:
+    """A render of seed 5's walk and the angle MSE of a default-shaped model on it."""
+    world, walk, _ = walk_and_jittered(5)
+    features = render_observation(world, walk, RunConfig(seed=5))
+    model = random_model(3, features.shape[1], 128, 512)
+    mse = metrics.angle_mse(model, aug.Samples(features[:40], np.linspace(-1.0, 1.0, 40)))
+    return features.tobytes() + np.float64(mse).tobytes()
+
+
+# The default head, widths of 2 and off the groups of four, and each of
+# input, projection and head 1 wide, which the C forward declines.
+FORWARD_SHAPES = [(256, 128, 512), (2, 2, 2), (13, 7, 41), (1, 8, 16), (12, 1, 16), (12, 8, 1)]
+
+
+@needs_c
+@pytest.mark.parametrize("d, f, h", FORWARD_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_c_forward_equals_predict_raw_row_by_row(d, f, h, seed, monkeypatch):
+    model = random_model(seed, d, f, h)
+    rows = np.random.default_rng(seed).normal(scale=3.0, size=(30, d))
+    raw = kernels.load().forward(
+        rows, model.feature_mean, model.feature_std, model.projection, model.w1, model.b1, model.w2, model.b2
+    )
+    normalized = aug.normalize_features(model.feature_mean, model.feature_std, rows)
+    expected = [float(learner.predict_raw(model, x[None])[0]) for x in normalized]
+    if min(d, f, h) < 2:
+        assert raw is None
+    else:
+        assert raw.tolist() == expected
+    test_set = aug.Samples(rows, np.linspace(-3.0, 3.0, 30))
+    scores = []
+    for kernel_set in (kernels.load(), kernels.NUMPY):
+        monkeypatch.setattr(kernels, "load", lambda kernel_set=kernel_set: kernel_set)
+        scores.append(metrics.angle_mse(model, test_set))
+    assert scores[0] == scores[1] == sum((p - t) ** 2 for p, t in zip(expected, test_set.targets.tolist())) / 30
 
 
 @pytest.fixture
@@ -136,11 +187,12 @@ def fresh_load():
 
 @needs_c
 def test_missing_compiler_falls_back_to_numpy_with_the_same_bytes(monkeypatch, fresh_load):
-    with_c = train_bytes()
+    """The epoch, the renderer and the held-out forward."""
+    with_c = train_bytes(), render_and_score_bytes()
     monkeypatch.setattr(kernels, "COMPILER", "skytrack-no-such-compiler")
     kernels.load.cache_clear()
-    assert kernels.load() is NUMPY
-    assert train_bytes() == with_c
+    assert kernels.load() is kernels.NUMPY
+    assert (train_bytes(), render_and_score_bytes()) == with_c
 
 
 @needs_c
@@ -155,7 +207,7 @@ def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, fresh_load):
             bad.write_text(source)
         assert kernels.compile_kernels(kernels.COMPILER) is None
         kernels.load.cache_clear()
-        assert kernels.load() is NUMPY
+        assert kernels.load() is kernels.NUMPY
     assert not list(tmp_path.glob("cache/skytrack/*"))
 
 
@@ -164,7 +216,7 @@ def test_missing_blas_symbols_fall_back_to_numpy_with_the_same_bytes(monkeypatch
     with_c = train_bytes()
     monkeypatch.setattr(kernels, "BLAS", ("scipy_cblas_dgemm64_", "skytrack_no_such_dgemv"))
     kernels.load.cache_clear()
-    assert kernels.load() is NUMPY
+    assert kernels.load() is kernels.NUMPY
     assert train_bytes() == with_c
 
 
@@ -173,11 +225,11 @@ def test_optimization_level_changes_no_bits(monkeypatch):
     builds = {opt: kernels.compile_kernels(kernels.COMPILER, opt) for opt in ("-O0", "-O2")}
     assert None not in builds.values()
     out = []
-    for epoch in builds.values():
-        monkeypatch.setattr(kernels, "load", lambda epoch=epoch: epoch)
-        out.append(train_bytes())
+    for kernel_set in builds.values():
+        monkeypatch.setattr(kernels, "load", lambda kernel_set=kernel_set: kernel_set)
+        out.append(train_bytes() + render_and_score_bytes())
         # one batch of 61 rows over 45 units (so a tail after the groups of four), one unit dead
-        out.append(run_epoch(epoch, *epoch_args(9, 61, 12, 45, 64, 0, 1e-3, dead=[3])))
+        out.append(run_epoch(kernel_set.train_epoch, *epoch_args(9, 61, 12, 45, 64, 0, 1e-3, dead=[3])))
     assert out[:2] == out[2:]
 
 
@@ -247,6 +299,35 @@ class TestWrappersRefuseBadArrays:
     def test_accepts_the_good_arguments(self):
         sse, state = self.run()
         assert (sse, state.t) == (0.0, 2)
+
+
+@needs_c
+def test_render_and_forward_check_their_arrays():
+    """The renderer and the forward only read their inputs, so read-only
+    inputs pass; a wrong size, layout or a read-only output is refused
+    before C sees a pointer."""
+    render, forward = kernels.load().render, kernels.load().forward
+    planes, signatures = np.zeros((3, 2, 4)), np.full((4, 3), 0.5)
+    for x in (planes, signatures):
+        x.flags.writeable = False
+    out = np.zeros((2, 6))
+    render(planes, signatures, 2, 0.5, 0.5, out)
+    for bad in (np.zeros((2, 5)), np.zeros((2, 12))[:, ::2], np.zeros((2, 6), dtype=np.float32)):
+        with pytest.raises(ValueError, match="^expected a writeable "):
+            render(planes, signatures, 2, 0.5, 0.5, bad)
+    out.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        render(planes, signatures, 2, 0.5, 0.5, out)
+    with pytest.raises(ValueError, match="^expected a C-contiguous"):
+        render(np.zeros((3, 2, 8))[:, :, ::2], signatures, 2, 0.5, 0.5, np.zeros((2, 6)))
+
+    model = random_model(0, 6, 4, 5)
+    rows = np.ones((3, 6))
+    rows.flags.writeable = False
+    weights = (model.projection, model.w1, model.b1, model.w2, model.b2)
+    assert forward(rows, model.feature_mean, model.feature_std, *weights).shape == (3,)
+    with pytest.raises(ValueError, match="^dimension mismatch: got 5, expected 6"):
+        forward(np.ones((3, 5)), model.feature_mean, model.feature_std, *weights)
 
 
 def alive(pid: int) -> bool:
@@ -433,7 +514,7 @@ def test_hung_build_is_killed_with_its_child(tmp_path, monkeypatch, fresh_load):
     monkeypatch.setenv("PATH", path)
     monkeypatch.setattr(kernels, "BUILD_TIMEOUT", 1)
     start = time.monotonic()
-    assert kernels.load() is NUMPY
+    assert kernels.load() is kernels.NUMPY
     assert time.monotonic() - start < 30
     started = [int(pid) for pid in pids.read_text().split()]
     assert len(started) == 2 and not any(alive(pid) for pid in started)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import skytrack
 
-LAYERS = ["config", "artifacts", "geometry", "world", "augmentation", "kernels", "learner", "simulator", "metrics", "cli"]
+LAYERS = ["config", "artifacts", "kernels", "geometry", "world", "augmentation", "learner", "simulator", "metrics", "cli"]
 PACKAGE = Path(skytrack.__file__).parent
 
 

@@ -375,7 +375,7 @@ class TestTrain:
         sse = []
         for epoch in range(config.epochs):
             order, lr = rng.permutation(n), lr_at(epoch, config)
-            sse.append(kernels.NUMPY(z, ds.samples.targets, order, theta, state, hidden, config.batch_size, lr))
+            sse.append(kernels.NUMPY.train_epoch(z, ds.samples.targets, order, theta, state, hidden, config.batch_size, lr))
         assert model.projection.tobytes() == ref.projection.tobytes()
         params = np.concatenate([model.w1.ravel(), model.b1, model.w2, [model.b2]])
         assert params.tobytes() == theta.tobytes()

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from skytrack import cli
+from skytrack.config import load_config
 from test_cli import SRC, small_config
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -56,3 +57,7 @@ def test_traced_command_runs(tmp_path, command):
         run = tmp_path / "run"
         size = (run / "path_00_dataset.npz").stat().st_size + (run / "path_00_norm.json").stat().st_size
         assert metrics["cli.dataset_mb"] == size / 1e6
+        # The renderer is traced at its two call sites: one call per sweep, and one per rollout tick.
+        assert metrics["world.sweep_render_calls"] == load_config(cfg).n_augmented
+        ticks = len((run / "path_00_trajectory.csv").read_text().splitlines()) - 2  # the header and the start pose
+        assert metrics["world.rollout_render_calls"] == ticks

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skytrack import augmentation as aug
+from skytrack import kernels
 from skytrack.config import RunConfig
 from skytrack.geometry import generate_route, wrap_angle
 from skytrack.world import (
@@ -146,9 +147,10 @@ def render_add_at(world, poses, config):
     return grid.reshape(poses.shape[0], bins * s)
 
 
-def walk_and_jittered(seed):
-    """The world, the walk's poses and one jittered copy of them, for ``seed``'s default scenario."""
-    config = RunConfig(seed=seed)
+def walk_and_jittered(seed, **overrides):
+    """The world, the walk's poses and one jittered copy of them, for ``seed``'s default scenario
+    with ``overrides``."""
+    config = RunConfig(seed=seed, **overrides)
     route = generate_route(config, "path_00")
     world = generate_world(config, routes_bounding_box([route], config.world_margin))
     walk = aug.walk_path(route, config)
@@ -290,6 +292,63 @@ class TestRenderObservation:
             total = features.sum()
             assert total > prev
             prev = total
+
+
+C_SET = kernels.load()
+
+
+@pytest.mark.skipif(C_SET.render is None, reason="no C compiler: the NumPy renderer is in use")
+class TestCRenderer:
+    """The C per-pair loop against the NumPy renderer and the np.add.at
+    reference, bit for bit."""
+
+    @staticmethod
+    def assert_all_equal(monkeypatch, world, poses, config):
+        """The C and the NumPy renderer give the add.at reference's bytes; returns the C features."""
+        out = []
+        for kernel_set in (C_SET, kernels.NUMPY):
+            monkeypatch.setattr(kernels, "load", lambda kernel_set=kernel_set: kernel_set)
+            out.append(render_observation(world, poses, config))
+        reference = render_add_at(world, poses, config).tobytes()
+        assert out[0].tobytes() == reference and out[1].tobytes() == reference
+        return out[0]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(bins=32, fov_deg=90.0),
+            dict(bins=1, fov_deg=360.0),
+            dict(bins=7, fov_deg=200.0, signature_dim=3, n_landmarks=37),
+        ],
+        ids=["32-bins-90", "1-bin-360", "7-bins-200-S3-37"],
+    )
+    @pytest.mark.parametrize("seed", [5, 11, 0])
+    def test_walk_and_jittered_walk(self, monkeypatch, seed, overrides):
+        world, walk, jittered = walk_and_jittered(seed, **overrides)
+        for poses in (walk, jittered, jittered[:1], jittered[:65]):
+            self.assert_all_equal(monkeypatch, world, poses, RunConfig(seed=seed, **overrides))
+
+    @pytest.mark.parametrize("fov_deg", [90.0, 360.0])
+    @pytest.mark.parametrize("bins", [1, 2, 7, 32])
+    def test_view_edges(self, monkeypatch, bins, fov_deg):
+        poses = np.tile(EDGE_POSES, (22, 1))  # 66 rows: across the edge of the first block
+        self.assert_all_equal(monkeypatch, EDGE_WORLD, poses, RunConfig(bins=bins, fov_deg=fov_deg))
+
+    @pytest.mark.parametrize("bins", [1, 7, 32])
+    def test_poses_on_landmarks(self, monkeypatch, bins):
+        """A landmark at range 0 weighs 1 / (1 + 0), at the bearing arctan2(0, 0) - yaw:
+        dead ahead at yaw 0, so each of those poses sees at least its own landmark."""
+        n = len(BATCH_WORLD.positions)
+        for yaws in (np.zeros(n), np.linspace(-math.pi, math.pi, n)):
+            poses = np.column_stack([BATCH_WORLD.positions, yaws])
+            features = self.assert_all_equal(monkeypatch, BATCH_WORLD, poses, RunConfig(bins=bins, fov_deg=90.0))
+            # a unit-norm signature of non-negative channels sums to at least 1
+            assert np.all(features[yaws == 0.0].sum(axis=1) >= 1.0 - 1e-12)
+
+    def test_no_landmark_in_view(self, monkeypatch):
+        far = EDGE_POSES[2:]  # every landmark behind
+        features = self.assert_all_equal(monkeypatch, EDGE_WORLD, far, RunConfig(bins=7, fov_deg=90.0))
+        assert features.tobytes() == np.zeros((1, 14)).tobytes()
 
 
 @pytest.mark.parametrize(
