@@ -1,28 +1,28 @@
 """The loops that run in C, each beside the NumPy code that gives the same bits.
 
-The C set (``_kernels.c``) holds three loops, bound as a ``KernelSet``:
+A ``KernelSet`` holds three loops, each with one contract: ``NUMPY`` holds
+the NumPy reference, and the C set (``_kernels.c``) leaves to it what numpy
+sends elsewhere than the BLAS calls its C loop makes.
 
 - ``train_epoch`` runs one whole epoch of ``learner.train`` per call: row
   gather, forward GEMM, bias and rectifier, head, loss, backward, finite
-  check and Adam. The NumPy set runs the same epoch as a Python loop of
-  NumPy steps (``_numpy_epoch``). It is the reference, and the C epoch
-  leaves to it what numpy sends elsewhere than dgemm or dgemv: a one-row
-  batch, or a head under 2 units wide or deep.
+  check and Adam (``_numpy_epoch``); C leaves it a one-row batch, or a head
+  under 2 units wide or deep.
 - ``render`` bins the (pose, landmark) pairs of ``world.render_observation``
-  after NumPy has taken the bearings: the view test, the bin split,
-  ``1 / (1 + hypot)`` with libm's ``hypot`` (which ``np.hypot`` calls), and
-  the sums in ``np.bincount``'s order.
-- ``forward`` runs the rows of ``metrics.angle_mse`` through the head one at
-  a time, with the dgemv, dgemv and ddot calls that numpy's matmul makes for
-  one row; it declines the shapes for which numpy makes other calls.
+  after NumPy has taken the bearings (``_numpy_render``): the view test, the
+  bin split, ``1 / (1 + hypot)`` with libm's ``hypot`` (which ``np.hypot``
+  calls), and the sums in ``np.bincount``'s order.
+- ``forward`` runs rows through the head one at a time (``_numpy_forward``),
+  for ``learner.predict`` and ``metrics.angle_mse``, with the dgemv, dgemv
+  and ddot calls of numpy's matmul on one row; C leaves it the shapes for
+  which numpy makes other calls, and calls of under 2 rows.
 
 Every product goes to the BLAS routine that numpy's matmul picks for it,
 with the same arguments, in the OpenBLAS that numpy itself loaded (``BLAS``,
 looked up once per process). Both sets do the same IEEE double operations in
 the same order, and every one of them, divide and sqrt included, is
 correctly rounded, so with FMA contraction off (and no ``-ffast-math``) they
-give the same bits. ``NUMPY`` has no ``render`` or ``forward``: its callers
-run their own NumPy code, which stays as the reference.
+give the same bits.
 
 ``load`` builds the C set once per user and compiler: the library is cached as
 ``<XDG_CACHE_HOME or ~/.cache>/skytrack/<sha256>.so`` (only an absolute
@@ -126,7 +126,7 @@ def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> 
     moments and step count of ``state`` (a ``learner.AdamState``). Returns
     ``sse`` plus the sum of each batch's loss times its rows. A non-finite
     gradient raises ``RuntimeError("diverged ...")`` before its step
-    changes anything. ``load`` returns this function or its C twin."""
+    changes anything."""
     w1, b1, w2, b2 = split(theta, hidden, z.shape[1])
     grad = np.empty_like(theta)
     grads = split(grad, hidden, z.shape[1])
@@ -138,20 +138,56 @@ def _numpy_epoch(z, y, order, theta, state, hidden, batch_size, lr, sse=0.0) -> 
     return sse
 
 
+def _numpy_render(planes, signatures, bins, half, bin_width, out) -> None:
+    """Bin into ``out`` (P, bins * S) the landmarks seen from P poses:
+    ``planes`` (3, P, N) holds each pose's dx, dy and bearing to the N
+    landmarks, whose ``signatures`` are (N, S); see ``world.render_observation``."""
+    dx, dy, beta = planes
+    poses, s = beta.shape[0], signatures.shape[1]
+    beta = np.where(beta == -np.pi, np.pi, beta)
+    pose, landmark = np.nonzero(np.abs(beta) <= half)
+    # continuous bin coordinate: 0 at the center of bin 0
+    u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
+    lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
+    frac = u - lower
+    contribution = signatures[landmark] * (1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark])))[:, None]
+    cell = (pose * bins + lower)[:, None] * s + np.arange(s)  # flat (row, channel) of each lower-bin term
+    index, weight = [cell], [contribution * (1.0 - frac)[:, None]]
+    if bins > 1:
+        index.append(cell + s)
+        weight.append(contribution * frac[:, None])
+    sums = np.bincount(np.concatenate(index).ravel(), np.concatenate(weight).ravel(), poses * bins * s)
+    out[:] = sums.reshape(poses, bins * s)
+
+
+def _numpy_forward(features, mean, std, projection, w1, b1, w2, b2) -> np.ndarray:
+    """The head's raw output for each row of ``features`` (R, D), normalized by
+    ``mean`` and ``std`` and run alone: OpenBLAS routes a one-row product to
+    another kernel than a batch, whose forward would change the last bits."""
+    d = projection.shape[1]
+    if features.ndim != 2 or features.shape[1] != d:
+        raise ValueError(f"dimension mismatch: got {features.shape[-1]}, expected {d}")
+    out = np.empty(len(features))
+    for r, row in enumerate(features):
+        x = row - mean
+        x /= std
+        a = x.reshape(1, -1) @ projection.T @ w1.T
+        a += b1
+        out[r] = (np.maximum(a, 0.0, out=a) @ w2 + b2)[0]
+    return out
+
+
 @dataclass(frozen=True)
 class KernelSet:
-    """The loops of one set. ``train_epoch`` runs one epoch of
-    ``learner.train`` (see ``_numpy_epoch``). ``render`` and ``forward`` are
-    the C renderer's per-pair loop and the C held-out forward (see ``_bind``),
-    None in ``NUMPY``: their callers then run their own NumPy code, which
-    gives the same bits."""
+    """The loops of one set: ``train_epoch`` (see ``_numpy_epoch``),
+    ``render`` (``_numpy_render``) and ``forward`` (``_numpy_forward``)."""
 
     train_epoch: Callable[..., float]
-    render: Callable[..., None] | None = None
-    forward: Callable[..., np.ndarray | None] | None = None
+    render: Callable[..., None]
+    forward: Callable[..., np.ndarray]
 
 
-NUMPY = KernelSet(_numpy_epoch)
+NUMPY = KernelSet(_numpy_epoch, _numpy_render, _numpy_forward)
 
 
 def _pointers(*arrays: tuple[np.ndarray, int], read: int = 0) -> list[int]:
@@ -263,9 +299,6 @@ def _bind(lib_file: Path, blas: list) -> KernelSet | None:
         return _numpy_epoch(z, y, order[done:], theta, state, hidden, batch_size, lr, sse.value)
 
     def render(planes, signatures, bins, half, bin_width, out):
-        """Bin into ``out`` (P, bins * S) the landmarks seen from P poses:
-        ``planes`` (3, P, N) holds each pose's dx, dy and bearing to the N
-        landmarks, whose ``signatures`` are (N, S); see ``world.render_observation``."""
         _, poses, n = planes.shape
         s = signatures.shape[1]
         if bins < 1:  # C clips each landmark's bin into 0..bins-1
@@ -275,15 +308,13 @@ def _bind(lib_file: Path, blas: list) -> KernelSet | None:
             raise MemoryError("render: out of memory")
 
     def forward(features, mean, std, projection, w1, b1, w2, b2):
-        """Each row of ``features`` through the head, as ``learner.predict_raw``
-        gives it for that row alone, normalized by ``mean`` and ``std``; None
-        where numpy would not send both products to dgemv and the last to
-        ddot with these arguments: an input, projection or head under 2 wide,
-        or a product's weight that is not a C-contiguous float64 array."""
+        # NumPy takes a call of under 2 rows, whose checks here would cost more
+        # than C saves, and the shapes for which numpy calls other routines.
         (f, d), h = projection.shape, w1.shape[0]
-        weights = (projection, w1, w2)
-        if min(d, f, h) < 2 or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in weights):
-            return None
+        if len(features) < 2 or min(d, f, h) < 2 or not all(
+            a.dtype == np.float64 and a.flags.c_contiguous for a in (projection, w1, w2)
+        ):
+            return _numpy_forward(features, mean, std, projection, w1, b1, w2, b2)
         if features.ndim != 2 or features.shape[1] != d:
             raise ValueError(f"dimension mismatch: got {features.shape[-1]}, expected {d}")
         # Elementwise operands: a contiguous float64 copy changes no bit.

@@ -91,19 +91,12 @@ def init_model(seed: int, input_dim: int, projection_dim: int, hidden: int) -> R
 
 
 def predict(model: RegressorModel, raw_features: np.ndarray) -> float:
-    """Predicted yaw delta, wrapped to (-pi, pi], from one unnormalized
-    observation, normalized by the model's statistics."""
-    x = normalize_features(model.feature_mean, model.feature_std, raw_features)
-    return wrap_angle(float(predict_raw(model, x.reshape(1, -1))[0]))
-
-
-def predict_raw(model: RegressorModel, x: np.ndarray) -> np.ndarray:
-    """Unwrapped head outputs for normalized feature rows (n, D)."""
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"dimension mismatch: got {x.shape[1]}, expected {model.input_dim}")
-    z = x @ model.projection.T
-    h = np.maximum(z @ model.w1.T + model.b1, 0.0)
-    return h @ model.w2 + model.b2
+    """Predicted yaw delta, wrapped to (-pi, pi], from one unnormalized observation,
+    normalized by the model's statistics, through ``kernels.load().forward``: as a
+    render does, the first call in a process loads the kernel set."""
+    weights = (model.projection, model.w1, model.b1, model.w2, model.b2)
+    raw = kernels.load().forward(raw_features.reshape(1, -1), model.feature_mean, model.feature_std, *weights)
+    return wrap_angle(float(raw[0]))
 
 
 def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
@@ -120,10 +113,11 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
 
 
 def lr_at(epoch: int, config: RunConfig) -> float:
-    """Step schedule: the base rate is halved every lr_halving_period epochs."""
+    """Step schedule: the base rate is halved every lr_halving_period epochs,
+    so after k halvings it is ``lr0 / 2**k``, and 0 once that underflows."""
     if not (0 <= epoch < config.epochs):
         raise ValueError("epoch out of range")
-    return config.lr0 / 2 ** (epoch // config.lr_halving_period)
+    return math.ldexp(config.lr0, -(epoch // config.lr_halving_period))
 
 
 def project_dataset(dataset: Dataset, projection: np.ndarray) -> np.ndarray:

@@ -126,21 +126,16 @@ def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfi
 
     Poses are rendered in blocks of 64. NumPy computes each block's dx, dy
     and bearings (both ``np.arctan2`` calls, ``np.sin`` and ``np.cos``:
-    numpy's trig is not libm's). The per-pair rest runs in the C loop of
-    ``kernels.load().render``, or, without it, in NumPy with one
-    ``np.bincount`` per block; both do the same IEEE operations in the same
-    order, so they give the same bits: a bin sums, from 0.0, its lower-bin
-    terms in landmark order, then its upper-bin terms in landmark order.
-    Each row's bits do not depend on the other rows, so they do not depend
-    on the blocking either: every other step is elementwise.
+    numpy's trig is not libm's), and ``kernels.load().render`` bins them: a
+    bin sums, from 0.0, its lower-bin terms in landmark order, then its
+    upper-bin terms in landmark order. Each row's bits do not depend on the
+    other rows, so they do not depend on the blocking either: every other
+    step is elementwise.
     """
-    bins, fov, s = config.bins, math.radians(config.fov_deg), world.signature_dim
-    half = fov / 2.0
-    bin_width = fov / bins
-    channel = np.arange(s)
+    bins, fov = config.bins, math.radians(config.fov_deg)
     render = kernels.load().render
     signatures = np.ascontiguousarray(world.signatures)  # C reads it row by row
-    out = np.empty((poses.shape[0], bins * s))
+    out = np.empty((poses.shape[0], bins * world.signature_dim))
     for start in range(0, poses.shape[0], _RENDER_BLOCK):
         block = poses[start : start + _RENDER_BLOCK]
         planes = np.empty((3, len(block), len(signatures)))
@@ -149,25 +144,7 @@ def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfi
         np.subtract(world.positions[:, 1], block[:, 1:2], out=dy)
         np.subtract(np.arctan2(dy, dx, out=beta), block[:, 2:3], out=beta)
         np.arctan2(np.sin(beta), np.cos(beta), out=beta)
-        if render is not None:  # C maps a bearing of -pi to pi, as below
-            render(planes, signatures, bins, half, bin_width, out[start : start + len(block)])
-            continue
-        beta = np.where(beta == -math.pi, math.pi, beta)
-        pose, landmark = np.nonzero(np.abs(beta) <= half)
-        # continuous bin coordinate: 0 at the center of bin 0
-        u = np.clip((beta[pose, landmark] + half) / bin_width - 0.5, 0.0, bins - 1.0)
-        lower = np.minimum(np.floor(u).astype(int), bins - 2) if bins > 1 else np.zeros(u.shape, dtype=int)
-        frac = u - lower
-        contribution = signatures[landmark] * (
-            1.0 / (1.0 + np.hypot(dx[pose, landmark], dy[pose, landmark]))
-        )[:, None]
-        cell = (pose * bins + lower)[:, None] * s + channel  # flat (row, channel) of each lower-bin term
-        index, weight = [cell], [contribution * (1.0 - frac)[:, None]]
-        if bins > 1:
-            index.append(cell + s)
-            weight.append(contribution * frac[:, None])
-        sums = np.bincount(np.concatenate(index).ravel(), np.concatenate(weight).ravel(), len(block) * bins * s)
-        out[start : start + len(block)] = sums.reshape(len(block), bins * s)
+        render(planes, signatures, bins, fov / 2.0, fov / bins, out[start : start + len(block)])
     return out
 
 

@@ -1,5 +1,5 @@
-"""One C training epoch against one NumPy epoch, and the C held-out forward
-against per-row ``predict_raw``, bit for bit; the fallback when the compiler
+"""One C training epoch against one NumPy epoch, and the C forward against
+the NumPy forward run row by row, bit for bit; the fallback when the compiler
 or a BLAS symbol is missing; the checks the C epoch makes
 before it passes a pointer; when the compiler starts; the build cache; and
 that a hung build is killed with its children."""
@@ -150,31 +150,46 @@ def render_and_score_bytes() -> bytes:
 
 
 # The default head, widths of 2 and off the groups of four, and each of
-# input, projection and head 1 wide, which the C forward declines.
+# input, projection and head 1 wide, which the C forward hands to NumPy.
 FORWARD_SHAPES = [(256, 128, 512), (2, 2, 2), (13, 7, 41), (1, 8, 16), (12, 1, 16), (12, 8, 1)]
+
+
+def forward_args(model) -> tuple:
+    """The arguments of ``forward`` after the feature rows, for ``model``."""
+    return model.feature_mean, model.feature_std, model.projection, model.w1, model.b1, model.w2, model.b2
 
 
 @needs_c
 @pytest.mark.parametrize("d, f, h", FORWARD_SHAPES)
 @pytest.mark.parametrize("seed", range(3))
 def test_c_forward_equals_predict_raw_row_by_row(d, f, h, seed, monkeypatch):
+    """The C forward of 30 rows gives the bits of ``kernels.NUMPY.forward``
+    run on each row alone, and ``angle_mse`` the same score on both sets."""
     model = random_model(seed, d, f, h)
     rows = np.random.default_rng(seed).normal(scale=3.0, size=(30, d))
-    raw = kernels.load().forward(
-        rows, model.feature_mean, model.feature_std, model.projection, model.w1, model.b1, model.w2, model.b2
-    )
-    normalized = aug.normalize_features(model.feature_mean, model.feature_std, rows)
-    expected = [float(learner.predict_raw(model, x[None])[0]) for x in normalized]
-    if min(d, f, h) < 2:
-        assert raw is None
-    else:
-        assert raw.tolist() == expected
+    raw = kernels.load().forward(rows, *forward_args(model))
+    expected = [float(kernels.NUMPY.forward(x[None], *forward_args(model))[0]) for x in rows]
+    assert raw.tolist() == expected
     test_set = aug.Samples(rows, np.linspace(-3.0, 3.0, 30))
     scores = []
     for kernel_set in (kernels.load(), kernels.NUMPY):
         monkeypatch.setattr(kernels, "load", lambda kernel_set=kernel_set: kernel_set)
         scores.append(metrics.angle_mse(model, test_set))
     assert scores[0] == scores[1] == sum((p - t) ** 2 for p, t in zip(expected, test_set.targets.tolist())) / 30
+
+
+@needs_c
+@pytest.mark.parametrize("rows", [1, 0])
+def test_c_forward_of_under_two_rows_equals_its_rows_in_a_longer_call(rows):
+    """A call of 1 row (``learner.predict``'s) or none, which the C forward
+    hands to NumPy, gives the bits that the C loop gives those rows followed
+    by two more."""
+    d, f, h = FORWARD_SHAPES[0]
+    model = random_model(0, d, f, h)
+    features = np.random.default_rng(0).normal(scale=3.0, size=(rows, d))
+    raw = kernels.load().forward(features, *forward_args(model))
+    longer = kernels.load().forward(np.vstack([features, np.ones((2, d))]), *forward_args(model))
+    assert raw.shape == (rows,) and raw.tolist() == longer[:rows].tolist()
 
 
 @pytest.fixture

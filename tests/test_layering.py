@@ -2,9 +2,12 @@
 before it in LAYERS, or the package ``__init__``. Only ``artifacts`` writes
 files: every artifact goes through its one atomic writer. Every loader only
 parses: the record it returns checks itself. And every file format sits
-beside its record: a loader and its saver live in the record's module."""
+beside its record: a loader and its saver live in the record's module.
+And each kernel loop has one contract in both sets: no caller asks which
+set loaded."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -12,6 +15,7 @@ import typing
 from pathlib import Path
 
 import skytrack
+from skytrack import kernels
 
 LAYERS = ["config", "artifacts", "kernels", "geometry", "world", "augmentation", "learner", "simulator", "metrics", "cli"]
 PACKAGE = Path(skytrack.__file__).parent
@@ -155,3 +159,42 @@ def test_each_format_sits_beside_its_record():
         saver = "save_" + name.removeprefix("load_")
         assert defined.get(saver, layer) == layer, f"{saver} is defined in {defined[saver]}, not beside {loader}"
     assert [name for name, layer in defined.items() if layer == "cli"] == []
+
+
+def kernel_set_branches(text: str) -> list[int]:
+    """Lines of the Python ``text`` that name ``NUMPY`` of ``kernels`` (as an
+    attribute or an import) or compare a ``KernelSet`` member with None: a
+    name or attribute called after one of its fields."""
+    members = {field.name for field in dataclasses.fields(kernels.KernelSet)}
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute) and node.attr == "NUMPY" and getattr(node.value, "id", "") == "kernels":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "kernels" and "NUMPY" in [a.name for a in node.names]:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            named = {getattr(x, "id", getattr(x, "attr", "")) for x in operands}
+            if named & members and any(isinstance(x, ast.Constant) and x.value is None for x in operands):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_kernel_set_has_one_contract_in_both_sets():
+    """Every loop of a ``KernelSet`` is required and ``NUMPY`` has each one,
+    so no caller asks which set ``kernels.load`` gave."""
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in dataclasses.fields(kernels.KernelSet))
+    assert all(callable(loop) for loop in dataclasses.astuple(kernels.NUMPY))
+    for module in LAYERS:
+        if module != "kernels":
+            assert kernel_set_branches(source(module)) == [], f"{module} asks which kernel set loaded"
+
+
+def test_the_kernel_set_check_sees_each_branch():
+    branches = [
+        "kernels.NUMPY", "from .kernels import NUMPY", "render is None", "k.forward is not None",
+        "None == train_epoch",
+    ]
+    others = ["kernels.load().render(x)", "forward(x) is None", "model is None", "NUMPY"]
+    snippet = "".join(f"{line}\n" for line in branches + others)
+    assert kernel_set_branches(snippet) == list(range(1, len(branches) + 1))

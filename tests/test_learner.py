@@ -21,7 +21,6 @@ from skytrack.learner import (
     load_model,
     lr_at,
     predict,
-    predict_raw,
     save_model,
     train,
 )
@@ -86,19 +85,25 @@ class TestInitModel:
                 init_model(0, *dims)
 
 
+def forward(model, x):
+    """``kernels.NUMPY.forward`` of ``model`` on the feature rows ``x``."""
+    weights = (model.projection, model.w1, model.b1, model.w2, model.b2)
+    return kernels.NUMPY.forward(x, model.feature_mean, model.feature_std, *weights)
+
+
 class TestForward:
     def test_zero_head_outputs_zero(self):
         m = tiny_model()
         m.w1[:] = 0.0
         m.w2[:] = 0.0
-        assert predict_raw(m, np.ones((1, 6)))[0] == 0.0
+        assert forward(m, np.ones((1, 6)))[0] == 0.0
 
     def test_bias_passthrough(self):
         m = tiny_model()
         m.w1[:] = 0.0
         m.w2[:] = 0.0
         m.b2 = 0.42
-        assert predict_raw(m, np.full((1, 6), 7.0))[0] == pytest.approx(0.42)
+        assert forward(m, np.full((1, 6), 7.0))[0] == pytest.approx(0.42)
 
     def test_matches_naive_reimplementation(self):
         rng = np.random.default_rng(17)
@@ -109,7 +114,7 @@ class TestForward:
         z = m.projection @ x
         h = np.maximum(m.w1 @ z + m.b1, 0.0)
         expected = float(m.w2 @ h + m.b2)
-        assert predict_raw(m, x.reshape(1, -1))[0] == pytest.approx(expected, abs=1e-12)
+        assert forward(m, x.reshape(1, -1))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_forward_is_wrapped(self):
         m = tiny_model()
@@ -119,14 +124,15 @@ class TestForward:
         assert predict(m, np.zeros(6)) == pytest.approx(-math.pi / 2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict_raw(tiny_model(), np.zeros((1, 3)))
+        for call in (lambda: forward(tiny_model(), np.zeros((1, 3))), lambda: predict(tiny_model(), np.zeros(3))):
+            with pytest.raises(ValueError, match="^dimension mismatch: got 3, expected 6$"):
+                call()
 
     def test_untrained_model_predicts_through_identity_statistics(self):
         m = tiny_model()
         assert m.feature_mean.tolist() == [0.0] * 6 and m.feature_std.tolist() == [1.0] * 6
         x = np.random.default_rng(4).normal(size=6)
-        assert predict(m, x) == wrap_angle(float(predict_raw(m, x.reshape(1, -1))[0]))
+        assert predict(m, x) == wrap_angle(float(forward(m, x.reshape(1, -1))[0]))
 
 
 class TestLossAndGradient:
@@ -309,6 +315,18 @@ class TestLearningRateSchedule:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             lr_at(100, RunConfig())
+
+    def test_rate_after_1024_halvings_is_finite(self):
+        """The 1024th halving of the default period is 25,600 epochs in."""
+        rate = lr_at(25600, RunConfig(epochs=30000))
+        assert math.isfinite(rate) and rate >= 0.0
+
+    @pytest.mark.parametrize("lr0", [1e-4, 3e-3, 0.7])
+    def test_rate_is_lr0_over_a_power_of_two(self, lr0):
+        """Bit for bit, subnormal rates included."""
+        cfg = RunConfig(lr0=lr0, epochs=1024, lr_halving_period=1)
+        for k in range(1024):
+            assert lr_at(k, cfg) == lr0 / 2**k, k
 
 
 class TestTrain:

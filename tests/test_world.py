@@ -297,10 +297,25 @@ class TestRenderObservation:
 C_SET = kernels.load()
 
 
-@pytest.mark.skipif(C_SET.render is None, reason="no C compiler: the NumPy renderer is in use")
+@pytest.mark.skipif(C_SET is kernels.NUMPY, reason="no C compiler: the NumPy set is in use")
 class TestCRenderer:
     """The C per-pair loop against the NumPy renderer and the np.add.at
     reference, bit for bit."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 7])
+    def test_bearings_of_minus_pi_bin_as_pi(self, bins):
+        """Both loops, given the same planes, map a bearing of exactly -pi
+        to pi, which a 360-degree view sees in its last bin."""
+        rng = np.random.default_rng(bins)
+        planes = rng.normal(size=(3, 4, 6))
+        planes[2] = rng.uniform(-math.pi, math.pi, size=(4, 6))
+        planes[2, :, ::2] = -math.pi
+        signatures = np.abs(rng.normal(size=(6, 3)))
+        out = [np.full((4, bins * 3), np.nan) for _ in range(2)]
+        for kernel_set, features in zip((C_SET, kernels.NUMPY), out):
+            kernel_set.render(planes, signatures, bins, math.pi, 2 * math.pi / bins, features)
+        assert out[0].tobytes() == out[1].tobytes()
+        assert np.all(out[0][:, -3:] > 0.0)  # every pose sees its -pi landmarks at pi
 
     @staticmethod
     def assert_all_equal(monkeypatch, world, poses, config):
