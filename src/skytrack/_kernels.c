@@ -230,7 +230,7 @@ int render(const double *restrict planes, ptrdiff_t poses, ptrdiff_t n, const do
 }
 
 /* The head's raw output for each of `rows` feature rows (d wide), as
-   learner.predict_raw gives it for that row alone: x = (f - mean) / std,
+   kernels._numpy_forward gives it for that row alone: x = (f - mean) / std,
    z = projection @ x, a = w1 @ z, h = np.maximum(a + b1, 0.0) and
    out = (0.0 + h . w2) + b2. numpy's matmul sends a one-row product to
    dgemv (ColMajor, Trans) and the head's to ddot, which numpy's dot adds to

@@ -156,14 +156,12 @@ def _train_fly_score(
     world: LandmarkWorld,
     route: Path,
     dataset: aug.Dataset,
-    test_set: aug.Samples | None = None,
 ) -> tuple[learner.RegressorModel, simulator.TrajectoryLog, metrics.MetricsReport]:
-    """Train a model on ``dataset``, fly it along ``route`` and score the
-    flight, plus the held-out angle MSE when ``test_set`` is given."""
+    """Train a model on ``dataset``, fly it along ``route`` and score the flight."""
     model, _ = learner.train(dataset, config, projection_dim=config.projection_dim, hidden=config.hidden_units)
     policy = simulator.ModelPolicy(model, config)
     log = simulator.rollout(policy, world, route, config)
-    return model, log, metrics.evaluate(route, log, test_set=test_set, model=model)
+    return model, log, metrics.evaluate(route, log)
 
 
 def path_files(out_dir: FilePath, route_id: str) -> list[FilePath]:
@@ -329,9 +327,10 @@ def run_ablation(config: RunConfig, world: LandmarkWorld, route: Path) -> list[t
     del first  # its rows are in the buffer now; the forked children need not map a second copy
 
     def level(k: int) -> metrics.MetricsReport:
-        """Train on sweeps 0..k-1, fly the model and score it."""
-        dataset = aug.dataset_from_samples(samples[: k * n])
-        return _train_fly_score(config, world, route, dataset, samples[n_train * n :])[2]
+        """Train on sweeps 0..k-1, fly and score the model, and add its angle MSE on the test sweeps."""
+        model, _, report = _train_fly_score(config, world, route, aug.dataset_from_samples(samples[: k * n]))
+        report.angle_mse = metrics.angle_mse(model, samples[n_train * n :])
+        return report
 
     cpus = len(os.sched_getaffinity(0))
     parts = ablation_workers(cpus, slots - 1)

@@ -92,9 +92,9 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse flat ``key = value`` lines over the documented defaults."""
+    """Parse flat ``key = value`` lines over the documented defaults; a key may be given once."""
     types = get_type_hints(RunConfig)  # int, float, str or tuple[int, ...]
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,6 +104,9 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key!r} is given again; it was first given on line {lines[key]}")
+        lines[key] = lineno
         try:
             if types[key] == tuple[int, ...]:
                 values[key] = tuple(int(v) for v in value.split(",") if v.strip())

@@ -52,10 +52,6 @@ class RegressorModel:
             raise ValueError("non-finite weight")
         check_statistics(self.feature_mean, self.feature_std, d)
 
-    @property
-    def input_dim(self) -> int:
-        return int(self.projection.shape[1])
-
 
 @dataclass
 class AdamState:
@@ -186,7 +182,7 @@ def save_model(model: RegressorModel, file: FilePath | str) -> None:
     """JSON serialization; floats use Python's shortest round-trip decimal
     encoding, so a save/load cycle is bit-faithful."""
     doc = {
-        "input_dim": model.input_dim,
+        "input_dim": int(model.projection.shape[1]),
         "projection_dim": int(model.projection.shape[0]),
         "hidden": int(model.w1.shape[0]),
         "init_seed": model.init_seed,

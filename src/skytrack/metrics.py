@@ -75,22 +75,15 @@ class MetricsReport:
     angle_mse: float | None = None
 
 
-def evaluate(
-    path: Path,
-    trajectory: TrajectoryLog,
-    test_set: Samples | None = None,
-    model: RegressorModel | None = None,
-) -> MetricsReport:
-    """Bundle the three trajectory metrics, plus angle MSE when a labeled
-    test set and model are supplied."""
-    mse = angle_mse(model, test_set) if test_set is not None and model is not None else None
+def evaluate(path: Path, trajectory: TrajectoryLog) -> MetricsReport:
+    """Bundle the three trajectory metrics; ``angle_mse`` is left None for
+    a caller that holds a labeled test set to fill in."""
     return MetricsReport(
         path_id=path.id,
         mwmd=mean_waypoint_min_distance(path, trajectory.poses[:, :2]),
         mctd=mean_cross_track_distance(path, trajectory.poses[:, :2]),
         sac=sum_angle_change(path),
         termination=trajectory.termination,
-        angle_mse=mse,
     )
 
 

@@ -88,7 +88,9 @@ def rollout(
     step = config.step
     if max_steps is None:
         max_steps = default_max_steps(path, step)
-    guard = world.bounds.inflated(0.1 * world.bounds.width, 0.1 * world.bounds.height)
+    xmin, ymin, xmax, ymax = world.bounds
+    margin_x, margin_y = 0.1 * (xmax - xmin), 0.1 * (ymax - ymin)
+    xmin, ymin, xmax, ymax = xmin - margin_x, ymin - margin_y, xmax + margin_x, ymax + margin_y  # the guard
 
     target = advance_target(wps[0], wps, 0, config.capture_radius)
     x, y = wps[0]
@@ -112,7 +114,7 @@ def rollout(
         if target >= len(wps):
             termination = COMPLETED
             break
-        if not guard.contains(x, y):
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
             termination = DIVERGED
             break
     return TrajectoryLog(poses[:n], commands[: n - 1], targets[:n], termination)

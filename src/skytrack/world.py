@@ -22,58 +22,30 @@ from .config import RunConfig
 from .geometry import Path
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle in world coordinates."""
-
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax))):
-            raise ValueError("non-finite bounds")
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("empty bounds")
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
-
-    def inflated(self, margin_x: float, margin_y: float) -> "Rect":
-        return Rect(
-            self.xmin - margin_x,
-            self.ymin - margin_y,
-            self.xmax + margin_x,
-            self.ymax + margin_y,
-        )
-
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-
-def routes_bounding_box(paths: list[Path], margin: float) -> Rect:
+def routes_bounding_box(paths: list[Path], margin: float) -> tuple[float, float, float, float]:
     w = np.concatenate([route.waypoints for route in paths])
     (xmin, ymin), (xmax, ymax) = w.min(axis=0).tolist(), w.max(axis=0).tolist()
-    return Rect(xmin - margin, ymin - margin, xmax + margin, ymax + margin)
+    return xmin - margin, ymin - margin, xmax + margin, ymax + margin
 
 
 @dataclass(frozen=True)
 class LandmarkWorld:
-    """Immutable landmark map: at least one landmark, finite positions (N, 2)
-    and unit-norm signatures (N, S), S >= 1; anything else raises ValueError."""
+    """Immutable landmark map: finite, non-empty bounds, at least one landmark,
+    finite positions (N, 2) and unit-norm signatures (N, S), S >= 1; anything
+    else raises ValueError."""
 
     positions: np.ndarray
     signatures: np.ndarray
-    bounds: Rect
+    bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax, in world.json's order
     seed: int
 
     def __post_init__(self) -> None:
+        xmin, ymin, xmax, ymax = bounds = tuple(map(float, self.bounds))
+        object.__setattr__(self, "bounds", bounds)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("non-finite bounds")
+        if not (xmax > xmin and ymax > ymin):
+            raise ValueError("empty bounds")
         positions, signatures = self.positions, self.signatures
         n = len(positions)
         if n < 1:
@@ -90,14 +62,15 @@ class LandmarkWorld:
         return int(self.signatures.shape[1])
 
 
-def generate_world(config: RunConfig, bounds: Rect) -> LandmarkWorld:
+def generate_world(config: RunConfig, bounds: tuple[float, float, float, float]) -> LandmarkWorld:
     """Seeded world synthesis from ``config.seed``: ``config.n_landmarks`` uniform
     positions in ``bounds``, unit-sphere signatures of ``config.signature_dim``."""
+    xmin, ymin, xmax, ymax = bounds
     rng = np.random.default_rng(config.seed)
     positions = np.column_stack(
         [
-            rng.uniform(bounds.xmin, bounds.xmax, size=config.n_landmarks),
-            rng.uniform(bounds.ymin, bounds.ymax, size=config.n_landmarks),
+            rng.uniform(xmin, xmax, size=config.n_landmarks),
+            rng.uniform(ymin, ymax, size=config.n_landmarks),
         ]
     )
     # Non-negative orthant of the unit sphere: channels read as intensities.
@@ -151,7 +124,7 @@ def render_observation(world: LandmarkWorld, poses: np.ndarray, config: RunConfi
 def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
     doc = {
         "seed": world.seed,
-        "bounds": [world.bounds.xmin, world.bounds.ymin, world.bounds.xmax, world.bounds.ymax],
+        "bounds": list(world.bounds),
         "landmarks": [
             {"position": world.positions[i].tolist(), "signature": world.signatures[i].tolist()}
             for i in range(world.positions.shape[0])
@@ -162,7 +135,7 @@ def save_world(world: LandmarkWorld, file: FilePath | str) -> None:
 
 def load_world(file: FilePath | str) -> LandmarkWorld:
     """Read what save_world wrote. A file that does not hold four bounds, an
-    integer seed and a world that ``LandmarkWorld`` and ``Rect`` accept, all
+    integer seed and a world that ``LandmarkWorld`` accepts, all
     as JSON numbers, raises one ValueError naming the file."""
     with reading(file):
         doc = json.loads(FilePath(file).read_text())
@@ -172,4 +145,4 @@ def load_world(file: FilePath | str) -> LandmarkWorld:
         box = json_floats(doc["bounds"])
         if box.shape != (4,):
             raise ValueError(f"bounds have shape {box.shape}, expected (4,)")
-        return LandmarkWorld(positions, signatures, Rect(*box.tolist()), json_int(doc, "seed"))
+        return LandmarkWorld(positions, signatures, tuple(box.tolist()), json_int(doc, "seed"))

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from skytrack import augmentation as aug
 from skytrack.config import RunConfig
 from skytrack.geometry import Path, advance_target, bearing, generate_route, target_yaw_delta, wrap_angle
-from skytrack.world import Rect, generate_world
+from skytrack.world import generate_world
 
-WORLD = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))
+WORLD = generate_world(RunConfig(seed=0, n_landmarks=40, signature_dim=4), (-20, -20, 40, 40))
 
 
 def straight_path(length=2.0):

@@ -26,7 +26,7 @@ from skytrack import augmentation as aug
 from skytrack import cli, kernels, learner, metrics
 from skytrack.config import ConfigError, RunConfig, format_config, load_config, parse_config
 from skytrack.geometry import Path, generate_route, load_path, path_length, save_path, sum_angle_change
-from skytrack.world import Rect, generate_world, routes_bounding_box
+from skytrack.world import generate_world, routes_bounding_box
 
 SRC = str(FilePath(skytrack.__file__).resolve().parent.parent)
 # How long an ablation child may outlive its SIGKILLed parent: a render job
@@ -75,6 +75,10 @@ class TestParseConfig:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("seed = banana\n")
+
+    def test_key_given_twice_rejected(self):
+        with pytest.raises(ConfigError, match="^line 3: 'seed' is given again; it was first given on line 1$"):
+            parse_config("seed = 1\n# seed = 3\nseed = 2\n")
 
     def test_list_value(self):
         config = parse_config("ablation_levels = 1,2,4\n")
@@ -203,7 +207,7 @@ class TestPathRoundTrip:
 
 class TestDatasetRoundTrip:
     def test_npz_and_sidecar(self, tmp_path):
-        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), (-20, -20, 40, 40))
         route = Path([(0, 0), (6, 0)], "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0)
         ds = aug.build_dataset(route, cfg, world)
@@ -319,7 +323,7 @@ class TestDatasetRoundTrip:
         ],
     )
     def test_load_rejects_bad_files(self, tmp_path, corrupt, message):
-        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), (-20, -20, 40, 40))
         route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
@@ -340,7 +344,7 @@ class TestDatasetRoundTrip:
         ids=["null", "nan", "zero-and-negative", "bool"],
     )
     def test_load_rejects_sidecar_std_that_load_model_would(self, tmp_path, head, message):
-        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=30, signature_dim=4), (-20, -20, 40, 40))
         route = Path([(0, 0), (6, 0)], "p")
         ds = aug.build_dataset(route, RunConfig(n_augmented=2, capture_radius=0.4, seed=0), world)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
@@ -355,7 +359,7 @@ class TestDatasetRoundTrip:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_truncated_or_garbled_file_gives_one_value_error(self, tmp_path, data):
-        world = generate_world(RunConfig(seed=0, n_landmarks=10, signature_dim=2), Rect(-20, -20, 40, 40))
+        world = generate_world(RunConfig(seed=0, n_landmarks=10, signature_dim=2), (-20, -20, 40, 40))
         route = Path([(0, 0), (2, 0)], "p")
         cfg = RunConfig(n_augmented=2, capture_radius=0.4, seed=0, bins=2)
         data_file, sidecar = tmp_path / "d.npz", tmp_path / "d.json"
@@ -584,6 +588,29 @@ class TestCommands:
         assert text[0] == "k,angle_mse,mctd,termination"
         assert len(text) == 3  # header + one row per level
         assert (run / "ablation.svg").exists()
+
+    def test_ablation_repeated_level_trains_once(self, tmp_path, monkeypatch):
+        # A level listed twice gets a row at each place it is listed, from
+        # one level worker: each process records the rows it trains on.
+        cfg = small_config(tmp_path, ablation_levels="2,1,2")
+        config = load_config(cfg)
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        seen, real_train = tmp_path / "trained", learner.train
+
+        def train(dataset, *args, **kwargs):
+            with open(seen, "a") as fh:
+                fh.write(f"{os.getpid()} {len(dataset.samples)}\n")
+            return real_train(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "train", train)
+        assert cli.main(["ablation", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "run" / "ablation.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["k", "2", "1", "2"]
+        assert rows[1] == rows[3]
+        n = len(aug.walk_path(cli._load_scenario(config)[1][0], config))
+        trained = [tuple(map(int, line.split())) for line in seen.read_text().splitlines()]
+        assert sorted(size for _, size in trained) == [n, 2 * n]
+        assert len({pid for pid, _ in trained}) == 2 and os.getpid() not in {pid for pid, _ in trained}
 
     def test_ablation_reuses_sweeps_across_levels(self, tmp_path, monkeypatch):
         # Levels out of order: each must still train on exactly sweeps 0..k-1,
@@ -954,6 +981,15 @@ class TestCommands:
         assert cli.main(["gen", "--config", str(small_config(tmp_path, **{key: value}))]) == 1
         assert time.monotonic() - start < 1
         assert f"config error: {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_key_given_twice_exits_1_before_any_work(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "n_landmarks = 31\n")
+        for command in ("gen", "pipeline", "ablation"):
+            assert cli.main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err == "config error: line 12: 'n_landmarks' is given again; it was first given on line 5\n"
         assert not (tmp_path / "run").exists()
 
     def test_config_error_exit_code(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skytrack.geometry import (
@@ -70,13 +70,17 @@ class TestTargetYawDelta:
             target_yaw_delta((1, 1, 0.0), (1, 1))
 
     @given(coords, coords, coords, coords, finite_angles)
+    # bearing pi; the corrected heading rounds to just above -pi, the same
+    # direction, so the two are compared as angles, not as numbers
+    @example(px=1.0, py=0.0, wx=0.0, wy=0.0, yaw=-1.9)
     def test_applying_delta_points_at_waypoint(self, px, py, wx, wy, yaw):
         if math.hypot(wx - px, wy - py) < 1e-6:
             return
         pose = (px, py, wrap_angle(yaw))
         delta = target_yaw_delta(pose, (wx, wy))
         corrected = wrap_angle(pose[2] + delta)
-        assert corrected == pytest.approx(bearing((px, py), (wx, wy)), abs=1e-9)
+        miss = wrap_angle(corrected - bearing((px, py), (wx, wy)))
+        assert miss == pytest.approx(0.0, abs=1e-9)
 
     @given(coords, coords, finite_angles, finite_angles)
     def test_rotation_equivariance(self, px, py, yaw, phi):

@@ -4,12 +4,13 @@ files: every artifact goes through its one atomic writer. Every loader only
 parses: the record it returns checks itself. And every file format sits
 beside its record: a loader and its saver live in the record's module.
 And each kernel loop has one contract in both sets: no caller asks which
-set loaded."""
+set loaded. The C source's comments name only functions that exist."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import sys
 import typing
 from pathlib import Path
@@ -198,3 +199,25 @@ def test_the_kernel_set_check_sees_each_branch():
     others = ["kernels.load().render(x)", "forward(x) is None", "model is None", "NUMPY"]
     snippet = "".join(f"{line}\n" for line in branches + others)
     assert kernel_set_branches(snippet) == list(range(1, len(branches) + 1))
+
+
+def cited_names(text: str) -> list[str]:
+    """Each ``<module>.<name>`` of a package module that ``text`` cites, in
+    order; the file name ``kernels.py`` is not a citation."""
+    found = re.findall(rf"\b({'|'.join(LAYERS)})\.([A-Za-z_]\w*)", text)
+    return [f"{module}.{name}" for module, name in found if name != "py"]
+
+
+def test_the_c_source_cites_only_names_that_exist():
+    """An edit to ``_kernels.c`` rebuilds every cached library, so a stale
+    name in its comments would otherwise wait for the next change to the C."""
+    cited = cited_names((PACKAGE / "_kernels.c").read_text())
+    assert cited
+    for name in cited:
+        module, attribute = name.split(".")
+        assert hasattr(importlib.import_module(f"skytrack.{module}"), attribute), f"_kernels.c cites {name}"
+
+
+def test_the_citation_check_sees_each_name():
+    text = "kernels.py checks; as learner.predict_raw gives; np.maximum; world.render_observation's loop; mycli.x"
+    assert cited_names(text) == ["learner.predict_raw", "world.render_observation"]

@@ -19,7 +19,7 @@ from skytrack.metrics import (
     save_report,
 )
 from skytrack.simulator import OraclePolicy, rollout
-from skytrack.world import Rect, generate_world
+from skytrack.world import generate_world
 
 
 def brute_force_mwmd(waypoints, positions):
@@ -159,7 +159,7 @@ class TestAngleMse:
 
 
 class TestEvaluate:
-    WORLD = generate_world(RunConfig(seed=2, n_landmarks=40, signature_dim=4), Rect(-20, -20, 40, 40))
+    WORLD = generate_world(RunConfig(seed=2, n_landmarks=40, signature_dim=4), (-20, -20, 40, 40))
 
     def test_oracle_straight_path(self):
         p = Path([(0, 0), (8, 0)], "straight")

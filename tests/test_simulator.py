@@ -19,9 +19,9 @@ from skytrack.simulator import (
     rollout,
     save_trajectory,
 )
-from skytrack.world import Rect, generate_world
+from skytrack.world import generate_world
 
-WORLD = generate_world(RunConfig(seed=1, n_landmarks=60, signature_dim=4), Rect(-30, -30, 60, 60))
+WORLD = generate_world(RunConfig(seed=1, n_landmarks=60, signature_dim=4), (-30, -30, 60, 60))
 
 
 class ConstantPolicy:
@@ -175,7 +175,7 @@ class TestTermination:
         # the goal lies far outside the world's 10% guard margin, so straight
         # flight exits the bounds before reaching it
         p = Path([(0, 0), (6, 0)], "straight")
-        tiny = generate_world(RunConfig(seed=1, n_landmarks=5, signature_dim=2), Rect(-1, -1, 1, 1))
+        tiny = generate_world(RunConfig(seed=1, n_landmarks=5, signature_dim=2), (-1, -1, 1, 1))
         log = rollout(ConstantPolicy(0.0), tiny, p, cfg())
         assert log.termination == DIVERGED
         assert log.poses[-1, 0] > 1.0
@@ -189,7 +189,14 @@ class TestTermination:
 
 
 class TestGuardBoundary:
-    GUARD = WORLD.bounds.inflated(0.1 * WORLD.bounds.width, 0.1 * WORLD.bounds.height)
+    XMIN, YMIN, XMAX, YMAX = WORLD.bounds
+    MARGIN_X, MARGIN_Y = 0.1 * (XMAX - XMIN), 0.1 * (YMAX - YMIN)
+    GUARD = (XMIN - MARGIN_X, YMIN - MARGIN_Y, XMAX + MARGIN_X, YMAX + MARGIN_Y)  # xmin, ymin, xmax, ymax
+
+    @classmethod
+    def inside(cls, x, y):
+        xmin, ymin, xmax, ymax = cls.GUARD
+        return xmin <= x <= xmax and ymin <= y <= ymax
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -204,9 +211,9 @@ class TestGuardBoundary:
         """A start inside the guard, at most 1 m from its edge: every step has
         the step length, targets never decrease, and a finite policy diverges
         only by leaving the guard, on the last pose."""
-        g = self.GUARD
-        x = {"xmin": g.xmin + inset, "xmax": g.xmax - inset}.get(side, g.xmin + along * g.width)
-        y = {"ymin": g.ymin + inset, "ymax": g.ymax - inset}.get(side, g.ymin + along * g.height)
+        xmin, ymin, xmax, ymax = self.GUARD
+        x = {"xmin": xmin + inset, "xmax": xmax - inset}.get(side, xmin + along * (xmax - xmin))
+        y = {"ymin": ymin + inset, "ymax": ymax - inset}.get(side, ymin + along * (ymax - ymin))
         assume((x, y) != goal)
         log = rollout(policy, WORLD, Path(((x, y), goal), "edge"), cfg(), max_steps=max_steps)
         n = len(log.poses)
@@ -216,8 +223,8 @@ class TestGuardBoundary:
         assert np.all(np.abs(steps - 0.2) <= 1e-9)
         assert np.all(np.diff(log.targets) >= 0)
         assert np.isfinite(log.commands).all()
-        assert all(g.contains(px, py) for px, py in log.poses[:-1, :2].tolist())
-        inside = g.contains(*log.poses[-1, :2].tolist())
+        assert all(self.inside(px, py) for px, py in log.poses[:-1, :2].tolist())
+        inside = self.inside(*log.poses[-1, :2].tolist())
         if log.termination == DIVERGED:
             assert not inside
         elif log.termination == MAX_STEPS:

@@ -15,7 +15,6 @@ from skytrack.config import RunConfig
 from skytrack.geometry import generate_route, wrap_angle
 from skytrack.world import (
     LandmarkWorld,
-    Rect,
     generate_world,
     load_world,
     render_observation,
@@ -23,7 +22,7 @@ from skytrack.world import (
     save_world,
 )
 
-BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
+BOUNDS = (0.0, 0.0, 100.0, 100.0)
 
 
 def render(world, pose, bins, fov):
@@ -38,20 +37,9 @@ def single_landmark_world(x, y, signature):
     return LandmarkWorld(
         positions=np.array([[x, y]]),
         signatures=sig.reshape(1, -1),
-        bounds=Rect(-50, -50, 50, 50),
+        bounds=(-50, -50, 50, 50),
         seed=0,
     )
-
-
-class TestRect:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Rect(0, 0, 0, 1)
-
-    def test_inflated_contains(self):
-        r = Rect(0, 0, 2, 2).inflated(1, 1)
-        assert r.contains(-0.5, 2.5)
-        assert not r.contains(-1.5, 0)
 
 
 class TestGenerateWorld:
@@ -72,10 +60,11 @@ class TestGenerateWorld:
 
     def test_landmarks_inside_bounds(self):
         w = generate_world(RunConfig(seed=1, n_landmarks=200, signature_dim=8), BOUNDS)
-        assert np.all(w.positions[:, 0] >= BOUNDS.xmin)
-        assert np.all(w.positions[:, 0] <= BOUNDS.xmax)
-        assert np.all(w.positions[:, 1] >= BOUNDS.ymin)
-        assert np.all(w.positions[:, 1] <= BOUNDS.ymax)
+        xmin, ymin, xmax, ymax = BOUNDS
+        assert np.all(w.positions[:, 0] >= xmin)
+        assert np.all(w.positions[:, 0] <= xmax)
+        assert np.all(w.positions[:, 1] >= ymin)
+        assert np.all(w.positions[:, 1] <= ymax)
 
     def test_signatures_unit_norm_nonnegative(self):
         w = generate_world(RunConfig(seed=1, n_landmarks=50, signature_dim=8), BOUNDS)
@@ -104,7 +93,7 @@ def render_reference(world, x, y, yaw, bins, fov):
     return grid.reshape(-1)
 
 
-BATCH_WORLD = generate_world(RunConfig(seed=4, n_landmarks=25, signature_dim=3), Rect(-10.0, -10.0, 10.0, 10.0))
+BATCH_WORLD = generate_world(RunConfig(seed=4, n_landmarks=25, signature_dim=3), (-10.0, -10.0, 10.0, 10.0))
 
 
 @st.composite
@@ -163,7 +152,7 @@ def walk_and_jittered(seed, **overrides):
 # sit exactly on the edges of a 90 degree view (bearings pi/4 and -pi/4) and
 # the third exactly behind, on the edge of a 360 degree view (bearing pi).
 EDGE_WORLD = LandmarkWorld(
-    np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]]), np.full((3, 2), math.sqrt(0.5)), Rect(-50, -50, 50, 50), 0
+    np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]]), np.full((3, 2), math.sqrt(0.5)), (-50, -50, 50, 50), 0
 )
 # From the origin facing +x, facing the first landmark, and far off with every landmark behind.
 EDGE_POSES = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, math.pi / 4], [100.0, 0.0, 0.0]])
@@ -272,14 +261,14 @@ class TestRenderObservation:
         positions = rng.uniform(-10, 10, size=(20, 2))
         signatures = np.abs(rng.normal(size=(20, 3)))
         signatures /= np.linalg.norm(signatures, axis=1, keepdims=True)
-        world = LandmarkWorld(positions, signatures, Rect(-50, -50, 50, 50), 0)
+        world = LandmarkWorld(positions, signatures, (-50, -50, 50, 50), 0)
         x, y, yaw = 1.0, -2.0, 0.7
         base = render(world, (x, y, yaw), 16, math.pi / 2)
 
         phi, tx, ty = 1.1, 4.0, -3.0
         c, s = math.cos(phi), math.sin(phi)
         moved = positions @ np.array([[c, s], [-s, c]]) + [tx, ty]
-        world2 = LandmarkWorld(moved, signatures, Rect(-80, -80, 80, 80), 0)
+        world2 = LandmarkWorld(moved, signatures, (-80, -80, 80, 80), 0)
         pose2 = (c * x - s * y + tx, s * x + c * y + ty, wrap_angle(yaw + phi))
         transformed = render(world2, pose2, 16, math.pi / 2)
         np.testing.assert_allclose(transformed, base, atol=1e-9)
@@ -371,9 +360,10 @@ class TestCRenderer:
     [
         (lambda: replace(EDGE_WORLD, positions=np.array([[1.0, 1.0], [math.inf, -1.0], [-1.0, 0.0]])), "non-finite"),
         (lambda: replace(EDGE_WORLD, signatures=np.full((3, 2), 0.5)), "not unit-norm"),
-        (lambda: Rect(-50, -50, math.inf, 50), "non-finite"),
+        (lambda: replace(EDGE_WORLD, bounds=(-50, -50, math.inf, 50)), "non-finite bounds"),
+        (lambda: replace(EDGE_WORLD, bounds=(-50, 50, 50, 50)), "empty bounds"),
     ],
-    ids=["inf-position", "non-unit-signature", "inf-bound"],
+    ids=["inf-position", "non-unit-signature", "inf-bound", "empty-bound"],
 )
 def test_a_world_built_directly_is_checked_as_a_loaded_one(build, message):
     """A library caller that builds a world gets the checks that load_world makes."""
